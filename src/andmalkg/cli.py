@@ -42,7 +42,15 @@ def _load_graph(path: Path) -> Graph:
 
 
 def _dump_graph(graph: Graph, path: Path) -> None:
-    path.write_text(serialize_ntriples(graph), encoding="utf-8")
+    """Replace the graph file atomically: when the write fails or the
+    process dies part-way, the old file is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(serialize_ntriples(graph), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_ingest(args) -> int:

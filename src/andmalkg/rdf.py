@@ -1,16 +1,29 @@
 """In-memory RDF triple store with N-Triples and Turtle serialization.
 
-Terms are immutable; a Graph keeps three orderings (subject-, predicate-,
-and object-keyed) so a pattern with any bound position is answered from an
-index instead of a full scan.  A Graph supports one writer or many
-concurrent readers, never both; serialization and matching are read-only.
+Terms are immutable.  A Graph is dictionary-encoded: each distinct term
+is stored once, under an int id, together with its canonical N-Triples
+token, and the triple set and the SPO/POS/OSP indexes (subject-,
+predicate- and object-keyed) hold ids only.  A pattern with any bound
+position is answered from an index instead of a full scan, and the
+serializers sort by the cached tokens.  Ids are private: equality,
+matching and output depend on the terms alone, never on insertion order.
+
+parse_ntriples reads lines in the canonical form the serializer writes
+with one regular expression each, mapping tokens it has seen straight to
+their ids; a new token is built into a term and checked in full.  Any
+other line (comments, blank nodes, escapes, language tags, other
+spacing) goes through the strict scanner.  Every spelling of a term gets
+the same id.
+
+A Graph supports one writer or many concurrent readers, never both;
+serialization and matching are read-only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import MalformedTermError, NTriplesParseError
 from .ns import PREFIXES, RDF_TYPE, XSD_STRING
@@ -72,12 +85,8 @@ class BlankNode:
 
 Term = Union[IRI, Literal, BlankNode]
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _escape(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -87,7 +96,7 @@ def term_to_ntriples(term: Term) -> str:
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
-        out = f'"{_escape(term.lexical)}"'
+        out = f'"{term.lexical.translate(_ESCAPES)}"'
         if term.language:
             return out + f"@{term.language}"
         if term.datatype != XSD_STRING:
@@ -118,58 +127,144 @@ class Triple:
         )
 
 
-def triple_to_line(t: Triple) -> str:
-    return (
-        f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} "
-        f"{term_to_ntriples(t.object)} ."
-    )
+def _term_key(term) -> object:
+    """Hashable identity of a term, built from its fields.
+
+    A frozen dataclass hashes and compares in Python code; a str or tuple
+    key does so in C.  The three shapes never collide: an IRI is its value
+    string, a literal a 3-tuple, a blank node a 1-tuple.  Anything that is
+    not a term has no key (None).
+    """
+    if isinstance(term, IRI):
+        return term.value
+    if isinstance(term, Literal):
+        return (term.lexical, term.datatype, term.language)
+    if isinstance(term, BlankNode):
+        return (term.label,)
+    return None
+
+
+# An index maps id a -> id b -> the ids c completing (a, b).  Most (a, b)
+# pairs have one c, so a leaf holds a lone id as a bare int and becomes a
+# set at its second id: far less memory, and fewer objects for the cyclic
+# garbage collector to walk.
+_Leaf = Union[int, set[int]]
+_Index = dict[int, dict[int, _Leaf]]
+
+
+def _index(index: _Index, a: int, b: int, c: int) -> None:
+    """Add c under (a, b); the caller guarantees c is not there yet."""
+    inner = index.get(a)
+    if inner is None:
+        index[a] = {b: c}
+        return
+    leaf = inner.get(b)
+    if leaf is None:
+        inner[b] = c
+    elif type(leaf) is int:
+        inner[b] = {leaf, c}
+    else:
+        leaf.add(c)
+
+
+def _each(leaf: _Leaf) -> Iterable[int]:
+    return (leaf,) if type(leaf) is int else leaf
+
+
+def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
+    leaf = index.get(a, {}).get(b)
+    return () if leaf is None else _each(leaf)
+
+
+_RDF_TYPE_IRI = IRI(RDF_TYPE)
 
 
 class Graph:
     """A set of triples plus SPO/POS/OSP indexes and a prefix table.
 
-    Two graphs compare equal when they hold the same triple set; prefixes
-    are serialization state and do not take part in equality.
+    Every distinct term is stored once and named by an int id; the triple
+    set and the indexes hold ids only.  Two graphs compare equal when they
+    hold the same triple set, whatever ids their terms got; prefixes are
+    serialization state and do not take part in equality.
     """
 
     def __init__(self, prefixes: Optional[dict[str, str]] = None):
-        self._triples: set[Triple] = set()
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
+        self._terms: list[Term] = []  # id -> term
+        self._tokens: list[str] = []  # id -> canonical N-Triples token
+        self._ids: dict[object, int] = {}  # _term_key(term) -> id
+        self._token_ids: dict[str, int] = {}  # canonical or parsed spelling -> id
+        self._triples: set[tuple[int, int, int]] = set()
+        self._spo: _Index = {}
+        self._pos: _Index = {}
+        self._osp: _Index = {}
         self.prefixes: dict[str, str] = dict(PREFIXES if prefixes is None else prefixes)
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        terms = self._terms
+        return (Triple(terms[s], terms[p], terms[o]) for s, p, o in self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        if not isinstance(t, Triple):
+            return False
+        return (self._id(t.subject), self._id(t.predicate), self._id(t.object)) in self._triples
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        if len(self._triples) != len(other._triples):
+            return False
+        # distinct terms have distinct keys, so this id map is one-to-one
+        theirs = [other._ids.get(_term_key(term)) for term in self._terms]
+        return all((theirs[s], theirs[p], theirs[o]) in other._triples for s, p, o in self._triples)
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
+
+    def _id(self, term: Term) -> Optional[int]:
+        """The term's id, or None when no triple of this graph uses it."""
+        return self._ids.get(_term_key(term))
+
+    def _intern(self, term: Term) -> int:
+        key = _term_key(term)
+        i = self._ids.get(key)
+        if i is None:
+            i = len(self._terms)
+            token = term_to_ntriples(term)
+            self._ids[key] = i
+            self._terms.append(term)
+            self._tokens.append(token)
+            self._token_ids.setdefault(token, i)
+        return i
+
+    def _add(self, s: int, p: int, o: int) -> bool:
+        key = (s, p, o)
+        if key in self._triples:
+            return False
+        self._triples.add(key)
+        _index(self._spo, s, p, o)
+        _index(self._pos, p, o, s)
+        _index(self._osp, o, s, p)
+        return True
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns False when it was already present."""
         if not isinstance(t, Triple):
             raise MalformedTermError(f"not a triple: {t!r}")
-        if t in self._triples:
-            return False
-        self._triples.add(t)
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
-        return True
+        return self._add(self._intern(t.subject), self._intern(t.predicate), self._intern(t.object))
 
     def insert_all(self, triples) -> int:
         return sum(1 for t in triples if self.insert(t))
+
+    def _canonical(self, rows: list[tuple[int, int, int]]) -> list[Triple]:
+        """The rows as Triples, sorted by their N-Triples text."""
+        tokens = self._tokens
+        terms = self._terms
+        if len(rows) > 1:
+            rows.sort(key=lambda r: (tokens[r[0]], tokens[r[1]], tokens[r[2]]))
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in rows]
 
     def match(
         self,
@@ -179,48 +274,57 @@ class Graph:
     ) -> list[Triple]:
         """All triples matching the bound positions, in canonical order.
 
-        The lookup is served from the index keyed on the leftmost bound
-        position (subject, then predicate, then object).
+        A bound term the graph does not hold matches nothing and is not
+        interned.  The lookup is served from SPO when the subject is bound
+        (from OSP when the object is bound and the predicate is not), else
+        from POS when the predicate is bound, else from OSP.
         """
-        found: list[Triple]
-        if s is not None:
-            by_p = self._spo.get(s, {})
-            if p is not None:
-                objs = by_p.get(p, ())
-                found = [Triple(s, p, obj) for obj in objs if o is None or obj == o]
+        si = pi = oi = None
+        if s is not None and (si := self._id(s)) is None:
+            return []
+        if p is not None and (pi := self._id(p)) is None:
+            return []
+        if o is not None and (oi := self._id(o)) is None:
+            return []
+        rows: list[tuple[int, int, int]]
+        if si is not None:
+            if pi is not None:
+                objs = _leaf(self._spo, si, pi)
+                if oi is None:
+                    rows = [(si, pi, obj) for obj in objs]
+                else:
+                    rows = [(si, pi, oi)] if oi in objs else []
+            elif oi is not None:
+                rows = [(si, pred, oi) for pred in _leaf(self._osp, oi, si)]
             else:
-                found = [
-                    Triple(s, pred, obj)
-                    for pred, objs in by_p.items()
-                    for obj in objs
-                    if o is None or obj == o
-                ]
-        elif p is not None:
-            by_o = self._pos.get(p, {})
-            if o is not None:
-                subs = by_o.get(o, ())
-                found = [Triple(sub, p, o) for sub in subs]
+                by_p = self._spo.get(si, {})
+                rows = [(si, pred, obj) for pred, objs in by_p.items() for obj in _each(objs)]
+        elif pi is not None:
+            if oi is not None:
+                rows = [(sub, pi, oi) for sub in _leaf(self._pos, pi, oi)]
             else:
-                found = [Triple(sub, p, obj) for obj, subs in by_o.items() for sub in subs]
-        elif o is not None:
-            by_s = self._osp.get(o, {})
-            found = [Triple(sub, pred, o) for sub, preds in by_s.items() for pred in preds]
+                by_o = self._pos.get(pi, {})
+                rows = [(sub, pi, obj) for obj, subs in by_o.items() for sub in _each(subs)]
+        elif oi is not None:
+            by_s = self._osp.get(oi, {})
+            rows = [(sub, pred, oi) for sub, preds in by_s.items() for pred in _each(preds)]
         else:
-            found = list(self._triples)
-        found.sort(key=Triple.sort_key)
-        return found
+            rows = list(self._triples)
+        return self._canonical(rows)
 
     def subjects(self) -> list[Term]:
         """Distinct subjects, in canonical order."""
-        return sorted(self._spo, key=term_to_ntriples)
+        terms = self._terms
+        return [terms[i] for i in sorted(self._spo, key=self._tokens.__getitem__)]
 
     def types_of(self, subject: Term) -> list[Term]:
-        return [t.object for t in self.match(s=subject, p=IRI(RDF_TYPE))]
+        return [t.object for t in self.match(s=subject, p=_RDF_TYPE_IRI)]
 
 
 def serialize_ntriples(graph: Graph) -> str:
     """Canonical N-Triples: one sorted line per triple, UTF-8 text."""
-    lines = sorted(triple_to_line(t) for t in graph)
+    tokens = graph._tokens
+    lines = sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} ." for s, p, o in graph._triples)
     return "".join(line + "\n" for line in lines)
 
 
@@ -331,10 +435,60 @@ class _LineCursor:
         self.pos += 1
 
 
+# A line as serialize_ntriples writes it when no term needs an escape, a
+# language tag or a blank node: single spaces between the three tokens,
+# then " .".  Each group is one whole token; _token_term checks it.
+_CANONICAL_LINE_RE = re.compile(r'(<[^>]*>) (<[^>]*>) (<[^>]*>|"[^"\\]*"(?:\^\^<[^>]*>)?) \.')
+
+
+def _token_term(token: str) -> Term:
+    """The term a token matched by _CANONICAL_LINE_RE spells, fully checked."""
+    if token[0] == "<":
+        return IRI(token[1:-1])
+    close = token.index('"', 1)
+    if close == len(token) - 1:
+        return Literal(token[1:close])
+    # skip the closing quote, '^^' and '<'
+    return Literal(token[1:close], datatype=IRI(token[close + 4 : -1]).value)
+
+
+def _intern_token(graph: Graph, token: str, lineno: int) -> int:
+    try:
+        term = _token_term(token)
+    except MalformedTermError as exc:
+        raise NTriplesParseError(str(exc), lineno) from exc
+    i = graph._intern(term)
+    graph._token_ids[token] = i
+    return i
+
+
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples text (with '#' comments and blank lines) into a Graph."""
+    """Parse N-Triples text (with '#' comments and blank lines) into a Graph.
+
+    Lines in the canonical form this module writes take a fast path: each
+    token already seen maps straight to its id, and only a new token is
+    built into a term and checked.  Any other line goes through the strict
+    _LineCursor scanner.  Every spelling of a term gets the same id.
+    """
     graph = Graph()
+    token_ids = graph._token_ids
+    canonical = _CANONICAL_LINE_RE.fullmatch
+    add = graph._add
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        m = canonical(raw)
+        if m is not None:
+            s_token, p_token, o_token = m.groups()
+            s = token_ids.get(s_token)
+            if s is None:
+                s = _intern_token(graph, s_token, lineno)
+            p = token_ids.get(p_token)
+            if p is None:
+                p = _intern_token(graph, p_token, lineno)
+            o = token_ids.get(o_token)
+            if o is None:
+                o = _intern_token(graph, o_token, lineno)
+            add(s, p, o)
+            continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -367,29 +521,32 @@ def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -
     return f"<{value}>"
 
 
-def _turtle_term(term: Term, prefixes: dict[str, str], predicate: bool = False) -> str:
-    if isinstance(term, IRI):
-        return _turtle_iri(term.value, prefixes, predicate)
-    return term_to_ntriples(term)
-
-
 def serialize_turtle(graph: Graph) -> str:
     """Turtle output: @prefix header, then subject blocks with ';' grouping."""
-    out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(graph.prefixes.items())]
+    prefixes = graph.prefixes
+    terms = graph._terms
+    tokens = graph._tokens
+    by_token = tokens.__getitem__
+    rendered: dict[tuple[int, bool], str] = {}
+
+    def render(i: int, predicate: bool = False) -> str:
+        text = rendered.get((i, predicate))
+        if text is None:
+            term = terms[i]
+            text = _turtle_iri(term.value, prefixes, predicate) if isinstance(term, IRI) else tokens[i]
+            rendered[i, predicate] = text
+        return text
+
+    out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
     body: list[str] = []
-    triples = sorted(graph, key=Triple.sort_key)
-    by_subject: dict[Term, list[Triple]] = {}
-    for t in triples:
-        by_subject.setdefault(t.subject, []).append(t)
-    for subject in sorted(by_subject, key=term_to_ntriples):
+    for s in sorted(graph._spo, key=by_token):
+        by_p = graph._spo[s]
         pairs = [
-            f"{_turtle_term(t.predicate, graph.prefixes, predicate=True)} "
-            f"{_turtle_term(t.object, graph.prefixes)}"
-            for t in by_subject[subject]
+            f"{render(p, predicate=True)} {render(o)}"
+            for p in sorted(by_p, key=by_token)
+            for o in sorted(_each(by_p[p]), key=by_token)
         ]
-        subj = _turtle_term(subject, graph.prefixes)
-        block = f"{subj} " + " ;\n    ".join(pairs) + " ."
-        body.append(block)
+        body.append(f"{render(s)} " + " ;\n    ".join(pairs) + " .")
     text = "\n".join(out) + "\n"
     if body:
         text += "\n" + "\n\n".join(body) + "\n"

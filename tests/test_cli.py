@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from andmalkg import slug
 from andmalkg.cli import main
+import andmalkg.cli as cli_mod
 import andmalkg.ingest as ingest_mod
 
-from conftest import FIXTURES, QUERIES
+from conftest import FIXTURES, QUERIES, ROOT
 
 ANDMAL = "http://secuirty.birzeit.edu/android_malware_ontology#"
 MALONT = "http://idea.rpi.edu/malont#"
@@ -86,6 +90,44 @@ def test_ingest_warns_about_bad_fixture_files(tmp_path, capsys):
     assert rc == 0
     assert "reports: 1" in out
     assert "warning: bad.json" in err
+
+
+def test_ingest_warning_prints_once(tmp_path):
+    # A fresh interpreter, so no test-runner handler sits on the root logger
+    # and logging's own fallback handler would be the one to print.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.json").write_text("{nope", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from andmalkg.cli import main; sys.exit(main(sys.argv[1:]))",
+         "--graph", str(tmp_path / "g.nt"), "ingest", "--fixtures", str(corpus)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("bad.json") == 1
+    assert "warning: bad.json" in proc.stderr
+
+
+@pytest.mark.parametrize("failure", ["serialize", "mid-write"])
+def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failure):
+    graph = tmp_path / "graph.nt"
+    rc, _, _ = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam"))
+    assert rc == 0
+    before = graph.read_bytes()
+
+    def broken(_graph):
+        if failure == "serialize":
+            raise RuntimeError("serializer failed")
+        # a lone surrogate cannot be encoded, so the write stops part-way
+        return "<urn:x:s> <urn:x:p> <urn:x:o> .\n" * 5000 + "\ud800"
+
+    monkeypatch.setattr(cli_mod, "serialize_ntriples", broken)
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")])
+    assert graph.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
 
 
 def test_ingest_missing_fixture_dir_is_io_error(tmp_path, capsys):

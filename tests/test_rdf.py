@@ -15,7 +15,7 @@ from andmalkg import (
     serialize_turtle,
     term_to_ntriples,
 )
-from andmalkg.ns import ANDMAL, MALONT, XSD_INTEGER
+from andmalkg.ns import ANDMAL, MALONT, XSD_INTEGER, XSD_STRING
 
 from randgraph import NASTY_STRINGS, random_graph, random_triple
 from turtle_check import ntriples_as_tuples, parse_turtle
@@ -241,3 +241,122 @@ def test_term_to_ntriples_forms():
     assert term_to_ntriples(Literal('say "hi"\n')) == '"say \\"hi\\"\\n"'
     assert term_to_ntriples(Literal("7", datatype=XSD_INTEGER)).endswith("integer>")
     assert term_to_ntriples(Literal("x", language="en")) == '"x"@en'
+
+
+# --- loader: canonical fast path and strict fallback agree ----------------
+
+
+def _respell(term, rng) -> str:
+    """A legal but non-canonical N-Triples spelling of one term."""
+    if isinstance(term, Literal) and term.language is None:
+        body = term_to_ntriples(Literal(term.lexical))[1:-1]
+        body = body.replace("A", "\\u0041").replace("a", "\\u0061")
+        if term.datatype == XSD_STRING and rng.random() < 0.5:
+            return f'"{body}"'
+        return f'"{body}"^^<{term.datatype}>'
+    return term_to_ntriples(term)
+
+
+def test_non_canonical_spellings_parse_to_the_same_graph():
+    rng = random.Random(29)
+    seps = [" ", " ", "  ", "\t", " \t "]
+    for _ in range(20):
+        g = random_graph(rng, max_triples=150)
+        g.insert(Triple(IRI("http://example.org/s"), IRI("http://example.org/p"), Literal("Abba")))
+        canonical = serialize_ntriples(g)
+        lines = []
+        for t in g:
+            terms = [_respell(x, rng) for x in (t.subject, t.predicate, t.object)]
+            sep = [rng.choice(seps) for _ in range(3)]
+            lines.append(f"{terms[0]}{sep[0]}{terms[1]}{sep[1]}{terms[2]}{sep[2]}.")
+        rng.shuffle(lines)
+        respelled = parse_ntriples("\n".join(lines) + "\n")
+        assert respelled == parse_ntriples(canonical) == g
+        assert serialize_ntriples(respelled) == canonical
+        assert serialize_turtle(respelled) == serialize_turtle(g)
+
+
+def test_explicit_string_datatype_is_the_same_literal():
+    text = (
+        '<http://example.org/s> <http://example.org/p> "a" .\n'
+        f'<http://example.org/s> <http://example.org/p> "a"^^<{XSD_STRING}> .\n'
+        '<http://example.org/s> <http://example.org/p> "\\u0061" .\n'
+    )
+    g = parse_ntriples(text)
+    assert len(g) == 1
+    assert serialize_ntriples(g) == '<http://example.org/s> <http://example.org/p> "a" .\n'
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '<no-scheme> <http://example.org/p> "v" .',
+        "<http://example.org/s> <no-scheme> <http://example.org/o> .",
+        "<http://example.org/s> <http://example.org/p> <no scheme> .",
+        '<http://example.org/s> <http://example.org/p> "v"^^<not-an-iri> .',
+        '<http://example.org/s> <http://example.org/p> "v"^^<http://e.org/has space> .',
+        '<http://example.org/s> <http://example.org/p> "v" . extra',
+        "<http://example.org/s> <http://example.org/p> <http://example.org/o> .<x>",
+    ],
+)
+def test_canonical_looking_bad_lines_fail_with_their_line_number(bad):
+    good = '<http://example.org/s> <http://example.org/p> "v" .\n'
+    text = good + "# comment\n" + good + bad + "\n" + good
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 4
+
+
+# --- store invariants: ids are private, behaviour is not --------------------
+
+
+def test_insertion_order_does_not_show():
+    rng = random.Random(31)
+    for _ in range(15):
+        g1 = random_graph(rng, max_triples=150)
+        triples = list(g1)
+        rng.shuffle(triples)
+        g2 = Graph()
+        g2.insert_all(triples)
+        if len(g1) > 2:
+            assert g1._tokens != g2._tokens  # the same terms got other ids
+        assert g1 == g2 and g2 == g1
+        assert serialize_ntriples(g1) == serialize_ntriples(g2)
+        assert serialize_turtle(g1) == serialize_turtle(g2)
+        assert g1.subjects() == g2.subjects()
+        pool = triples or [random_triple(rng)]
+        for probe in rng.sample(pool, min(len(pool), 10)):
+            for mask in range(8):
+                s = probe.subject if mask & 1 else None
+                p = probe.predicate if mask & 2 else None
+                o = probe.object if mask & 4 else None
+                want = naive_match(g1, s, p, o)
+                assert g1.match(s, p, o) == want
+                assert g2.match(s, p, o) == want
+
+
+def test_graphs_differing_in_one_term_are_unequal():
+    s = IRI("http://example.org/s")
+    p = IRI("http://example.org/p")
+    a, b = Graph(), Graph()
+    a.insert(Triple(s, p, Literal("x")))
+    b.insert(Triple(s, p, Literal("x", language="en")))
+    assert a != b
+    assert Triple(s, p, Literal("x")) in a
+    assert Triple(s, p, Literal("x")) not in b
+
+
+def test_match_on_absent_term_is_empty_and_interns_nothing():
+    rng = random.Random(37)
+    g = random_graph(rng, max_triples=80)
+    g.insert(random_triple(rng))
+    terms = len(g._terms)
+    absent = [IRI("http://example.org/absent"), Literal("absent"), BlankNode("absent")]
+    for term in absent:
+        assert g.match(s=term) == []
+        assert g.match(o=term) == []
+        assert g.match(s=term, p=term, o=term) == []
+        assert g.types_of(term) == []
+    assert g.match(p=IRI("http://example.org/absent")) == []
+    assert Triple(absent[0], absent[0], absent[1]) not in g
+    assert len(g._terms) == terms
