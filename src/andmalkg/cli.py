@@ -1,8 +1,10 @@
 """Command-line surface: ingest, stats, query, emit, validate.
 
 The knowledge graph lives in a flat N-Triples file (--graph PATH); every
-command loads it, and ingest writes it back.  Exit codes: 0 success, 1
-validation or parse failure, 2 I/O or network failure.
+command loads it, and ingest writes it back.  Only ingest starts from an
+empty graph when the file does not exist; any other command then fails
+with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
+2 I/O or network failure.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .schema import build_schema, validate_individual
 
 
 def _load_graph(path: Path) -> Graph:
-    if not path.exists():
-        return Graph()
     return parse_ntriples(path.read_text(encoding="utf-8"))
 
 
@@ -54,7 +54,8 @@ def _dump_graph(graph: Graph, path: Path) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    graph = _load_graph(Path(args.graph))
+    path = Path(args.graph)
+    graph = _load_graph(path) if path.exists() else Graph()
     registry = build_schema()
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))
@@ -69,7 +70,7 @@ def _cmd_ingest(args) -> int:
     errors: list[tuple[str, str]] = []
     reports = fetch_reports(selector, source, errors)
     summary = ingest_corpus(reports, registry, graph)
-    _dump_graph(graph, Path(args.graph))
+    _dump_graph(graph, path)
     for name, message in errors:
         print(f"warning: {name}: {message}", file=sys.stderr)
     print(f"reports: {summary.reports}")

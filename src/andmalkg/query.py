@@ -5,12 +5,18 @@ declarations, SELECT with plain variables and COUNT aggregates, a WHERE
 block of dot-separated triple patterns, GROUP BY, HAVING on a COUNT,
 ORDER BY ASC()/DESC(), and LIMIT.  No OPTIONAL, FILTER, UNION, DISTINCT,
 or property paths.
+
+Evaluation runs on the graph's term ids (see rdf.Graph): the join binds
+ids, grouping keys on id tuples, and rows sort by the ids' cached
+canonical tokens.  Terms are built only for the rows a query returns.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import QueryParseError, UnknownPrefixError
@@ -415,72 +421,66 @@ def parse_query(text: str) -> QueryAST:
     return _Parser(text).parse()
 
 
-def _substitute(part, binding):
-    if isinstance(part, Var):
-        return binding.get(part.name)
-    return part
+def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], list[list]]:
+    """Join the patterns over term ids.
 
-
-def _try_extend(pattern: TriplePattern, triple, binding) -> Optional[dict]:
-    new = binding
-    for part, value in ((pattern.s, triple.subject), (pattern.p, triple.predicate), (pattern.o, triple.object)):
-        if isinstance(part, Var):
-            bound = new.get(part.name)
-            if bound is None:
-                if new is binding:
-                    new = dict(binding)
-                new[part.name] = value
-            elif bound != value:
-                return None
-        elif part != value:
-            return None
-    return new if new is not binding else dict(binding)
-
-
-def _join(graph: Graph, patterns: list[TriplePattern]) -> list[dict]:
-    solutions: list[dict] = [{}]
-    remaining = list(patterns)
-    bound: set[str] = set()
-
-    def score(pat: TriplePattern) -> tuple[int, int]:
-        fixed = 0
-        consts = 0
+    Returns each variable's slot and the solutions, one list of ids per
+    solution indexed by slot.  Slot 0 always holds None and every constant
+    gets a slot of its own, so each pattern position reads its probe id
+    from the solution: an unbound variable reads the None in slot 0.  A
+    constant the graph does not hold leaves no solutions and is not
+    interned.  The next pattern is the one with the most bound positions,
+    then the most constants.
+    """
+    slots: dict[str, int] = {}
+    for pat in patterns:
         for part in (pat.s, pat.p, pat.o):
             if isinstance(part, Var):
-                if part.name in bound:
-                    fixed += 1
-            else:
-                fixed += 1
-                consts += 1
-        return (fixed, consts)
-
-    while remaining and solutions:
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        next_solutions: list[dict] = []
-        for binding in solutions:
-            s = _substitute(best.s, binding)
-            p = _substitute(best.p, binding)
-            o = _substitute(best.o, binding)
-            for triple in graph.match(s=s, p=p, o=o):
-                extended = _try_extend(best, triple, binding)
-                if extended is not None:
-                    next_solutions.append(extended)
-        solutions = next_solutions
-        for part in (best.s, best.p, best.o):
+                slots.setdefault(part.name, len(slots) + 1)
+    start: list[Optional[int]] = [None] * (len(slots) + 1)
+    remaining: list[list[int]] = []
+    for pat in patterns:
+        refs = []
+        for part in (pat.s, pat.p, pat.o):
             if isinstance(part, Var):
-                bound.add(part.name)
-    return solutions
+                refs.append(slots[part.name])
+            else:
+                i = graph._id(part)
+                if i is None:
+                    return slots, []
+                refs.append(len(start))
+                start.append(i)
+        remaining.append(refs)
 
+    consts = set(range(len(slots) + 1, len(start)))
+    bound = set(consts)
 
-def _cell_key(value) -> tuple:
-    if isinstance(value, int):
-        return (0, value, "")
-    return (1, 0, term_to_ntriples(value))
+    def score(k: int) -> tuple[int, int]:
+        refs = remaining[k]
+        return (sum(r in bound for r in refs), sum(r in consts for r in refs))
 
-
-def _row_key(row: dict, header: list[str]) -> tuple:
-    return tuple(_cell_key(row[name]) for name in header)
+    rows_of = graph._rows
+    solutions = [start]
+    while remaining and solutions:
+        refs = remaining.pop(max(range(len(remaining)), key=score))
+        probe = itemgetter(*(r if r in bound else 0 for r in refs))
+        first: dict[int, int] = {}  # slot -> position, for each variable bound here
+        same: list[tuple[int, int]] = []  # (position, first position) of a repeated one
+        for pos, r in enumerate(refs):
+            if r not in bound and first.setdefault(r, pos) != pos:
+                same.append((pos, first[r]))
+        next_solutions = []
+        for sol in solutions:
+            for row in rows_of(*probe(sol)):
+                if same and any(row[a] != row[b] for a, b in same):
+                    continue
+                extended = sol.copy()
+                for r, pos in first.items():
+                    extended[r] = row[pos]
+                next_solutions.append(extended)
+        solutions = next_solutions
+        bound.update(refs)
+    return slots, solutions
 
 
 _OPS = {
@@ -493,48 +493,53 @@ _OPS = {
 
 
 def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
-    """Evaluate over the graph; results come back deterministically ordered."""
+    """Evaluate over the graph; results come back deterministically ordered.
+
+    Rows sort by their cells in header order, then stably by the ORDER BY
+    key, then LIMIT applies.  A column holds only counts or only terms, and
+    terms order by their canonical N-Triples text.
+    """
     header = [
         f"?{item.name}" if isinstance(item, Var) else f"?{item.alias}"
         for item in ast.select
     ]
-    solutions = _join(graph, ast.where)
-    aggs = [item for item in ast.select if isinstance(item, CountAgg)]
-    rows: list[dict] = []
-    if ast.group_by or aggs:
-        groups: dict[tuple, list[dict]] = {}
-        for sol in solutions:
-            key = tuple(term_to_ntriples(sol[v.name]) for v in ast.group_by if v.name in sol)
-            if len(key) != len(ast.group_by):
-                continue  # a group key variable went unbound
-            groups.setdefault(key, []).append(sol)
-        for sols in groups.values():
-            if ast.having is not None:
-                count = sum(1 for s in sols if ast.having.var.name in s)
-                if not _OPS[ast.having.op](count, ast.having.value):
-                    continue
-            row = {}
-            for item in ast.select:
-                if isinstance(item, Var):
-                    row[f"?{item.name}"] = sols[0][item.name]
-                else:
-                    row[f"?{item.alias}"] = sum(1 for s in sols if item.var.name in s)
-            rows.append(row)
+    counted = [isinstance(item, CountAgg) for item in ast.select]
+    slots, solutions = _join(graph, ast.where)
+    if ast.group_by or any(counted):
+        # ids are one-to-one with terms, so id tuples group like terms
+        key_slots = [slots[v.name] for v in ast.group_by]
+        groups = Counter(tuple([sol[k] for k in key_slots]) for sol in solutions)
+        # a projected variable is grouped, so its id is in the group key
+        at = {v.name: i for i, v in enumerate(ast.group_by)}
+        cells = [None if c else at[item.name] for item, c in zip(ast.select, counted)]
+        having = ast.having
+        rows = [
+            [count if i is None else key[i] for i in cells]
+            for key, count in groups.items()
+            if having is None or _OPS[having.op](count, having.value)
+        ]
     else:
-        for sol in solutions:
-            if any(item.name not in sol for item in ast.select):
-                continue  # unbound projection yields no row
-            rows.append({f"?{item.name}": sol[item.name] for item in ast.select})
+        columns = [slots[item.name] for item in ast.select]
+        rows = [[sol[c] for c in columns] for sol in solutions]
 
-    rows.sort(key=lambda r: _row_key(r, header))
+    tokens = graph._tokens
+    rows.sort(key=lambda row: [cell if c else tokens[cell] for cell, c in zip(row, counted)])
     if ast.order_by is not None:
         name, direction = ast.order_by
-        column = f"?{name}"
+        col = header.index(f"?{name}")
+        key = itemgetter(col) if counted[col] else (lambda row: tokens[row[col]])
         # stable sort, so rows tying on the key keep canonical order
-        rows.sort(key=lambda r: _cell_key(r[column]), reverse=(direction == "DESC"))
+        rows.sort(key=key, reverse=(direction == "DESC"))
     if ast.limit is not None:
         rows = rows[: ast.limit]
-    return ResultTable(header, rows)
+    terms = graph._terms
+    return ResultTable(
+        header,
+        [
+            {name: cell if c else terms[cell] for name, cell, c in zip(header, row, counted)}
+            for row in rows
+        ],
+    )
 
 
 def run_query(graph: Graph, text: str) -> ResultTable:

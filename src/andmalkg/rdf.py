@@ -7,6 +7,10 @@ predicate- and object-keyed) hold ids only.  A pattern with any bound
 position is answered from an index instead of a full scan, and the
 serializers sort by the cached tokens.  Ids are private: equality,
 matching and output depend on the terms alone, never on insertion order.
+Graph._id (term -> id), Graph._rows (id-level pattern lookup),
+Graph._terms and Graph._tokens (id -> term, id -> token) are the id
+interface this module shares with the query evaluator; no other module
+uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
@@ -266,6 +270,37 @@ class Graph:
             rows.sort(key=lambda r: (tokens[r[0]], tokens[r[1]], tokens[r[2]]))
         return [Triple(terms[s], terms[p], terms[o]) for s, p, o in rows]
 
+    def _rows(
+        self, si: Optional[int], pi: Optional[int], oi: Optional[int]
+    ) -> list[tuple[int, int, int]]:
+        """Id triples matching the bound ids (None leaves a position
+        unbound), in no particular order.
+
+        Served from SPO when the subject is bound (from OSP when the object
+        is bound and the predicate is not), else from POS when the
+        predicate is bound, else from OSP.  Every id passed must come from
+        this graph.
+        """
+        if si is not None:
+            if pi is not None:
+                objs = _leaf(self._spo, si, pi)
+                if oi is None:
+                    return [(si, pi, obj) for obj in objs]
+                return [(si, pi, oi)] if oi in objs else []
+            if oi is not None:
+                return [(si, pred, oi) for pred in _leaf(self._osp, oi, si)]
+            by_p = self._spo.get(si, {})
+            return [(si, pred, obj) for pred, objs in by_p.items() for obj in _each(objs)]
+        if pi is not None:
+            if oi is not None:
+                return [(sub, pi, oi) for sub in _leaf(self._pos, pi, oi)]
+            by_o = self._pos.get(pi, {})
+            return [(sub, pi, obj) for obj, subs in by_o.items() for sub in _each(subs)]
+        if oi is not None:
+            by_s = self._osp.get(oi, {})
+            return [(sub, pred, oi) for sub, preds in by_s.items() for pred in _each(preds)]
+        return list(self._triples)
+
     def match(
         self,
         s: Optional[Term] = None,
@@ -275,9 +310,7 @@ class Graph:
         """All triples matching the bound positions, in canonical order.
 
         A bound term the graph does not hold matches nothing and is not
-        interned.  The lookup is served from SPO when the subject is bound
-        (from OSP when the object is bound and the predicate is not), else
-        from POS when the predicate is bound, else from OSP.
+        interned.
         """
         si = pi = oi = None
         if s is not None and (si := self._id(s)) is None:
@@ -286,31 +319,7 @@ class Graph:
             return []
         if o is not None and (oi := self._id(o)) is None:
             return []
-        rows: list[tuple[int, int, int]]
-        if si is not None:
-            if pi is not None:
-                objs = _leaf(self._spo, si, pi)
-                if oi is None:
-                    rows = [(si, pi, obj) for obj in objs]
-                else:
-                    rows = [(si, pi, oi)] if oi in objs else []
-            elif oi is not None:
-                rows = [(si, pred, oi) for pred in _leaf(self._osp, oi, si)]
-            else:
-                by_p = self._spo.get(si, {})
-                rows = [(si, pred, obj) for pred, objs in by_p.items() for obj in _each(objs)]
-        elif pi is not None:
-            if oi is not None:
-                rows = [(sub, pi, oi) for sub in _leaf(self._pos, pi, oi)]
-            else:
-                by_o = self._pos.get(pi, {})
-                rows = [(sub, pi, obj) for obj, subs in by_o.items() for sub in _each(subs)]
-        elif oi is not None:
-            by_s = self._osp.get(oi, {})
-            rows = [(sub, pred, oi) for sub, preds in by_s.items() for pred in _each(preds)]
-        else:
-            rows = list(self._triples)
-        return self._canonical(rows)
+        return self._canonical(self._rows(si, pi, oi))
 
     def subjects(self) -> list[Term]:
         """Distinct subjects, in canonical order."""

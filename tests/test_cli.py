@@ -177,10 +177,24 @@ def test_stats_country_agrees_with_group_by_query(table1_store, tmp_path, capsys
     assert queried == stats
 
 
-def test_stats_on_missing_store_is_empty(tmp_path, capsys):
-    rc, out, _ = run(capsys, "--graph", str(tmp_path / "void.nt"), "stats", "--by", "tag")
-    assert rc == 0
-    assert out.strip() == "TOTAL\t0"
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["query", str(QUERIES / "use_case_6.rq")],
+        ["stats", "--by", "tag"],
+        ["validate"],
+        ["emit", "--format", "turtle"],
+    ],
+    ids=["query", "stats", "validate", "emit"],
+)
+def test_read_command_on_missing_store_fails(tmp_path, capsys, command):
+    graph = tmp_path / "void.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), *command)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not graph.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_query_use_case_5_header(table1_store, capsys):

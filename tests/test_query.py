@@ -210,6 +210,93 @@ def test_repeated_variable_in_pattern():
     assert table_as_text(table) == [(f"<{andmal('n1')}>",)]
 
 
+def assert_matches_reference(graph, ast):
+    mine = evaluate(graph, ast)
+    header, rows = evaluate_reference(graph, ast)
+    assert mine.header == header
+    assert table_as_text(mine) == rows_as_text(header, rows)
+    return mine
+
+
+ABSENT = IRI(andmal("absent"))
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        TriplePattern(ABSENT, IRI(andmal("ReportedFrom")), Var("o")),
+        TriplePattern(Var("s"), ABSENT, Var("o")),
+        TriplePattern(Var("s"), IRI(andmal("ReportedFrom")), ABSENT),
+    ],
+    ids=["subject", "predicate", "object"],
+)
+def test_absent_constant_yields_header_only(pattern):
+    g = tiny_graph()
+    terms = len(g._terms)
+    names = sorted(
+        part.name for part in (pattern.s, pattern.p, pattern.o) if isinstance(part, Var)
+    )
+    ast = QueryAST(
+        select=[Var(name) for name in names],
+        where=[TriplePattern(Var("f"), IRI(malont("hasReporter")), Var("r")), pattern],
+    )
+    table = evaluate(g, ast)
+    assert format_results(table, "tsv") == "\t".join(f"?{n}" for n in names) + "\n"
+    assert len(g._terms) == terms
+
+
+def test_repeated_variable_matches_reference():
+    g = Graph()
+    n1, n2 = IRI(andmal("n1")), IRI(andmal("n2"))
+    p = IRI(andmal("linksTo"))
+    g.insert(Triple(n1, p, n1))
+    g.insert(Triple(n1, p, n2))
+    g.insert(Triple(n2, p, n2))
+    ast = parse_query(f"SELECT ?x WHERE {{ ?x <{andmal('linksTo')}> ?x . }}")
+    assert len(assert_matches_reference(g, ast).rows) == 2
+
+
+def test_variable_shared_by_predicate_and_object_matches_reference():
+    g = Graph()
+    n1, n2, meta = IRI(andmal("n1")), IRI(andmal("n2")), IRI(andmal("meta"))
+    links, describes = IRI(andmal("linksTo")), IRI(andmal("describes"))
+    g.insert(Triple(n1, links, n2))
+    g.insert(Triple(n2, describes, Literal("linksTo")))
+    g.insert(Triple(meta, describes, links))
+    g.insert(Triple(meta, describes, n1))
+    ast = parse_query(
+        f"SELECT ?s ?v ?o ?m WHERE {{ ?s ?v ?o . ?m <{andmal('describes')}> ?v . }}"
+    )
+    table = assert_matches_reference(g, ast)
+    assert table_as_text(table) == [
+        (f"<{andmal('n1')}>", f"<{andmal('linksTo')}>", f"<{andmal('n2')}>", f"<{andmal('meta')}>")
+    ]
+
+
+USE_CASES = [f"use_case_{k}" for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("corpus", ["table1", "multifam"])
+@pytest.mark.parametrize("name", USE_CASES)
+def test_use_case_matches_reference(request, corpus, name, query_text):
+    graph = request.getfixturevalue(f"{corpus}_graph")
+    assert_matches_reference(graph, parse_query(query_text(name)))
+
+
+@pytest.mark.parametrize("corpus", ["table1", "multifam"])
+def test_use_case_output_ignores_insertion_order(request, corpus, query_text):
+    triples = request.getfixturevalue(f"{corpus}_graph").match()
+    forward, backward = Graph(), Graph()
+    forward.insert_all(triples)
+    backward.insert_all(reversed(triples))
+    assert forward._tokens != backward._tokens  # the same terms got other ids
+    for name in USE_CASES:
+        ast = parse_query(query_text(name))
+        assert format_results(evaluate(backward, ast), "tsv") == format_results(
+            evaluate(forward, ast), "tsv"
+        )
+
+
 def test_order_by_desc_breaks_ties_canonically():
     g = tiny_graph()
     table = run_query(
