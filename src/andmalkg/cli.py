@@ -34,7 +34,7 @@ from .ingest import (
 from .ns import RDF_TYPE, andmal, malont
 from .query import evaluate, format_results, parse_query
 from .rdf import Graph, IRI, parse_ntriples, serialize_ntriples, serialize_turtle
-from .schema import build_schema, validate_individual
+from .schema import build_schema, validate_subjects
 
 
 def _load_graph(path: Path) -> Graph:
@@ -90,20 +90,20 @@ _STATS_EDGES = {
 def _cmd_stats(args) -> int:
     graph = _load_graph(Path(args.graph))
     predicate, prefix = _STATS_EDGES[args.by]
+    edges = graph.match(p=IRI(predicate))
     counts: dict[str, int] = {}
-    for t in graph.match(p=IRI(predicate)):
+    for t in edges:
         local = t.object.value.rsplit("#", 1)[-1]
         key = local[len(prefix):] if local.startswith(prefix) else local
         counts[key] = counts.get(key, 0) + 1
     files = graph.match(p=IRI(RDF_TYPE), o=IRI(andmal("File")))
     if args.by == "family":
-        family_edge = IRI(andmal("hasMalwareFamily"))
-        contains = IRI(andmal("contains"))
-        orphans = 0
-        for t in files:
-            malwares = [c.object for c in graph.match(s=t.subject, p=contains)]
-            if not any(graph.match(s=m, p=family_edge) for m in malwares):
-                orphans += 1
+        # a file is an orphan when none of the malware it contains has a family
+        with_family = {t.subject for t in edges}
+        labelled = {
+            t.subject for t in graph.match(p=IRI(andmal("contains"))) if t.object in with_family
+        }
+        orphans = sum(1 for t in files if t.subject not in labelled)
         if orphans:
             counts["n/a"] = counts.get("n/a", 0) + orphans
     for key, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -138,9 +138,8 @@ def _cmd_validate(args) -> int:
     graph = _load_graph(Path(args.graph))
     registry = build_schema()
     by_rule: dict[str, list] = {}
-    for subject in graph.subjects():
-        for v in validate_individual(registry, graph, subject):
-            by_rule.setdefault(v.rule, []).append(v)
+    for v in validate_subjects(registry, graph):
+        by_rule.setdefault(v.rule, []).append(v)
     total = sum(len(vs) for vs in by_rule.values())
     for rule in sorted(by_rule):
         print(f"{rule} ({len(by_rule[rule])}):")

@@ -3,8 +3,14 @@
 Reports arrive as JSON records (one per fixture file, or in the `data`
 array of a live API response).  Parsing is strict: every present hash is
 checked against its format rules, timestamps must be ordered, and country
-codes must be two letters, so a parsed report is guaranteed to produce a
-schema-conformant subgraph.
+codes must be two ASCII letters, so a parsed report is guaranteed to
+produce a schema-conformant subgraph.
+
+A report's subgraph is built once, as rows of term keys (rdf._term_key:
+an IRI is its value string, a literal a (lexical, datatype, None) tuple).
+ingest_corpus interns the keys straight into the graph and validates the
+subjects it touched from the graph's SPO index; report_to_triples turns
+the same rows into Triples.
 """
 
 from __future__ import annotations
@@ -17,12 +23,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
-from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
-from .rdf import Graph, IRI, Literal, Triple, term_to_ntriples
-from .schema import SchemaRegistry, build_schema, validate_hash_format, validate_individual
+from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
+from .rdf import Graph, Triple, _key_term
+from .schema import (
+    HASH_KINDS,
+    SchemaRegistry,
+    build_schema,
+    validate_hash_format,
+    validate_subjects,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -168,17 +178,6 @@ def _opt_str(record: dict, key: str) -> Optional[str]:
     return value or None
 
 
-_HASH_FIELDS = (
-    ("sha1_hash", "sha1", malont("SHA1")),
-    ("md5_hash", "md5", malont("MD5")),
-    ("imphash", "imphash", andmal("IMPHASH")),
-    ("tlsh", "tlsh", andmal("TLSH")),
-    ("telfhash", "telfhash", andmal("TELFHASH")),
-    ("gimphash", "gimphash", andmal("GIMPHASH")),
-    ("ssdeep", "ssdeep", malont("SSDeep")),
-)
-
-
 def _parse_vendor_entry(name: str, entry: dict) -> Optional[VendorVerdict]:
     if not name:
         return None
@@ -285,11 +284,12 @@ def report_from_record(record: dict) -> MalwareReport:
     """Map one MalwareBazaar-shaped record to a validated MalwareReport."""
     if not isinstance(record, dict):
         raise ReportParseError("report record is not a JSON object")
-    sha256 = record.get("sha256_hash")
+    sha256_kind, *optional_kinds, vhash_kind = HASH_KINDS
+    sha256 = record.get(sha256_kind.record_key)
     if not isinstance(sha256, str) or not sha256:
-        raise InvalidReportError("missing sha256_hash", field="sha256_hash")
-    if not validate_hash_format(_registry, malont("SHA256"), sha256):
-        raise InvalidReportError(f"bad sha256 {sha256!r}", field="sha256_hash")
+        raise InvalidReportError("missing sha256_hash", field=sha256_kind.record_key)
+    if not validate_hash_format(_registry, sha256_kind.cls, sha256):
+        raise InvalidReportError(f"bad sha256 {sha256!r}", field=sha256_kind.record_key)
     sha256 = sha256.lower()
 
     file_name = _opt_str(record, "file_name")
@@ -297,11 +297,11 @@ def report_from_record(record: dict) -> MalwareReport:
         raise InvalidReportError("missing file_name", field="file_name")
 
     hashes: dict[str, Optional[str]] = {}
-    for key, attr, kind in _HASH_FIELDS:
-        value = _opt_str(record, key)
-        if value is not None and not validate_hash_format(_registry, kind, value):
-            raise InvalidReportError(f"bad {key} value {value!r}", field=key)
-        hashes[attr] = value
+    for kind in optional_kinds:
+        value = _opt_str(record, kind.record_key)
+        if value is not None and not validate_hash_format(_registry, kind.cls, value):
+            raise InvalidReportError(f"bad {kind.record_key} value {value!r}", field=kind.record_key)
+        hashes[kind.name] = value
 
     file_size = record.get("file_size")
     if file_size is not None:
@@ -327,7 +327,7 @@ def report_from_record(record: dict) -> MalwareReport:
     if origin_country is not None:
         if origin_country.lower() == "n/a":
             origin_country = None
-        elif len(origin_country) == 2 and origin_country.isalpha():
+        elif len(origin_country) == 2 and origin_country.isascii() and origin_country.isalpha():
             origin_country = origin_country.upper()
         else:
             raise InvalidReportError(
@@ -348,20 +348,14 @@ def report_from_record(record: dict) -> MalwareReport:
                 tags.append(tag)
 
     vendor_verdicts, nested_vhash = _parse_vendor_intel(record.get("vendor_intel"))
-    vhash = _opt_str(record, "vhash") or nested_vhash
-    if vhash is not None and not validate_hash_format(_registry, malont("VHash"), vhash):
-        raise InvalidReportError(f"bad vhash value {vhash!r}", field="vhash")
+    vhash = _opt_str(record, vhash_kind.record_key) or nested_vhash
+    if vhash is not None and not validate_hash_format(_registry, vhash_kind.cls, vhash):
+        raise InvalidReportError(f"bad vhash value {vhash!r}", field=vhash_kind.record_key)
 
     return MalwareReport(
         sha256=sha256,
         file_name=file_name,
-        sha1=hashes["sha1"],
-        md5=hashes["md5"],
-        imphash=hashes["imphash"],
-        tlsh=hashes["tlsh"],
-        telfhash=hashes["telfhash"],
-        gimphash=hashes["gimphash"],
-        ssdeep=hashes["ssdeep"],
+        **hashes,
         vhash=vhash,
         file_size=file_size,
         file_type=_opt_str(record, "file_type"),
@@ -407,9 +401,9 @@ def mint_iris(report: MalwareReport) -> dict[str, str]:
         ids["cert"] = andmal(f"cert_{report.sha256}")
     for tag in report.tags:
         ids[f"tag:{tag}"] = andmal(f"tag_{slug(tag)}")
-    for algo in ("md5", "sha1", "sha256", "ssdeep", "vhash", "imphash", "tlsh", "telfhash", "gimphash"):
-        if getattr(report, algo) is not None:
-            ids[f"hash:{algo}"] = andmal(f"{algo}_{report.sha256}")
+    for kind in HASH_KINDS:
+        if getattr(report, kind.name) is not None:
+            ids[f"hash:{kind.name}"] = andmal(f"{kind.name}_{report.sha256}")
     for rule in report.yara_rules:
         ids[f"yara:{rule.name}"] = andmal(f"yara_{slug(rule.name)}")
     for verdict in report.vendor_intel:
@@ -419,111 +413,147 @@ def mint_iris(report: MalwareReport) -> dict[str, str]:
     return ids
 
 
-_HASH_CLASS_AND_PROP = {
-    "md5": (malont("MD5"), andmal("md5Value")),
-    "sha1": (malont("SHA1"), andmal("sha1Value")),
-    "sha256": (malont("SHA256"), andmal("sha256Value")),
-    "ssdeep": (malont("SSDeep"), andmal("ssdeepValue")),
-    "vhash": (malont("VHash"), andmal("vhashValue")),
-    "imphash": (andmal("IMPHASH"), andmal("imphashValue")),
-    "tlsh": (andmal("TLSH"), andmal("tlshValue")),
-    "telfhash": (andmal("TELFHASH"), andmal("telfhashValue")),
-    "gimphash": (andmal("GIMPHASH"), andmal("gimphashValue")),
-}
+# Vocabulary IRIs of report rows.
+_FILE = andmal("File")
+_MALWARE = malont("Malware")
+_MALWARE_FAMILY = malont("MalwareFamily")
+_TAG = andmal("Tag")
+_MALWARE_REPORTER = andmal("MalwareReporter")
+_LOCATION = malont("Location")
+_VENDOR_INTELLIGENCE = andmal("VendorIntelligence")
+_YARA_RULE = andmal("YaraRule")
+_CERTIFICATE = andmal("Certificate")
+_CONTAINS = andmal("contains")
+_HAS_FILE = andmal("hasFile")
+_HAS_FILE_NAME = andmal("hasFileName")
+_HAS_FILE_SIZE = andmal("hasFileSize")
+_HAS_FILE_TYPE = andmal("hasFileType")
+_FIRST_SEEN = andmal("firstSeen")
+_LAST_SEEN = andmal("lastSeen")
+_HAS_MALWARE_FAMILY = andmal("hasMalwareFamily")
+_HAS_TAG = andmal("hasTag")
+_TAG_LABEL = andmal("tagLabel")
+_HAS_REPORTER = malont("hasReporter")
+_REPORTED_FROM = andmal("ReportedFrom")
+_COUNTRY_CODE = andmal("countryCode")
+_HAS_HASH = andmal("hasHash")
+_HAS_VENDOR_INTEL = andmal("hasVendorIntel")
+_VENDOR_NAME = andmal("vendorName")
+_VERDICT = andmal("verdict")
+_DETECTION_NAME = andmal("detectionName")
+_VENDOR_LINK = andmal("vendorLink")
+_ANALYSIS_DATE = andmal("analysisDate")
+_DETECTED_BY = andmal("detectedBy")
+_YARA_RULE_NAME = andmal("yaraRuleName")
+_YARA_AUTHOR = andmal("yaraAuthor")
+_YARA_DESCRIPTION = andmal("yaraDescription")
+_YARA_REFERENCE = andmal("yaraReference")
+_HAS_CERTIFICATE = andmal("hasCertificate")
+_THUMBPRINT_ALGORITHM = andmal("thumbprintAlgorithm")
+_CERT_SERIAL_NUMBER = andmal("certSerialNumber")
+_CERT_ISSUER = andmal("certIssuer")
+
+
+def _literal(lexical: str, datatype: str = XSD_STRING) -> tuple:
+    return (lexical, datatype, None)
+
+
+def _report_rows(report: MalwareReport) -> list[tuple]:
+    """The report's subgraph as (s, p, o) term keys.  Every subject
+    validates cleanly; a row may repeat."""
+    ids = mint_iris(report)
+    file_node = ids["file"]
+    malware_node = ids["malware"]
+    rows = [
+        (file_node, RDF_TYPE, _FILE),
+        (malware_node, RDF_TYPE, _MALWARE),
+        (file_node, _CONTAINS, malware_node),
+        (malware_node, _HAS_FILE, file_node),
+        (file_node, _HAS_FILE_NAME, _literal(report.file_name)),
+    ]
+    add = rows.append
+    if report.file_size is not None:
+        add((file_node, _HAS_FILE_SIZE, _literal(str(report.file_size), XSD_INTEGER)))
+    if report.file_type is not None:
+        add((file_node, _HAS_FILE_TYPE, _literal(report.file_type)))
+    if report.first_seen is not None:
+        add((file_node, _FIRST_SEEN, _literal(report.first_seen, XSD_DATETIME)))
+    if report.last_seen is not None:
+        add((file_node, _LAST_SEEN, _literal(report.last_seen, XSD_DATETIME)))
+
+    if report.signature:
+        family = ids["family"]
+        add((family, RDF_TYPE, _MALWARE_FAMILY))
+        add((malware_node, _HAS_MALWARE_FAMILY, family))
+
+    for tag in report.tags:
+        tag_node = ids[f"tag:{tag}"]
+        add((tag_node, RDF_TYPE, _TAG))
+        add((malware_node, _HAS_TAG, tag_node))
+        add((tag_node, _TAG_LABEL, _literal(tag)))
+
+    if report.reporter:
+        rep_node = ids["reporter"]
+        add((rep_node, RDF_TYPE, _MALWARE_REPORTER))
+        add((file_node, _HAS_REPORTER, rep_node))
+
+    if report.origin_country:
+        loc_node = ids["location"]
+        add((loc_node, RDF_TYPE, _LOCATION))
+        add((file_node, _REPORTED_FROM, loc_node))
+        add((loc_node, _COUNTRY_CODE, _literal(report.origin_country)))
+
+    for kind in HASH_KINDS:
+        value = getattr(report, kind.name)
+        if value is None:
+            continue
+        hash_node = ids[f"hash:{kind.name}"]
+        add((hash_node, RDF_TYPE, kind.cls))
+        add((file_node, _HAS_HASH, hash_node))
+        add((hash_node, kind.value_property, _literal(value)))
+
+    for verdict in report.vendor_intel:
+        vi_node = ids[f"vendor:{verdict.vendor_name}"]
+        add((vi_node, RDF_TYPE, _VENDOR_INTELLIGENCE))
+        add((malware_node, _HAS_VENDOR_INTEL, vi_node))
+        add((vi_node, _VENDOR_NAME, _literal(verdict.vendor_name)))
+        add((vi_node, _VERDICT, _literal(verdict.verdict)))
+        if verdict.detection_name:
+            add((vi_node, _DETECTION_NAME, _literal(verdict.detection_name)))
+        if verdict.link:
+            add((vi_node, _VENDOR_LINK, _literal(verdict.link, XSD_ANYURI)))
+        if verdict.analysis_date:
+            add((vi_node, _ANALYSIS_DATE, _literal(verdict.analysis_date, XSD_DATETIME)))
+
+    for rule in report.yara_rules:
+        yara_node = ids[f"yara:{rule.name}"]
+        add((yara_node, RDF_TYPE, _YARA_RULE))
+        add((malware_node, _DETECTED_BY, yara_node))
+        add((yara_node, _YARA_RULE_NAME, _literal(rule.name)))
+        if rule.author:
+            add((yara_node, _YARA_AUTHOR, _literal(rule.author)))
+        if rule.description:
+            add((yara_node, _YARA_DESCRIPTION, _literal(rule.description)))
+        if rule.reference:
+            add((yara_node, _YARA_REFERENCE, _literal(rule.reference)))
+
+    cert = report.certificate
+    if cert:
+        cert_node = ids["cert"]
+        add((cert_node, RDF_TYPE, _CERTIFICATE))
+        add((file_node, _HAS_CERTIFICATE, cert_node))
+        add((cert_node, _THUMBPRINT_ALGORITHM, _literal(cert.thumbprint_algorithm)))
+        if cert.serial_number:
+            add((cert_node, _CERT_SERIAL_NUMBER, _literal(cert.serial_number)))
+        if cert.issuer:
+            add((cert_node, _CERT_ISSUER, _literal(cert.issuer)))
+
+    return rows
 
 
 def report_to_triples(report: MalwareReport, registry: SchemaRegistry) -> set[Triple]:
     """Emit the report's subgraph.  Every subject validates cleanly."""
-    ids = mint_iris(report)
-    rdf_type = IRI(RDF_TYPE)
-    file_node = IRI(ids["file"])
-    malware_node = IRI(ids["malware"])
-    triples: set[Triple] = set()
-
-    def add(s, p, o):
-        triples.add(Triple(s, p, o))
-
-    add(file_node, rdf_type, IRI(andmal("File")))
-    add(malware_node, rdf_type, IRI(malont("Malware")))
-    add(file_node, IRI(andmal("contains")), malware_node)
-    add(malware_node, IRI(andmal("hasFile")), file_node)
-    add(file_node, IRI(andmal("hasFileName")), Literal(report.file_name))
-    if report.file_size is not None:
-        add(file_node, IRI(andmal("hasFileSize")), Literal(str(report.file_size), XSD_INTEGER))
-    if report.file_type is not None:
-        add(file_node, IRI(andmal("hasFileType")), Literal(report.file_type))
-    if report.first_seen is not None:
-        add(file_node, IRI(andmal("firstSeen")), Literal(report.first_seen, XSD_DATETIME))
-    if report.last_seen is not None:
-        add(file_node, IRI(andmal("lastSeen")), Literal(report.last_seen, XSD_DATETIME))
-
-    if report.signature:
-        family = IRI(ids["family"])
-        add(family, rdf_type, IRI(malont("MalwareFamily")))
-        add(malware_node, IRI(andmal("hasMalwareFamily")), family)
-
-    for tag in report.tags:
-        tag_node = IRI(ids[f"tag:{tag}"])
-        add(tag_node, rdf_type, IRI(andmal("Tag")))
-        add(malware_node, IRI(andmal("hasTag")), tag_node)
-        add(tag_node, IRI(andmal("tagLabel")), Literal(tag))
-
-    if report.reporter:
-        rep_node = IRI(ids["reporter"])
-        add(rep_node, rdf_type, IRI(andmal("MalwareReporter")))
-        add(file_node, IRI(malont("hasReporter")), rep_node)
-
-    if report.origin_country:
-        loc_node = IRI(ids["location"])
-        add(loc_node, rdf_type, IRI(malont("Location")))
-        add(file_node, IRI(andmal("ReportedFrom")), loc_node)
-        add(loc_node, IRI(andmal("countryCode")), Literal(report.origin_country))
-
-    for algo, (hash_class, value_prop) in _HASH_CLASS_AND_PROP.items():
-        value = report.sha256 if algo == "sha256" else getattr(report, algo)
-        if value is None:
-            continue
-        hash_node = IRI(ids[f"hash:{algo}"])
-        add(hash_node, rdf_type, IRI(hash_class))
-        add(file_node, IRI(andmal("hasHash")), hash_node)
-        add(hash_node, IRI(value_prop), Literal(value))
-
-    for verdict in report.vendor_intel:
-        vi_node = IRI(ids[f"vendor:{verdict.vendor_name}"])
-        add(vi_node, rdf_type, IRI(andmal("VendorIntelligence")))
-        add(malware_node, IRI(andmal("hasVendorIntel")), vi_node)
-        add(vi_node, IRI(andmal("vendorName")), Literal(verdict.vendor_name))
-        add(vi_node, IRI(andmal("verdict")), Literal(verdict.verdict))
-        if verdict.detection_name:
-            add(vi_node, IRI(andmal("detectionName")), Literal(verdict.detection_name))
-        if verdict.link:
-            add(vi_node, IRI(andmal("vendorLink")), Literal(verdict.link, XSD_ANYURI))
-        if verdict.analysis_date:
-            add(vi_node, IRI(andmal("analysisDate")), Literal(verdict.analysis_date, XSD_DATETIME))
-
-    for rule in report.yara_rules:
-        yara_node = IRI(ids[f"yara:{rule.name}"])
-        add(yara_node, rdf_type, IRI(andmal("YaraRule")))
-        add(malware_node, IRI(andmal("detectedBy")), yara_node)
-        add(yara_node, IRI(andmal("yaraRuleName")), Literal(rule.name))
-        if rule.author:
-            add(yara_node, IRI(andmal("yaraAuthor")), Literal(rule.author))
-        if rule.description:
-            add(yara_node, IRI(andmal("yaraDescription")), Literal(rule.description))
-        if rule.reference:
-            add(yara_node, IRI(andmal("yaraReference")), Literal(rule.reference))
-
-    if report.certificate:
-        cert_node = IRI(ids["cert"])
-        add(cert_node, rdf_type, IRI(andmal("Certificate")))
-        add(file_node, IRI(andmal("hasCertificate")), cert_node)
-        add(cert_node, IRI(andmal("thumbprintAlgorithm")), Literal(report.certificate.thumbprint_algorithm))
-        if report.certificate.serial_number:
-            add(cert_node, IRI(andmal("certSerialNumber")), Literal(report.certificate.serial_number))
-        if report.certificate.issuer:
-            add(cert_node, IRI(andmal("certIssuer")), Literal(report.certificate.issuer))
-
-    return triples
+    return {Triple(_key_term(s), _key_term(p), _key_term(o)) for s, p, o in _report_rows(report)}
 
 
 def _selector_matches(selector: FetchSelector, report: MalwareReport) -> bool:
@@ -585,6 +615,10 @@ def _fetch_live(
         form = {"query": "get_info", "hash": selector.value}
     else:
         form = {"query": "get_recent", "selector": "100"}
+    # imported here, not at the top: only live fetches need it, and every
+    # CLI command would otherwise pay for the import
+    import requests
+
     try:
         response = requests.post(endpoint, data=form, timeout=30)
     except requests.RequestException as exc:
@@ -617,11 +651,22 @@ def ingest_corpus(
 ) -> IngestSummary:
     """Insert every report's subgraph, then validate all touched subjects."""
     summary = IngestSummary(reports=len(reports))
-    touched: set = set()
+    intern = graph._intern_key
+    add = graph._add
+    touched: set[int] = set()
     for report in reports:
-        triples = report_to_triples(report, registry)
-        summary.triples_added += graph.insert_all(triples)
-        touched.update(t.subject for t in triples)
-    for subject in sorted(touched, key=term_to_ntriples):
-        summary.violations.extend(validate_individual(registry, graph, subject))
+        for s, p, o in _report_rows(report):
+            si = intern(s)
+            touched.add(si)
+            summary.triples_added += add(si, intern(p), intern(o))
+    summary.violations.extend(validate_subjects(registry, graph, touched))
     return summary
+
+
+def __getattr__(name: str):
+    # `requests` is imported on first use, but stays reachable as ingest.requests
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,10 +7,14 @@ predicate- and object-keyed) hold ids only.  A pattern with any bound
 position is answered from an index instead of a full scan, and the
 serializers sort by the cached tokens.  Ids are private: equality,
 matching and output depend on the terms alone, never on insertion order.
-Graph._id (term -> id), Graph._rows (id-level pattern lookup),
-Graph._terms and Graph._tokens (id -> term, id -> token) are the id
-interface this module shares with the query evaluator; no other module
-uses ids.
+
+The id interface is Graph._id (term -> id), Graph._intern_key (term key
+-> id, building the term only when it is new), Graph._add (id triple),
+Graph._rows (id-level pattern lookup), Graph._spo, and Graph._terms and
+Graph._tokens (id -> term, id -> token).  Three modules use it: query
+(the join), ingest (report rows go in as term keys) and schema (the
+validator walks a subject's SPO entry, reading leaves with _each).  No
+other module uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
@@ -148,6 +152,15 @@ def _term_key(term) -> object:
     return None
 
 
+def _key_term(key) -> Term:
+    """The term a _term_key value names, built and checked by its constructor."""
+    if type(key) is str:
+        return IRI(key)
+    if len(key) == 3:
+        return Literal(*key)
+    return BlankNode(*key)
+
+
 # An index maps id a -> id b -> the ids c completing (a, b).  Most (a, b)
 # pairs have one c, so a leaf holds a lone id as a bare int and becomes a
 # set at its second id: far less memory, and fewer objects for the cyclic
@@ -176,7 +189,8 @@ def _each(leaf: _Leaf) -> Iterable[int]:
 
 
 def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
-    leaf = index.get(a, {}).get(b)
+    inner = index.get(a)
+    leaf = None if inner is None else inner.get(b)
     return () if leaf is None else _each(leaf)
 
 
@@ -242,6 +256,12 @@ class Graph:
             self._tokens.append(token)
             self._token_ids.setdefault(token, i)
         return i
+
+    def _intern_key(self, key) -> int:
+        """The id of the term whose _term_key is key; the term is built and
+        checked only when the graph does not hold it yet."""
+        i = self._ids.get(key)
+        return self._intern(_key_term(key)) if i is None else i
 
     def _add(self, s: int, p: int, o: int) -> bool:
         key = (s, p, o)

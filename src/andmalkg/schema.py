@@ -3,7 +3,12 @@
 The registry is a fixed catalog: MalOnt2.0 contributes 15 base classes and
 the five classic hash types under Hash; AndMalOnt adds 14 classes (six more
 hash schemes, the HashDigestSize enumeration, and the File/report-metadata
-classes), 16 object properties, and 31 data properties.
+classes), 16 object properties, and 31 data properties.  HASH_KINDS is the
+one table of the hash kinds a report carries; record parsing, IRI minting,
+triple generation and validation all read it.
+
+validate_subjects checks subjects straight from the graph's SPO index, on
+term ids (see rdf.py); ingest and the validate command both use it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import UnknownClassError
 from .ns import (
@@ -24,7 +29,7 @@ from .ns import (
     andmal,
     malont,
 )
-from .rdf import Graph, IRI, Literal, term_to_ntriples
+from .rdf import Graph, IRI, Literal, _each, term_to_ntriples
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,31 @@ _DATA_PROPERTIES = (
 DIGEST_SIZES = (224, 256, 384, 512)
 
 
+@dataclass(frozen=True)
+class HashKind:
+    name: str  # MalwareReport attribute, and the stem of the hash node's IRI
+    record_key: str  # field of a MalwareBazaar record
+    cls: str  # hash class IRI; its format rules apply to the value
+    value_property: str  # data property carrying the digest
+
+
+# In record-parsing order: sha256 is required and read first; vhash may
+# also sit under vendor_intel, so it is read last.
+HASH_KINDS = (
+    HashKind("sha256", "sha256_hash", malont("SHA256"), andmal("sha256Value")),
+    HashKind("sha1", "sha1_hash", malont("SHA1"), andmal("sha1Value")),
+    HashKind("md5", "md5_hash", malont("MD5"), andmal("md5Value")),
+    HashKind("imphash", "imphash", andmal("IMPHASH"), andmal("imphashValue")),
+    HashKind("tlsh", "tlsh", andmal("TLSH"), andmal("tlshValue")),
+    HashKind("telfhash", "telfhash", andmal("TELFHASH"), andmal("telfhashValue")),
+    HashKind("gimphash", "gimphash", andmal("GIMPHASH"), andmal("gimphashValue")),
+    HashKind("ssdeep", "ssdeep", malont("SSDeep"), andmal("ssdeepValue")),
+    HashKind("vhash", "vhash", malont("VHash"), andmal("vhashValue")),
+)
+
+_HASH_CLASS_BY_VALUE_PROPERTY = {k.value_property: k.cls for k in HASH_KINDS}
+
+
 class SchemaRegistry:
     """Immutable catalog of classes and properties with lookup helpers."""
 
@@ -175,37 +205,27 @@ class SchemaRegistry:
         self.data_properties: Mapping[str, PropertyDef] = MappingProxyType(
             dict(data_properties)
         )
-        # value-carrying data property -> the hash class its format rules follow
-        self.hash_value_properties: Mapping[str, str] = MappingProxyType(
-            {
-                andmal("md5Value"): malont("MD5"),
-                andmal("sha1Value"): malont("SHA1"),
-                andmal("sha256Value"): malont("SHA256"),
-                andmal("ssdeepValue"): malont("SSDeep"),
-                andmal("vhashValue"): malont("VHash"),
-                andmal("imphashValue"): andmal("IMPHASH"),
-                andmal("tlshValue"): andmal("TLSH"),
-                andmal("telfhashValue"): andmal("TELFHASH"),
-                andmal("gimphashValue"): andmal("GIMPHASH"),
-            }
-        )
         self.digest_size_individuals: Mapping[int, str] = MappingProxyType(
             {bits: andmal(f"bits{bits}") for bits in DIGEST_SIZES}
         )
-        for cls in self.classes.values():
-            self._check_acyclic(cls.iri)
+        # class IRI -> the class and every class above it
+        self.ancestors: Mapping[str, frozenset[str]] = MappingProxyType(
+            {iri: self._ancestry(iri) for iri in self.classes}
+        )
 
-    def _check_acyclic(self, iri: str) -> None:
-        seen = set()
+    def _ancestry(self, iri: str) -> frozenset[str]:
+        """iri and its ancestors; fails on a cycle or an unregistered parent."""
+        chain: list[str] = []
         cur: Optional[str] = iri
         while cur is not None:
-            if cur in seen:
+            if cur in chain:
                 raise UnknownClassError(f"cycle in class hierarchy at {cur}")
-            seen.add(cur)
+            chain.append(cur)
             parent = self.classes[cur].parent
             if parent is not None and parent not in self.classes:
                 raise UnknownClassError(f"parent of {cur} is unregistered: {parent}")
             cur = parent
+        return frozenset(chain)
 
     def is_class(self, iri: str) -> bool:
         return iri in self.classes
@@ -216,12 +236,7 @@ class SchemaRegistry:
             raise UnknownClassError(f"unregistered class: {child}")
         if ancestor not in self.classes:
             raise UnknownClassError(f"unregistered class: {ancestor}")
-        cur: Optional[str] = child
-        while cur is not None:
-            if cur == ancestor:
-                return True
-            cur = self.classes[cur].parent
-        return False
+        return ancestor in self.ancestors[child]
 
 
 def build_schema() -> SchemaRegistry:
@@ -261,6 +276,8 @@ def build_schema() -> SchemaRegistry:
         )
     return SchemaRegistry(classes, object_properties, data_properties)
 
+
+_RDF_TYPE = IRI(RDF_TYPE)
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
 _LOWER_HEX_RE = re.compile(r"^[0-9a-f]+$")
@@ -311,7 +328,7 @@ def _local_name(registry: SchemaRegistry, kind: str) -> str:
     cls = registry.classes.get(kind)
     if cls is None:
         raise UnknownClassError(f"unregistered class: {kind}")
-    if not registry.is_subclass_of(kind, malont("Hash")) or kind == malont("Hash"):
+    if kind == malont("Hash") or malont("Hash") not in registry.ancestors[kind]:
         raise UnknownClassError(f"not a concrete hash class: {kind}")
     return kind.rsplit("#", 1)[-1]
 
@@ -343,86 +360,139 @@ def validate_individual(
     hierarchy; data-property literals parse under their datatype tag; hash
     value properties satisfy the per-algorithm format rules.
     """
-    violations: list[Violation] = []
-    subj_str = term_to_ntriples(subject)
-    type_triples = graph.match(s=subject, p=IRI(RDF_TYPE))
-    subject_types: list[str] = []
-    for t in type_triples:
-        if isinstance(t.object, IRI) and registry.is_class(t.object.value):
-            subject_types.append(t.object.value)
-        else:
-            violations.append(
-                Violation(subj_str, "unknown-class", f"type is not a registered class: {term_to_ntriples(t.object)}")
-            )
-    if not type_triples:
-        violations.append(Violation(subj_str, "missing-type", "no type triple"))
+    si = graph._id(subject)
+    by_p = {} if si is None else graph._spo.get(si, {})
+    return _Checker(registry, graph).violations(term_to_ntriples(subject), by_p)
 
-    for t in graph.match(s=subject):
-        pred = t.predicate.value
-        if pred == RDF_TYPE:
-            continue
-        if pred in registry.object_properties:
-            prop = registry.object_properties[pred]
-            if subject_types and not any(
-                registry.is_subclass_of(st, prop.domain) for st in subject_types
-            ):
-                violations.append(
-                    Violation(
-                        subj_str,
-                        "domain-mismatch",
-                        f"{pred} requires a {prop.domain} subject",
-                    )
-                )
-            if isinstance(t.object, Literal):
-                violations.append(
-                    Violation(subj_str, "range-mismatch", f"{pred} object is a literal")
-                )
-            else:
-                object_types = [
-                    ot.value
-                    for ot in graph.types_of(t.object)
-                    if isinstance(ot, IRI) and registry.is_class(ot.value)
-                ]
-                if not any(
-                    registry.is_subclass_of(ot, prop.range) for ot in object_types
-                ):
-                    violations.append(
-                        Violation(
-                            subj_str,
-                            "range-mismatch",
-                            f"{pred} requires a {prop.range} object",
-                        )
-                    )
-        elif pred in registry.data_properties:
-            if not isinstance(t.object, Literal):
-                violations.append(
-                    Violation(
-                        subj_str, "datatype-mismatch", f"{pred} value is not a literal"
-                    )
-                )
-                continue
-            lit = t.object
-            if lit.language is None and not _literal_value_ok(lit.datatype, lit.lexical):
-                violations.append(
-                    Violation(
-                        subj_str,
-                        "datatype-mismatch",
-                        f"{pred} value {lit.lexical!r} does not parse as {lit.datatype}",
-                    )
-                )
-                continue
-            hash_class = registry.hash_value_properties.get(pred)
-            if hash_class is not None:
-                if not validate_hash_format(registry, hash_class, lit.lexical):
-                    violations.append(
-                        Violation(
-                            subj_str,
-                            "bad-hash-format",
-                            f"{pred} value {lit.lexical!r} fails the format rules",
-                        )
-                    )
-        else:
-            violations.append(
-                Violation(subj_str, "unknown-property", f"unregistered property {pred}")
-            )
+
+def validate_subjects(
+    registry: SchemaRegistry, graph: Graph, subjects: Optional[Iterable[int]] = None
+) -> list[Violation]:
+    """The violations of each subject, as validate_individual reports them,
+    subject by subject in N-Triples order.
+
+    subjects are ids of graph (see rdf.py); None means every subject.
+    """
+    check = _Checker(registry, graph)
+    tokens = graph._tokens
+    spo = graph._spo
+    violations: list[Violation] = []
+    for si in sorted(spo if subjects is None else subjects, key=tokens.__getitem__):
+        violations.extend(check.violations(tokens[si], spo.get(si, {})))
     return violations
+
+
+class _Checker:
+    """Validates subjects of one graph on term ids.
+
+    A subject's SPO entry is walked predicate by predicate, then object by
+    object, each in token order: the order in which Graph.match lists the
+    subject's triples.
+    """
+
+    def __init__(self, registry: SchemaRegistry, graph: Graph):
+        self.registry = registry
+        self.terms = graph._terms
+        self.tokens = graph._tokens
+        self.spo = graph._spo
+        self.type_id = graph._id(_RDF_TYPE)
+        self.class_cache: dict[int, frozenset[str]] = {}
+
+    def _classes(self, ti: int) -> frozenset[str]:
+        """The class term ti and its ancestors; empty unless it is registered."""
+        classes = self.class_cache.get(ti)
+        if classes is None:
+            term = self.terms[ti]
+            classes = frozenset()
+            if isinstance(term, IRI):
+                classes = self.registry.ancestors.get(term.value, classes)
+            self.class_cache[ti] = classes
+        return classes
+
+    def _has_class(self, oi: int, cls: str) -> bool:
+        """Whether node oi has a registered type that is cls or below it."""
+        by_p = self.spo.get(oi)
+        leaf = None if by_p is None else by_p.get(self.type_id)
+        return leaf is not None and any(cls in self._classes(ti) for ti in _each(leaf))
+
+    def violations(self, subj_str: str, by_p: dict) -> list[Violation]:
+        registry = self.registry
+        terms = self.terms
+        by_token = self.tokens.__getitem__
+        violations: list[Violation] = []
+        type_leaf = by_p.get(self.type_id)
+        type_ids = () if type_leaf is None else sorted(_each(type_leaf), key=by_token)
+        subject_classes = []  # per registered type: it and its ancestors
+        for ti in type_ids:
+            classes = self._classes(ti)
+            if classes:
+                subject_classes.append(classes)
+            else:
+                violations.append(
+                    Violation(subj_str, "unknown-class", f"type is not a registered class: {by_token(ti)}")
+                )
+        if not type_ids:
+            violations.append(Violation(subj_str, "missing-type", "no type triple"))
+
+        for pi in sorted(by_p, key=by_token):
+            if pi == self.type_id:
+                continue
+            pred = terms[pi].value
+            objects = sorted(_each(by_p[pi]), key=by_token)
+            prop = registry.object_properties.get(pred)
+            if prop is not None:
+                for oi in objects:
+                    if subject_classes and not any(prop.domain in c for c in subject_classes):
+                        violations.append(
+                            Violation(
+                                subj_str,
+                                "domain-mismatch",
+                                f"{pred} requires a {prop.domain} subject",
+                            )
+                        )
+                    if isinstance(terms[oi], Literal):
+                        violations.append(
+                            Violation(subj_str, "range-mismatch", f"{pred} object is a literal")
+                        )
+                    elif not self._has_class(oi, prop.range):
+                        violations.append(
+                            Violation(
+                                subj_str,
+                                "range-mismatch",
+                                f"{pred} requires a {prop.range} object",
+                            )
+                        )
+            elif pred in registry.data_properties:
+                hash_class = _HASH_CLASS_BY_VALUE_PROPERTY.get(pred)
+                for oi in objects:
+                    lit = terms[oi]
+                    if not isinstance(lit, Literal):
+                        violations.append(
+                            Violation(
+                                subj_str, "datatype-mismatch", f"{pred} value is not a literal"
+                            )
+                        )
+                    elif lit.language is None and not _literal_value_ok(lit.datatype, lit.lexical):
+                        violations.append(
+                            Violation(
+                                subj_str,
+                                "datatype-mismatch",
+                                f"{pred} value {lit.lexical!r} does not parse as {lit.datatype}",
+                            )
+                        )
+                    elif hash_class is not None and not validate_hash_format(
+                        registry, hash_class, lit.lexical
+                    ):
+                        violations.append(
+                            Violation(
+                                subj_str,
+                                "bad-hash-format",
+                                f"{pred} value {lit.lexical!r} fails the format rules",
+                            )
+                        )
+            else:
+                violations.extend(
+                    Violation(subj_str, "unknown-property", f"unregistered property {pred}")
+                    for _ in objects
+                )
+        return violations

@@ -110,6 +110,18 @@ def test_ingest_warning_prints_once(tmp_path):
     assert "warning: bad.json" in proc.stderr
 
 
+def test_cli_import_leaves_requests_unloaded():
+    # only `ingest --live` needs requests, so no command should pay for importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, andmalkg.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("failure", ["serialize", "mid-write"])
 def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failure):
     graph = tmp_path / "graph.nt"

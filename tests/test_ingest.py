@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -20,9 +21,11 @@ from andmalkg import (
     ingest_corpus,
     malont,
     mint_iris,
+    parse_ntriples,
     parse_report,
     report_from_record,
     report_to_triples,
+    serialize_ntriples,
     slug,
 )
 import andmalkg.ingest as ingest_mod
@@ -123,6 +126,14 @@ def test_field_rules():
     report = report_from_record(record(file_size="123", origin_country="us"))
     assert report.file_size == 123
     assert report.origin_country == "US"
+
+
+@pytest.mark.parametrize("code", ["ßa", "ÄÖ"])
+def test_origin_country_must_be_two_ascii_letters(code):
+    # "ßa".upper() is "SSA": the check must come before, and reject, non-ASCII letters
+    with pytest.raises(InvalidReportError) as err:
+        report_from_record(record(origin_country=code))
+    assert err.value.field == "origin_country"
 
 
 def test_timestamps_normalized_to_utc_iso():
@@ -413,3 +424,75 @@ def test_empty_corpus_changes_nothing(registry):
     assert summary.reports == 0
     assert summary.triples_added == 0
     assert len(g) == 0
+
+
+def _triples_graph(reports, registry):
+    """The reports' subgraphs inserted Triple by Triple."""
+    g = Graph()
+    for report in reports:
+        g.insert_all(report_to_triples(report, registry))
+    return g
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ingest_corpus_equals_inserting_report_triples(registry, table1_reports, multifam_reports):
+    reports = table1_reports + multifam_reports
+    g = Graph()
+    summary = ingest_corpus(reports, registry, g)
+    expected = _triples_graph(reports, registry)
+    assert g == expected
+    assert summary.triples_added == len(g) == 2540
+    text = serialize_ntriples(g)
+    assert text == serialize_ntriples(expected)
+    # the file earlier releases wrote for these fixtures
+    assert _sha256(text) == "e6b4e200425d6ed5f1b0ede9c1ff58afc1016e89efabfb3928b91d367158e47a"
+
+
+# quote, backslash, newline, tab, non-ASCII, and U+2028, which str.splitlines would split on
+ODD_TEXT = 'say "hi" \\ back\nslash\tü 漢字 \u2028'
+
+
+def test_escaped_and_non_ascii_text_round_trips(registry):
+    report = report_from_record(
+        record(
+            sha256_hash="c" * 64,
+            file_name="a" + ODD_TEXT + ".apk",
+            yara_rules=[{"rule_name": "odd_rule", "description": ODD_TEXT, "author": "Zoë"}],
+            vendor_intel={'Vend"or': {"verdict": "malware", "detection": ODD_TEXT}},
+        )
+    )
+    g = Graph()
+    summary = ingest_corpus([report], registry, g)
+    assert summary.violations == []
+    assert g == _triples_graph([report], registry)
+    text = serialize_ntriples(g)
+    assert '"asay \\"hi\\" \\\\ back\\nslash\\tü 漢字 \u2028.apk"' in text
+    assert parse_ntriples(text) == g
+    assert serialize_ntriples(parse_ntriples(text)) == text
+    # the file earlier releases wrote for this report
+    assert _sha256(text) == "439cb18a4c1f18530db5caa227778cd3a622ed937c5f3164c6cb41e26fead890"
+
+
+def test_ingest_into_respelled_graph_adds_no_term(registry):
+    report = report_from_record(record(file_size=7, tags=["banker"]))
+    fresh = Graph()
+    ingest_corpus([report], registry, fresh)
+    canonical = serialize_ntriples(fresh)
+    # the same triples, each term spelled another legal way
+    respelled = (
+        canonical.replace('"sample.apk"', '"sample\\u002Eapk"')
+        .replace('"banker" .', '"banker"^^<http://www.w3.org/2001/XMLSchema#string> .')
+        .replace("> <", ">\t<")
+    )
+    assert respelled != canonical
+    g = parse_ntriples(respelled)
+    terms = len(g._terms)
+    assert terms == len(fresh._terms)
+    summary = ingest_corpus([report], registry, g)
+    assert summary.triples_added == 0
+    assert summary.violations == []
+    assert len(g._terms) == terms
+    assert serialize_ntriples(g) == canonical

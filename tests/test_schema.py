@@ -11,10 +11,13 @@ from andmalkg import (
     andmal,
     build_schema,
     malont,
+    parse_ntriples,
     validate_hash_format,
     validate_individual,
 )
-from andmalkg.ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING
+from andmalkg.cli import main
+from andmalkg.ns import ANDMAL, MALONT, RDF_TYPE, XSD, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING
+from andmalkg.schema import HASH_KINDS, VIOLATION_RULES, validate_subjects
 
 UC3_SHA256 = "21d178e0688af591964ae00b71263d2e086706017ebc98d7488d57771144d337"
 
@@ -328,3 +331,151 @@ def test_registry_is_immutable(registry):
         registry.classes[andmal("New")] = None
     with pytest.raises(TypeError):
         del registry.object_properties[andmal("contains")]
+
+
+def test_hash_kinds_match_the_catalog(registry):
+    # the one hash table names a registered hash class and its value property
+    for kind in HASH_KINDS:
+        assert registry.is_subclass_of(kind.cls, malont("Hash"))
+        prop = registry.data_properties[kind.value_property]
+        assert (prop.domain, prop.range) == (kind.cls, XSD_STRING)
+    assert len({kind.name for kind in HASH_KINDS}) == len(HASH_KINDS) == 9
+
+
+# Every rule in VIOLATION_RULES, several on one subject across predicates,
+# multi-typed and blank-node subjects, and untyped, blank and literal objects.
+A, M, X = ANDMAL, MALONT, XSD
+T = f"<{RDF_TYPE}>"
+SEEDED_NT = f"""\
+<{A}file_v> {T} <{A}File> .
+<{A}file_v> <{A}hasMalwareFamily> <{A}family_v> .
+<{A}file_v> <{A}hasFileSize> "big"^^<{X}integer> .
+<{A}file_v> <{A}hasHash> "abc" .
+<{A}file_v> <{A}bogusProp> "x" .
+<{A}file_v> <{A}bogusProp> <{A}family_v> .
+<{A}file_v> <{A}hasFileName> "ok.apk" .
+<{A}family_v> {T} <{M}MalwareFamily> .
+<{A}malware_v> {T} <{M}Malware> .
+<{A}malware_v> <{A}hasTag> <{A}family_v> .
+<{A}malware_v> <{A}hasTag> <{A}tag_untyped> .
+<{A}malware_v> <{A}hasFile> <{A}file_v> .
+<{A}malware_v> <{A}hasFile> _:b1 .
+<{A}malware_v> <{A}hasAnalysis> <{A}yara_v> .
+<{A}yara_v> {T} <{A}YaraRule> .
+<{A}thing> {T} <{A}Imaginary> .
+<{A}thing> {T} "File" .
+<{A}thing> {T} <{A}Tag> .
+<{A}thing> <{A}tagLabel> <{A}x> .
+<{A}thing> <{A}tagLabel> "label"@en .
+<{A}thing> <{A}contains> <{A}malware_v> .
+<{A}thing2> {T} <{A}Imaginary> .
+<{A}thing2> <{A}contains> <{A}malware_v> .
+<{A}mystery> <{A}hasFileName> "a.apk" .
+<{A}sha_v> {T} <{M}SHA256> .
+<{A}sha_v> <{A}sha256Value> "zz"@en .
+<{A}sha_v> <{A}sha256Value> "tooshort" .
+<{A}md5_v> {T} <{M}MD5> .
+<{A}md5_v> <{A}md5Value> "D41D8CD98F00B204E9800998ECF8427E" .
+<{A}vi_v> {T} <{A}VendorIntelligence> .
+<{A}vi_v> <{A}vendorLink> "not a uri"^^<{X}anyURI> .
+<{A}vi_v> <{A}analysisDate> "yesterday"^^<{X}dateTime> .
+<{A}vi_v> <{A}verdict> "x"^^<http://example.org/custom> .
+_:b2 <{A}hasFileName> "q" .
+<{A}sha2_v> {T} <{A}SHA2> .
+<{A}sha2_v> <{A}hasDigestSize> <{A}bits256> .
+<{A}bits256> {T} <{A}HashDigestSize> .
+<{A}bits256> <{A}digestBits> "256"^^<{X}integer> .
+<{A}multi> {T} <{A}File> .
+<{A}multi> {T} <{M}Malware> .
+<{A}multi> <{A}contains> <{A}multi> .
+<{A}multi> <{A}hasTag> <{A}thing> .
+<{A}multi> <{A}hasMalwareFamily> <{A}thing> .
+"""
+
+# What validate_individual reported for each subject of SEEDED_NT, in
+# subjects() order, before validation moved onto term ids.
+SEEDED_VIOLATIONS = [
+    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp'),
+    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp'),
+    ('<{A}file_v>', 'datatype-mismatch', "{A}hasFileSize value 'big' does not parse as {X}integer"),
+    ('<{A}file_v>', 'range-mismatch', '{A}hasHash object is a literal'),
+    ('<{A}file_v>', 'domain-mismatch', '{A}hasMalwareFamily requires a {M}Malware subject'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasFile requires a {A}File object'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object'),
+    ('<{A}md5_v>', 'bad-hash-format', "{A}md5Value value 'D41D8CD98F00B204E9800998ECF8427E' fails the format rules"),
+    ('<{A}multi>', 'range-mismatch', '{A}hasMalwareFamily requires a {M}MalwareFamily object'),
+    ('<{A}mystery>', 'missing-type', 'no type triple'),
+    ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'tooshort' fails the format rules"),
+    ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'zz' fails the format rules"),
+    ('<{A}thing2>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
+    ('<{A}thing>', 'unknown-class', 'type is not a registered class: "File"'),
+    ('<{A}thing>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
+    ('<{A}thing>', 'domain-mismatch', '{A}contains requires a {A}File subject'),
+    ('<{A}thing>', 'datatype-mismatch', '{A}tagLabel value is not a literal'),
+    ('<{A}vi_v>', 'datatype-mismatch', "{A}analysisDate value 'yesterday' does not parse as {X}dateTime"),
+    ('<{A}vi_v>', 'datatype-mismatch', "{A}vendorLink value 'not a uri' does not parse as {X}anyURI"),
+    ('<{A}vi_v>', 'datatype-mismatch', "{A}verdict value 'x' does not parse as http://example.org/custom"),
+    ('_:b2', 'missing-type', 'no type triple'),
+]
+
+SEEDED_VALIDATE_OUTPUT = """\
+bad-hash-format (3):
+  <{A}md5_v>: {A}md5Value value 'D41D8CD98F00B204E9800998ECF8427E' fails the format rules
+  <{A}sha_v>: {A}sha256Value value 'tooshort' fails the format rules
+  <{A}sha_v>: {A}sha256Value value 'zz' fails the format rules
+datatype-mismatch (5):
+  <{A}file_v>: {A}hasFileSize value 'big' does not parse as {X}integer
+  <{A}thing>: {A}tagLabel value is not a literal
+  <{A}vi_v>: {A}analysisDate value 'yesterday' does not parse as {X}dateTime
+  <{A}vi_v>: {A}vendorLink value 'not a uri' does not parse as {X}anyURI
+  <{A}vi_v>: {A}verdict value 'x' does not parse as http://example.org/custom
+domain-mismatch (2):
+  <{A}file_v>: {A}hasMalwareFamily requires a {M}Malware subject
+  <{A}thing>: {A}contains requires a {A}File subject
+missing-type (2):
+  <{A}mystery>: no type triple
+  _:b2: no type triple
+range-mismatch (5):
+  <{A}file_v>: {A}hasHash object is a literal
+  <{A}malware_v>: {A}hasFile requires a {A}File object
+  <{A}malware_v>: {A}hasTag requires a {A}Tag object
+  <{A}malware_v>: {A}hasTag requires a {A}Tag object
+  <{A}multi>: {A}hasMalwareFamily requires a {M}MalwareFamily object
+unknown-class (3):
+  <{A}thing2>: type is not a registered class: <{A}Imaginary>
+  <{A}thing>: type is not a registered class: "File"
+  <{A}thing>: type is not a registered class: <{A}Imaginary>
+unknown-property (2):
+  <{A}file_v>: unregistered property {A}bogusProp
+  <{A}file_v>: unregistered property {A}bogusProp
+violations: 22
+"""
+
+
+def _expand(text: str) -> str:
+    return text.format(A=A, M=M, X=X)
+
+
+def test_seeded_violations_are_unchanged(registry):
+    g = parse_ntriples(SEEDED_NT)
+    got = [
+        (v.subject, v.rule, v.detail)
+        for subject in g.subjects()
+        for v in validate_individual(registry, g, subject)
+    ]
+    expected = [tuple(_expand(x) for x in row) for row in SEEDED_VIOLATIONS]
+    assert got == expected
+    assert {rule for _, rule, _ in got} == VIOLATION_RULES
+    assert [(v.subject, v.rule, v.detail) for v in validate_subjects(registry, g)] == expected
+    # terms that are no subject of the graph
+    for term in (IRI(A + "tag_untyped"), IRI(A + "absent"), Literal("ok.apk")):
+        [v] = validate_individual(registry, g, term)
+        assert (v.rule, v.detail) == ("missing-type", "no type triple")
+
+
+def test_seeded_validate_output_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "seeded.nt"
+    path.write_text(SEEDED_NT, encoding="utf-8")
+    assert main(["--graph", str(path), "validate"]) == 1
+    assert capsys.readouterr().out == _expand(SEEDED_VALIDATE_OUTPUT)
