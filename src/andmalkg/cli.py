@@ -10,9 +10,11 @@ with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import (
     AndMalKgError,
@@ -33,12 +35,26 @@ from .ingest import (
 )
 from .ns import RDF_TYPE, andmal, malont
 from .query import evaluate, format_results, parse_query
-from .rdf import Graph, IRI, parse_ntriples, serialize_ntriples, serialize_turtle
+from .rdf import (
+    Graph,
+    IRI,
+    _collector_paused,
+    parse_ntriples,
+    serialize_ntriples,
+    serialize_turtle,
+)
 from .schema import build_schema, validate_subjects
 
 
 def _load_graph(path: Path) -> Graph:
-    return parse_ntriples(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    # The graph lives until the command ends and holds no reference cycle,
+    # so no collection need walk it: freeze it before the collector runs
+    # again, or the first allocation after the parse would collect it all.
+    with _collector_paused():
+        graph = parse_ntriples(text)
+        gc.freeze()
+    return graph
 
 
 def _dump_graph(graph: Graph, path: Path) -> None:
@@ -89,21 +105,29 @@ _STATS_EDGES = {
 
 def _cmd_stats(args) -> int:
     graph = _load_graph(Path(args.graph))
+
+    def rows(predicate: str, obj: Optional[str] = None) -> list[tuple[int, int, int]]:
+        # id rows of one whole-predicate lookup; a term the graph lacks matches nothing
+        pi = graph._id(IRI(predicate))
+        oi = None if obj is None else graph._id(IRI(obj))
+        if pi is None or (obj is not None and oi is None):
+            return []
+        return graph._rows(None, pi, oi)
+
     predicate, prefix = _STATS_EDGES[args.by]
-    edges = graph.match(p=IRI(predicate))
+    edges = rows(predicate)
+    tokens = graph._tokens
     counts: dict[str, int] = {}
-    for t in edges:
-        local = t.object.value.rsplit("#", 1)[-1]
+    for _, _, o in edges:
+        local = tokens[o][1:-1].rsplit("#", 1)[-1]
         key = local[len(prefix):] if local.startswith(prefix) else local
         counts[key] = counts.get(key, 0) + 1
-    files = graph.match(p=IRI(RDF_TYPE), o=IRI(andmal("File")))
+    files = rows(RDF_TYPE, andmal("File"))
     if args.by == "family":
         # a file is an orphan when none of the malware it contains has a family
-        with_family = {t.subject for t in edges}
-        labelled = {
-            t.subject for t in graph.match(p=IRI(andmal("contains"))) if t.object in with_family
-        }
-        orphans = sum(1 for t in files if t.subject not in labelled)
+        with_family = {s for s, _, _ in edges}
+        labelled = {s for s, _, o in rows(andmal("contains")) if o in with_family}
+        orphans = sum(1 for s, _, _ in files if s not in labelled)
         if orphans:
             counts["n/a"] = counts.get("n/a", 0) + orphans
     for key, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):

@@ -63,7 +63,3 @@ class ApiError(AndMalKgError):
     def __init__(self, message: str, status: str = ""):
         super().__init__(message)
         self.status = status
-
-
-class SchemaViolationError(AndMalKgError):
-    """The triple generator produced output that breaks the schema (a defect)."""

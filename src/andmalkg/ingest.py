@@ -6,11 +6,11 @@ checked against its format rules, timestamps must be ordered, and country
 codes must be two ASCII letters, so a parsed report is guaranteed to
 produce a schema-conformant subgraph.
 
-A report's subgraph is built once, as rows of term keys (rdf._term_key:
-an IRI is its value string, a literal a (lexical, datatype, None) tuple).
-ingest_corpus interns the keys straight into the graph and validates the
-subjects it touched from the graph's SPO index; report_to_triples turns
-the same rows into Triples.
+A report's subgraph is built once, as rows of canonical N-Triples tokens,
+the names the store keeps terms under (see rdf.py).  ingest_corpus interns
+the tokens straight into the graph and validates the subjects it touched
+from the graph's SPO index; report_to_triples turns the same rows into
+Triples.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
-from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
-from .rdf import Graph, Triple, _key_term
+from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
+from .rdf import Graph, Triple, _checked_term, _literal_token as _literal
 from .schema import (
     HASH_KINDS,
     SchemaRegistry,
@@ -41,8 +41,6 @@ DEFAULT_ENDPOINT = "https://mb-api.abuse.ch/api/v1/"
 _registry = build_schema()
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-
-VERDICTS = ("malicious", "clean", "suspicious", "unknown")
 
 _VERDICT_ALIASES = {
     "malicious": "malicious",
@@ -413,60 +411,63 @@ def mint_iris(report: MalwareReport) -> dict[str, str]:
     return ids
 
 
-# Vocabulary IRIs of report rows.
-_FILE = andmal("File")
-_MALWARE = malont("Malware")
-_MALWARE_FAMILY = malont("MalwareFamily")
-_TAG = andmal("Tag")
-_MALWARE_REPORTER = andmal("MalwareReporter")
-_LOCATION = malont("Location")
-_VENDOR_INTELLIGENCE = andmal("VendorIntelligence")
-_YARA_RULE = andmal("YaraRule")
-_CERTIFICATE = andmal("Certificate")
-_CONTAINS = andmal("contains")
-_HAS_FILE = andmal("hasFile")
-_HAS_FILE_NAME = andmal("hasFileName")
-_HAS_FILE_SIZE = andmal("hasFileSize")
-_HAS_FILE_TYPE = andmal("hasFileType")
-_FIRST_SEEN = andmal("firstSeen")
-_LAST_SEEN = andmal("lastSeen")
-_HAS_MALWARE_FAMILY = andmal("hasMalwareFamily")
-_HAS_TAG = andmal("hasTag")
-_TAG_LABEL = andmal("tagLabel")
-_HAS_REPORTER = malont("hasReporter")
-_REPORTED_FROM = andmal("ReportedFrom")
-_COUNTRY_CODE = andmal("countryCode")
-_HAS_HASH = andmal("hasHash")
-_HAS_VENDOR_INTEL = andmal("hasVendorIntel")
-_VENDOR_NAME = andmal("vendorName")
-_VERDICT = andmal("verdict")
-_DETECTION_NAME = andmal("detectionName")
-_VENDOR_LINK = andmal("vendorLink")
-_ANALYSIS_DATE = andmal("analysisDate")
-_DETECTED_BY = andmal("detectedBy")
-_YARA_RULE_NAME = andmal("yaraRuleName")
-_YARA_AUTHOR = andmal("yaraAuthor")
-_YARA_DESCRIPTION = andmal("yaraDescription")
-_YARA_REFERENCE = andmal("yaraReference")
-_HAS_CERTIFICATE = andmal("hasCertificate")
-_THUMBPRINT_ALGORITHM = andmal("thumbprintAlgorithm")
-_CERT_SERIAL_NUMBER = andmal("certSerialNumber")
-_CERT_ISSUER = andmal("certIssuer")
+def _iri(value: str) -> str:
+    return f"<{value}>"
 
 
-def _literal(lexical: str, datatype: str = XSD_STRING) -> tuple:
-    return (lexical, datatype, None)
+# Vocabulary tokens of report rows.
+_TYPE = _iri(RDF_TYPE)
+_FILE = _iri(andmal("File"))
+_MALWARE = _iri(malont("Malware"))
+_MALWARE_FAMILY = _iri(malont("MalwareFamily"))
+_TAG = _iri(andmal("Tag"))
+_MALWARE_REPORTER = _iri(andmal("MalwareReporter"))
+_LOCATION = _iri(malont("Location"))
+_VENDOR_INTELLIGENCE = _iri(andmal("VendorIntelligence"))
+_YARA_RULE = _iri(andmal("YaraRule"))
+_CERTIFICATE = _iri(andmal("Certificate"))
+_CONTAINS = _iri(andmal("contains"))
+_HAS_FILE = _iri(andmal("hasFile"))
+_HAS_FILE_NAME = _iri(andmal("hasFileName"))
+_HAS_FILE_SIZE = _iri(andmal("hasFileSize"))
+_HAS_FILE_TYPE = _iri(andmal("hasFileType"))
+_FIRST_SEEN = _iri(andmal("firstSeen"))
+_LAST_SEEN = _iri(andmal("lastSeen"))
+_HAS_MALWARE_FAMILY = _iri(andmal("hasMalwareFamily"))
+_HAS_TAG = _iri(andmal("hasTag"))
+_TAG_LABEL = _iri(andmal("tagLabel"))
+_HAS_REPORTER = _iri(malont("hasReporter"))
+_REPORTED_FROM = _iri(andmal("ReportedFrom"))
+_COUNTRY_CODE = _iri(andmal("countryCode"))
+_HAS_HASH = _iri(andmal("hasHash"))
+_HAS_VENDOR_INTEL = _iri(andmal("hasVendorIntel"))
+_VENDOR_NAME = _iri(andmal("vendorName"))
+_VERDICT = _iri(andmal("verdict"))
+_DETECTION_NAME = _iri(andmal("detectionName"))
+_VENDOR_LINK = _iri(andmal("vendorLink"))
+_ANALYSIS_DATE = _iri(andmal("analysisDate"))
+_DETECTED_BY = _iri(andmal("detectedBy"))
+_YARA_RULE_NAME = _iri(andmal("yaraRuleName"))
+_YARA_AUTHOR = _iri(andmal("yaraAuthor"))
+_YARA_DESCRIPTION = _iri(andmal("yaraDescription"))
+_YARA_REFERENCE = _iri(andmal("yaraReference"))
+_HAS_CERTIFICATE = _iri(andmal("hasCertificate"))
+_THUMBPRINT_ALGORITHM = _iri(andmal("thumbprintAlgorithm"))
+_CERT_SERIAL_NUMBER = _iri(andmal("certSerialNumber"))
+_CERT_ISSUER = _iri(andmal("certIssuer"))
+# (HashKind, class token, value property token)
+_HASH_TOKENS = tuple((k, _iri(k.cls), _iri(k.value_property)) for k in HASH_KINDS)
 
 
 def _report_rows(report: MalwareReport) -> list[tuple]:
-    """The report's subgraph as (s, p, o) term keys.  Every subject
-    validates cleanly; a row may repeat."""
-    ids = mint_iris(report)
+    """The report's subgraph as (s, p, o) canonical N-Triples tokens.  Every
+    subject validates cleanly; a row may repeat."""
+    ids = {role: _iri(iri) for role, iri in mint_iris(report).items()}
     file_node = ids["file"]
     malware_node = ids["malware"]
     rows = [
-        (file_node, RDF_TYPE, _FILE),
-        (malware_node, RDF_TYPE, _MALWARE),
+        (file_node, _TYPE, _FILE),
+        (malware_node, _TYPE, _MALWARE),
         (file_node, _CONTAINS, malware_node),
         (malware_node, _HAS_FILE, file_node),
         (file_node, _HAS_FILE_NAME, _literal(report.file_name)),
@@ -483,38 +484,38 @@ def _report_rows(report: MalwareReport) -> list[tuple]:
 
     if report.signature:
         family = ids["family"]
-        add((family, RDF_TYPE, _MALWARE_FAMILY))
+        add((family, _TYPE, _MALWARE_FAMILY))
         add((malware_node, _HAS_MALWARE_FAMILY, family))
 
     for tag in report.tags:
         tag_node = ids[f"tag:{tag}"]
-        add((tag_node, RDF_TYPE, _TAG))
+        add((tag_node, _TYPE, _TAG))
         add((malware_node, _HAS_TAG, tag_node))
         add((tag_node, _TAG_LABEL, _literal(tag)))
 
     if report.reporter:
         rep_node = ids["reporter"]
-        add((rep_node, RDF_TYPE, _MALWARE_REPORTER))
+        add((rep_node, _TYPE, _MALWARE_REPORTER))
         add((file_node, _HAS_REPORTER, rep_node))
 
     if report.origin_country:
         loc_node = ids["location"]
-        add((loc_node, RDF_TYPE, _LOCATION))
+        add((loc_node, _TYPE, _LOCATION))
         add((file_node, _REPORTED_FROM, loc_node))
         add((loc_node, _COUNTRY_CODE, _literal(report.origin_country)))
 
-    for kind in HASH_KINDS:
+    for kind, cls, value_property in _HASH_TOKENS:
         value = getattr(report, kind.name)
         if value is None:
             continue
         hash_node = ids[f"hash:{kind.name}"]
-        add((hash_node, RDF_TYPE, kind.cls))
+        add((hash_node, _TYPE, cls))
         add((file_node, _HAS_HASH, hash_node))
-        add((hash_node, kind.value_property, _literal(value)))
+        add((hash_node, value_property, _literal(value)))
 
     for verdict in report.vendor_intel:
         vi_node = ids[f"vendor:{verdict.vendor_name}"]
-        add((vi_node, RDF_TYPE, _VENDOR_INTELLIGENCE))
+        add((vi_node, _TYPE, _VENDOR_INTELLIGENCE))
         add((malware_node, _HAS_VENDOR_INTEL, vi_node))
         add((vi_node, _VENDOR_NAME, _literal(verdict.vendor_name)))
         add((vi_node, _VERDICT, _literal(verdict.verdict)))
@@ -527,7 +528,7 @@ def _report_rows(report: MalwareReport) -> list[tuple]:
 
     for rule in report.yara_rules:
         yara_node = ids[f"yara:{rule.name}"]
-        add((yara_node, RDF_TYPE, _YARA_RULE))
+        add((yara_node, _TYPE, _YARA_RULE))
         add((malware_node, _DETECTED_BY, yara_node))
         add((yara_node, _YARA_RULE_NAME, _literal(rule.name)))
         if rule.author:
@@ -540,7 +541,7 @@ def _report_rows(report: MalwareReport) -> list[tuple]:
     cert = report.certificate
     if cert:
         cert_node = ids["cert"]
-        add((cert_node, RDF_TYPE, _CERTIFICATE))
+        add((cert_node, _TYPE, _CERTIFICATE))
         add((file_node, _HAS_CERTIFICATE, cert_node))
         add((cert_node, _THUMBPRINT_ALGORITHM, _literal(cert.thumbprint_algorithm)))
         if cert.serial_number:
@@ -553,7 +554,10 @@ def _report_rows(report: MalwareReport) -> list[tuple]:
 
 def report_to_triples(report: MalwareReport, registry: SchemaRegistry) -> set[Triple]:
     """Emit the report's subgraph.  Every subject validates cleanly."""
-    return {Triple(_key_term(s), _key_term(p), _key_term(o)) for s, p, o in _report_rows(report)}
+    return {
+        Triple(_checked_term(s), _checked_term(p), _checked_term(o))
+        for s, p, o in _report_rows(report)
+    }
 
 
 def _selector_matches(selector: FetchSelector, report: MalwareReport) -> bool:
@@ -651,7 +655,7 @@ def ingest_corpus(
 ) -> IngestSummary:
     """Insert every report's subgraph, then validate all touched subjects."""
     summary = IngestSummary(reports=len(reports))
-    intern = graph._intern_key
+    intern = graph._intern_token
     add = graph._add
     touched: set[int] = set()
     for report in reports:

@@ -8,7 +8,7 @@ or property paths.
 
 Evaluation runs on the graph's term ids (see rdf.Graph): the join binds
 ids, grouping keys on id tuples, and rows sort by the ids' cached
-canonical tokens.  Terms are built only for the rows a query returns.
+canonical tokens.  Terms are built only for the cells a query returns.
 """
 
 from __future__ import annotations
@@ -533,10 +533,14 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
     if ast.limit is not None:
         rows = rows[: ast.limit]
     terms = graph._terms
+    build = graph._term  # for a cell whose term is not built yet
     return ResultTable(
         header,
         [
-            {name: cell if c else terms[cell] for name, cell, c in zip(header, row, counted)}
+            {
+                name: cell if c else terms[cell] or build(cell)
+                for name, cell, c in zip(header, row, counted)
+            }
             for row in rows
         ],
     )

@@ -1,34 +1,51 @@
 """In-memory RDF triple store with N-Triples and Turtle serialization.
 
 Terms are immutable.  A Graph is dictionary-encoded: each distinct term
-is stored once, under an int id, together with its canonical N-Triples
-token, and the triple set and the SPO/POS/OSP indexes (subject-,
-predicate- and object-keyed) hold ids only.  A pattern with any bound
-position is answered from an index instead of a full scan, and the
-serializers sort by the cached tokens.  Ids are private: equality,
-matching and output depend on the terms alone, never on insertion order.
+is named by its canonical N-Triples token (the spelling serialize_ntriples
+writes) and stored once, under an int id; the triple set and the
+SPO/POS/OSP indexes (subject-, predicate- and object-keyed) hold ids only.
+A pattern with any bound position is answered from an index instead of a
+full scan, and the serializers sort by the tokens.  Ids are private:
+equality, matching and output depend on the terms alone, never on
+insertion order.
 
-The id interface is Graph._id (term -> id), Graph._intern_key (term key
--> id, building the term only when it is new), Graph._add (id triple),
-Graph._rows (id-level pattern lookup), Graph._spo, and Graph._terms and
-Graph._tokens (id -> term, id -> token).  Three modules use it: query
-(the join), ingest (report rows go in as term keys) and schema (the
-validator walks a subject's SPO entry, reading leaves with _each).  No
-other module uses ids.
+A term's token is its identity: one dict maps each token to its id, and
+a token is checked once, when it enters the graph.  Other legal
+spellings the parser meets (escapes, an explicit ^^xsd:string) stay in
+that dict as aliases of the canonical token.  Graph._terms[i] is built
+from Graph._tokens[i] on first use, without re-running the checks, so
+code that needs only the text of a term (the serializers, the validator,
+stats) never builds one.
+
+The id interface is Graph._id (term -> id), Graph._intern_token (token
+-> id), Graph._add (id triple), Graph._rows (id-level pattern lookup),
+Graph._spo, Graph._tokens (id -> token), Graph._term (id -> term) and
+_literal_parts (a literal token's fields).  Four modules use it: query
+(the join), ingest (report rows go in as tokens), schema (the validator
+walks a subject's SPO entry, reading leaves with _each) and cli (stats).
+No other module uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
-their ids; a new token is built into a term and checked in full.  Any
-other line (comments, blank nodes, escapes, language tags, other
-spacing) goes through the strict scanner.  Every spelling of a term gets
-the same id.
+their ids; a new token is checked by _CHECKED_TOKEN_RE, and one that
+regex rejects is built into a term by its constructor, which checks it in
+full and so raises the same errors as ever.  Any other line
+(comments, blank nodes, escapes, language tags, other spacing) goes
+through the strict scanner.  Every spelling of a term gets the same id.
+The parse runs with the cyclic garbage collector suspended: it builds
+only acyclic containers, so a collection could free nothing.  The CLI
+keeps the collector suspended until it has frozen the loaded graph
+(gc.freeze), so no later collection walks it.
 
 A Graph supports one writer or many concurrent readers, never both;
-serialization and matching are read-only.
+serialization and matching are read-only, except that readers fill the
+term cache, where two of them may race to build the same term (either
+result is kept, and the two are equal).
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -68,8 +85,14 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
-        if self.language is not None and not _LANG_TAG_RE.match(self.language):
-            raise MalformedTermError(f"bad language tag: {self.language!r}")
+        if self.language is not None:
+            if not _LANG_TAG_RE.match(self.language):
+                raise MalformedTermError(f"bad language tag: {self.language!r}")
+            # the N-Triples form of a tagged literal has no room for a datatype
+            if self.datatype != XSD_STRING:
+                raise MalformedTermError(
+                    f"a literal with a language tag cannot have datatype {self.datatype!r}"
+                )
 
     def __repr__(self):
         if self.language:
@@ -97,6 +120,16 @@ _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
+def _literal_token(lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> str:
+    """The canonical N-Triples token of a literal."""
+    out = f'"{lexical.translate(_ESCAPES)}"'
+    if language:
+        return f"{out}@{language}"
+    if datatype != XSD_STRING:
+        return f"{out}^^<{datatype}>"
+    return out
+
+
 def term_to_ntriples(term: Term) -> str:
     """Render one term in N-Triples lexical form."""
     if isinstance(term, IRI):
@@ -104,12 +137,7 @@ def term_to_ntriples(term: Term) -> str:
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
-        out = f'"{term.lexical.translate(_ESCAPES)}"'
-        if term.language:
-            return out + f"@{term.language}"
-        if term.datatype != XSD_STRING:
-            return out + f"^^<{term.datatype}>"
-        return out
+        return _literal_token(term.lexical, term.datatype, term.language)
     raise MalformedTermError(f"not an RDF term: {term!r}")
 
 
@@ -135,30 +163,62 @@ class Triple:
         )
 
 
-def _term_key(term) -> object:
-    """Hashable identity of a term, built from its fields.
-
-    A frozen dataclass hashes and compares in Python code; a str or tuple
-    key does so in C.  The three shapes never collide: an IRI is its value
-    string, a literal a 3-tuple, a blank node a 1-tuple.  Anything that is
-    not a term has no key (None).
-    """
-    if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, Literal):
-        return (term.lexical, term.datatype, term.language)
-    if isinstance(term, BlankNode):
-        return (term.label,)
-    return None
+_IRI_TOKEN = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
+# A token this regex accepts is canonical and passes the IRI and Literal
+# constructor checks: an IRI, or a literal without escapes, raw tab, CR or
+# newline, language tag or explicit ^^xsd:string, whose datatype is an IRI.
+_CHECKED_TOKEN_RE = re.compile(
+    _IRI_TOKEN + r'|"[^"\\\t\r\n]*"(?:\^\^(?!<' + re.escape(XSD_STRING) + ">)" + _IRI_TOKEN + ")?"
+)
+_LEXICAL_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
+_UNESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
-def _key_term(key) -> Term:
-    """The term a _term_key value names, built and checked by its constructor."""
-    if type(key) is str:
-        return IRI(key)
-    if len(key) == 3:
-        return Literal(*key)
-    return BlankNode(*key)
+def _literal_parts(token: str) -> tuple[str, str, Optional[str]]:
+    """(lexical, datatype, language) of a literal token that uses only the
+    escapes serialize_ntriples writes."""
+    if token[-1] == '"' and "\\" not in token:  # the common plain literal
+        return token[1:-1], XSD_STRING, None
+    if "\\" in token:
+        m = _LEXICAL_RE.match(token)
+        lexical = _UNESCAPE_RE.sub(lambda e: _UNESCAPES[e[1]], m[1])
+        close = m.end(1)
+    else:
+        close = token.index('"', 1)
+        lexical = token[1:close]
+    suffix = token[close + 1 :]
+    if not suffix:
+        return lexical, XSD_STRING, None
+    if suffix[0] == "@":
+        return lexical, XSD_STRING, suffix[1:]
+    return lexical, suffix[3:-1], None  # suffix is ^^<datatype>
+
+
+def _build_term(token: str) -> Term:
+    """The term a canonical token of a graph spells.  Every token was
+    checked when it entered the graph, so the constructor's checks are
+    skipped: object.__new__ and stores into __dict__ bypass the frozen
+    dataclass's __init__ and __post_init__."""
+    if token[0] == "<":
+        term = object.__new__(IRI)
+        term.__dict__["value"] = token[1:-1]
+    elif token[0] == "_":
+        term = object.__new__(BlankNode)
+        term.__dict__["label"] = token[2:]
+    else:
+        term = object.__new__(Literal)
+        fields = term.__dict__
+        fields["lexical"], fields["datatype"], fields["language"] = _literal_parts(token)
+    return term
+
+
+def _checked_term(token: str) -> Term:
+    """The term an IRI or literal token spells, built and checked by its
+    constructor (a literal may use the escapes serialize_ntriples writes)."""
+    if token[0] == "<":
+        return IRI(token[1:-1])
+    lexical, datatype, language = _literal_parts(token)
+    return Literal(lexical, IRI(datatype).value, language)
 
 
 # An index maps id a -> id b -> the ids c completing (a, b).  Most (a, b)
@@ -200,17 +260,17 @@ _RDF_TYPE_IRI = IRI(RDF_TYPE)
 class Graph:
     """A set of triples plus SPO/POS/OSP indexes and a prefix table.
 
-    Every distinct term is stored once and named by an int id; the triple
-    set and the indexes hold ids only.  Two graphs compare equal when they
-    hold the same triple set, whatever ids their terms got; prefixes are
-    serialization state and do not take part in equality.
+    Every distinct term is stored once, named by its canonical N-Triples
+    token and numbered by an int id; the triple set and the indexes hold
+    ids only.  Two graphs compare equal when they hold the same triple
+    set, whatever ids their terms got; prefixes are serialization state
+    and do not take part in equality.
     """
 
     def __init__(self, prefixes: Optional[dict[str, str]] = None):
-        self._terms: list[Term] = []  # id -> term
+        self._terms: list[Optional[Term]] = []  # id -> term, None until first use
         self._tokens: list[str] = []  # id -> canonical N-Triples token
-        self._ids: dict[object, int] = {}  # _term_key(term) -> id
-        self._token_ids: dict[str, int] = {}  # canonical or parsed spelling -> id
+        self._ids: dict[str, int] = {}  # canonical token or another spelling -> id
         self._triples: set[tuple[int, int, int]] = set()
         self._spo: _Index = {}
         self._pos: _Index = {}
@@ -221,8 +281,8 @@ class Graph:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        terms = self._terms
-        return (Triple(terms[s], terms[p], terms[o]) for s, p, o in self._triples)
+        term = self._term
+        return (Triple(term(s), term(p), term(o)) for s, p, o in self._triples)
 
     def __contains__(self, t: Triple) -> bool:
         if not isinstance(t, Triple):
@@ -234,34 +294,54 @@ class Graph:
             return NotImplemented
         if len(self._triples) != len(other._triples):
             return False
-        # distinct terms have distinct keys, so this id map is one-to-one
-        theirs = [other._ids.get(_term_key(term)) for term in self._terms]
+        # distinct terms have distinct tokens, so this id map is one-to-one
+        theirs = [other._ids.get(token) for token in self._tokens]
         return all((theirs[s], theirs[p], theirs[o]) in other._triples for s, p, o in self._triples)
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
 
     def _id(self, term: Term) -> Optional[int]:
-        """The term's id, or None when no triple of this graph uses it."""
-        return self._ids.get(_term_key(term))
+        """The term's id, or None when no triple of this graph uses it (or
+        it is not a term at all)."""
+        try:
+            return self._ids.get(term_to_ntriples(term))
+        except MalformedTermError:
+            return None
 
-    def _intern(self, term: Term) -> int:
-        key = _term_key(term)
-        i = self._ids.get(key)
-        if i is None:
-            i = len(self._terms)
-            token = term_to_ntriples(term)
-            self._ids[key] = i
-            self._terms.append(term)
-            self._tokens.append(token)
-            self._token_ids.setdefault(token, i)
+    def _term(self, i: int) -> Term:
+        """The term with id i, built from its token on first use."""
+        term = self._terms[i]
+        if term is None:
+            term = self._terms[i] = _build_term(self._tokens[i])
+        return term
+
+    def _new(self, token: str, term: Optional[Term]) -> int:
+        i = len(self._tokens)
+        self._ids[token] = i
+        self._tokens.append(token)
+        self._terms.append(term)
         return i
 
-    def _intern_key(self, key) -> int:
-        """The id of the term whose _term_key is key; the term is built and
-        checked only when the graph does not hold it yet."""
-        i = self._ids.get(key)
-        return self._intern(_key_term(key)) if i is None else i
+    def _intern(self, term: Term) -> int:
+        token = term_to_ntriples(term)
+        i = self._ids.get(token)
+        return self._new(token, term) if i is None else i
+
+    def _intern_token(self, token: str) -> int:
+        """The id of the term one IRI or literal token spells.
+
+        A new token _CHECKED_TOKEN_RE accepts is stored as it is; its term
+        is built on first use.  Any other new token is built into a term
+        by its constructor, which raises MalformedTermError on a bad term,
+        and is kept as another spelling of the term's canonical token.
+        """
+        i = self._ids.get(token)
+        if i is None:
+            if _CHECKED_TOKEN_RE.fullmatch(token):
+                return self._new(token, None)
+            i = self._ids[token] = self._intern(_checked_term(token))
+        return i
 
     def _add(self, s: int, p: int, o: int) -> bool:
         key = (s, p, o)
@@ -285,10 +365,10 @@ class Graph:
     def _canonical(self, rows: list[tuple[int, int, int]]) -> list[Triple]:
         """The rows as Triples, sorted by their N-Triples text."""
         tokens = self._tokens
-        terms = self._terms
+        term = self._term
         if len(rows) > 1:
             rows.sort(key=lambda r: (tokens[r[0]], tokens[r[1]], tokens[r[2]]))
-        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in rows]
+        return [Triple(term(s), term(p), term(o)) for s, p, o in rows]
 
     def _rows(
         self, si: Optional[int], pi: Optional[int], oi: Optional[int]
@@ -343,8 +423,7 @@ class Graph:
 
     def subjects(self) -> list[Term]:
         """Distinct subjects, in canonical order."""
-        terms = self._terms
-        return [terms[i] for i in sorted(self._spo, key=self._tokens.__getitem__)]
+        return [self._term(i) for i in sorted(self._spo, key=self._tokens.__getitem__)]
 
     def types_of(self, subject: Term) -> list[Term]:
         return [t.object for t in self.match(s=subject, p=_RDF_TYPE_IRI)]
@@ -466,29 +545,23 @@ class _LineCursor:
 
 # A line as serialize_ntriples writes it when no term needs an escape, a
 # language tag or a blank node: single spaces between the three tokens,
-# then " .".  Each group is one whole token; _token_term checks it.
+# then " .".  Each group is one whole token; Graph._intern_token checks a
+# new one.
 _CANONICAL_LINE_RE = re.compile(r'(<[^>]*>) (<[^>]*>) (<[^>]*>|"[^"\\]*"(?:\^\^<[^>]*>)?) \.')
 
 
-def _token_term(token: str) -> Term:
-    """The term a token matched by _CANONICAL_LINE_RE spells, fully checked."""
-    if token[0] == "<":
-        return IRI(token[1:-1])
-    close = token.index('"', 1)
-    if close == len(token) - 1:
-        return Literal(token[1:close])
-    # skip the closing quote, '^^' and '<'
-    return Literal(token[1:close], datatype=IRI(token[close + 4 : -1]).value)
+class _collector_paused:
+    """A with block that suspends the cyclic garbage collector and leaves
+    it as it was found.  Leaving allocates nothing, so no collection can
+    start before the code after the block runs."""
 
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
 
-def _intern_token(graph: Graph, token: str, lineno: int) -> int:
-    try:
-        term = _token_term(token)
-    except MalformedTermError as exc:
-        raise NTriplesParseError(str(exc), lineno) from exc
-    i = graph._intern(term)
-    graph._token_ids[token] = i
-    return i
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -496,43 +569,49 @@ def parse_ntriples(text: str) -> Graph:
 
     Lines in the canonical form this module writes take a fast path: each
     token already seen maps straight to its id, and only a new token is
-    built into a term and checked.  Any other line goes through the strict
-    _LineCursor scanner.  Every spelling of a term gets the same id.
+    checked.  Any other line goes through the strict _LineCursor scanner.
+    Every spelling of a term gets the same id.  The cyclic garbage
+    collector is suspended while parsing and left as it was found.
     """
-    graph = Graph()
-    token_ids = graph._token_ids
-    canonical = _CANONICAL_LINE_RE.fullmatch
-    add = graph._add
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        m = canonical(raw)
-        if m is not None:
-            s_token, p_token, o_token = m.groups()
-            s = token_ids.get(s_token)
-            if s is None:
-                s = _intern_token(graph, s_token, lineno)
-            p = token_ids.get(p_token)
-            if p is None:
-                p = _intern_token(graph, p_token, lineno)
-            o = token_ids.get(o_token)
-            if o is None:
-                o = _intern_token(graph, o_token, lineno)
-            add(s, p, o)
-            continue
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cur = _LineCursor(raw, lineno)
-        subject = cur.take_term()
-        predicate = cur.take_term()
-        obj = cur.take_term()
-        cur.take_dot()
-        if not cur.at_end():
-            cur.error("unexpected trailing content after '.'")
-        try:
-            graph.insert(Triple(subject, predicate, obj))
-        except MalformedTermError as exc:
-            raise NTriplesParseError(str(exc), lineno) from exc
-    return graph
+    with _collector_paused():
+        graph = Graph()
+        token_ids = graph._ids
+        intern = graph._intern_token
+        canonical = _CANONICAL_LINE_RE.fullmatch
+        add = graph._add
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            m = canonical(raw)
+            if m is not None:
+                s_token, p_token, o_token = m.groups()
+                s = token_ids.get(s_token)
+                p = token_ids.get(p_token)
+                o = token_ids.get(o_token)
+                try:
+                    if s is None:
+                        s = intern(s_token)
+                    if p is None:
+                        p = intern(p_token)
+                    if o is None:
+                        o = intern(o_token)
+                except MalformedTermError as exc:
+                    raise NTriplesParseError(str(exc), lineno) from exc
+                add(s, p, o)
+                continue
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            cur = _LineCursor(raw, lineno)
+            subject = cur.take_term()
+            predicate = cur.take_term()
+            obj = cur.take_term()
+            cur.take_dot()
+            if not cur.at_end():
+                cur.error("unexpected trailing content after '.'")
+            try:
+                graph.insert(Triple(subject, predicate, obj))
+            except MalformedTermError as exc:
+                raise NTriplesParseError(str(exc), lineno) from exc
+        return graph
 
 
 def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -> str:
@@ -553,7 +632,6 @@ def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -
 def serialize_turtle(graph: Graph) -> str:
     """Turtle output: @prefix header, then subject blocks with ';' grouping."""
     prefixes = graph.prefixes
-    terms = graph._terms
     tokens = graph._tokens
     by_token = tokens.__getitem__
     rendered: dict[tuple[int, bool], str] = {}
@@ -561,8 +639,8 @@ def serialize_turtle(graph: Graph) -> str:
     def render(i: int, predicate: bool = False) -> str:
         text = rendered.get((i, predicate))
         if text is None:
-            term = terms[i]
-            text = _turtle_iri(term.value, prefixes, predicate) if isinstance(term, IRI) else tokens[i]
+            token = tokens[i]
+            text = _turtle_iri(token[1:-1], prefixes, predicate) if token[0] == "<" else token
             rendered[i, predicate] = text
         return text
 

@@ -8,7 +8,8 @@ one table of the hash kinds a report carries; record parsing, IRI minting,
 triple generation and validation all read it.
 
 validate_subjects checks subjects straight from the graph's SPO index, on
-term ids (see rdf.py); ingest and the validate command both use it.
+term ids, reading IRIs and literals from their tokens (see rdf.py); ingest
+and the validate command both use it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ns import (
     andmal,
     malont,
 )
-from .rdf import Graph, IRI, Literal, _each, term_to_ntriples
+from .rdf import Graph, IRI, _each, _literal_parts, term_to_ntriples
 
 
 @dataclass(frozen=True)
@@ -387,25 +388,28 @@ class _Checker:
 
     A subject's SPO entry is walked predicate by predicate, then object by
     object, each in token order: the order in which Graph.match lists the
-    subject's triples.
+    subject's triples.  IRIs and literals are read from their tokens, so
+    no term is built.
     """
 
     def __init__(self, registry: SchemaRegistry, graph: Graph):
         self.registry = registry
-        self.terms = graph._terms
         self.tokens = graph._tokens
         self.spo = graph._spo
         self.type_id = graph._id(_RDF_TYPE)
         self.class_cache: dict[int, frozenset[str]] = {}
+        # predicate id -> its IRI, sliced from the token once: the same str
+        # object keeps its cached hash for the registry lookups
+        self.iris: dict[int, str] = {}
 
     def _classes(self, ti: int) -> frozenset[str]:
         """The class term ti and its ancestors; empty unless it is registered."""
         classes = self.class_cache.get(ti)
         if classes is None:
-            term = self.terms[ti]
+            token = self.tokens[ti]
             classes = frozenset()
-            if isinstance(term, IRI):
-                classes = self.registry.ancestors.get(term.value, classes)
+            if token[0] == "<":
+                classes = self.registry.ancestors.get(token[1:-1], classes)
             self.class_cache[ti] = classes
         return classes
 
@@ -417,8 +421,9 @@ class _Checker:
 
     def violations(self, subj_str: str, by_p: dict) -> list[Violation]:
         registry = self.registry
-        terms = self.terms
-        by_token = self.tokens.__getitem__
+        tokens = self.tokens
+        iris = self.iris
+        by_token = tokens.__getitem__
         violations: list[Violation] = []
         type_leaf = by_p.get(self.type_id)
         type_ids = () if type_leaf is None else sorted(_each(type_leaf), key=by_token)
@@ -437,7 +442,9 @@ class _Checker:
         for pi in sorted(by_p, key=by_token):
             if pi == self.type_id:
                 continue
-            pred = terms[pi].value
+            pred = iris.get(pi)
+            if pred is None:
+                pred = iris[pi] = tokens[pi][1:-1]
             objects = sorted(_each(by_p[pi]), key=by_token)
             prop = registry.object_properties.get(pred)
             if prop is not None:
@@ -450,7 +457,7 @@ class _Checker:
                                 f"{pred} requires a {prop.domain} subject",
                             )
                         )
-                    if isinstance(terms[oi], Literal):
+                    if tokens[oi][0] == '"':
                         violations.append(
                             Violation(subj_str, "range-mismatch", f"{pred} object is a literal")
                         )
@@ -465,29 +472,33 @@ class _Checker:
             elif pred in registry.data_properties:
                 hash_class = _HASH_CLASS_BY_VALUE_PROPERTY.get(pred)
                 for oi in objects:
-                    lit = terms[oi]
-                    if not isinstance(lit, Literal):
+                    token = tokens[oi]
+                    if token[0] != '"':
                         violations.append(
                             Violation(
                                 subj_str, "datatype-mismatch", f"{pred} value is not a literal"
                             )
                         )
-                    elif lit.language is None and not _literal_value_ok(lit.datatype, lit.lexical):
+                        continue
+                    if hash_class is None and token[-1] == '"':
+                        continue  # a plain xsd:string literal always parses
+                    lexical, datatype, language = _literal_parts(token)
+                    if language is None and not _literal_value_ok(datatype, lexical):
                         violations.append(
                             Violation(
                                 subj_str,
                                 "datatype-mismatch",
-                                f"{pred} value {lit.lexical!r} does not parse as {lit.datatype}",
+                                f"{pred} value {lexical!r} does not parse as {datatype}",
                             )
                         )
                     elif hash_class is not None and not validate_hash_format(
-                        registry, hash_class, lit.lexical
+                        registry, hash_class, lexical
                     ):
                         violations.append(
                             Violation(
                                 subj_str,
                                 "bad-hash-format",
-                                f"{pred} value {lit.lexical!r} fails the format rules",
+                                f"{pred} value {lexical!r} fails the format rules",
                             )
                         )
             else:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -187,6 +188,18 @@ def test_stats_country_agrees_with_group_by_query(table1_store, tmp_path, capsys
         loc, n = line.split("\t")
         queried[loc.rsplit("loc_", 1)[-1].rstrip(">")] = int(n)
     assert queried == stats
+
+
+def test_loaded_graph_is_frozen_out_of_collections(table1_store):
+    assert gc.isenabled()
+    gc.unfreeze()
+    try:
+        graph = cli_mod._load_graph(table1_store)
+        # every object alive after the load, the graph's among them, is frozen
+        assert gc.get_freeze_count() > len(graph._tokens)
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize(

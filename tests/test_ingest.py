@@ -451,6 +451,19 @@ def test_ingest_corpus_equals_inserting_report_triples(registry, table1_reports,
     assert _sha256(text) == "e6b4e200425d6ed5f1b0ede9c1ff58afc1016e89efabfb3928b91d367158e47a"
 
 
+def test_parsed_graph_equals_ingested_graph(registry, table1_reports, multifam_reports):
+    ingested = Graph()
+    ingest_corpus(table1_reports + multifam_reports, registry, ingested)
+    parsed = parse_ntriples(serialize_ntriples(ingested))
+    assert parsed == ingested and ingested == parsed
+    assert set(parsed) == set(ingested)
+    assert parsed.subjects() == ingested.subjects()
+    for subject in ingested.subjects()[::25]:
+        assert parsed.match(s=subject) == ingested.match(s=subject)
+    ingested.insert(Triple(IRI(andmal("extra")), IRI(RDF_TYPE), IRI(andmal("File"))))
+    assert parsed != ingested and ingested != parsed
+
+
 # quote, backslash, newline, tab, non-ASCII, and U+2028, which str.splitlines would split on
 ODD_TEXT = 'say "hi" \\ back\nslash\tü 漢字 \u2028'
 

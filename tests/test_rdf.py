@@ -1,7 +1,9 @@
+import gc
 import random
 
 import pytest
 
+import andmalkg.rdf as rdf_mod
 from andmalkg import (
     BlankNode,
     Graph,
@@ -360,3 +362,121 @@ def test_match_on_absent_term_is_empty_and_interns_nothing():
     assert g.match(p=IRI("http://example.org/absent")) == []
     assert Triple(absent[0], absent[0], absent[1]) not in g
     assert len(g._terms) == terms
+
+
+# --- token-keyed store: lazily built terms, the new-token check, the GC ----
+
+
+def test_literal_with_a_language_tag_has_no_other_datatype():
+    with pytest.raises(MalformedTermError):
+        Literal("x", datatype=XSD_INTEGER, language="en")
+    assert Literal("x", datatype=XSD_STRING, language="en") == Literal("x", language="en")
+
+
+def _shape(term, token) -> set:
+    shapes = {type(term).__name__}
+    if isinstance(term, Literal):
+        shapes.add("lang" if term.language else "typed" if term.datatype != XSD_STRING else "plain")
+    if "\\" in token:
+        shapes.add("escaped")
+    return shapes
+
+
+def test_lazily_built_terms_equal_the_strict_scanners():
+    rng = random.Random(41)
+    shapes = set()
+    for _ in range(25):
+        g = random_graph(rng, max_triples=150)
+        parsed = parse_ntriples(serialize_ntriples(g))
+        for i, token in enumerate(parsed._tokens):
+            built = rdf_mod._build_term(token)
+            assert built == rdf_mod._LineCursor(token, 1).take_term()
+            assert hash(built) == hash(rdf_mod._LineCursor(token, 1).take_term())
+            assert term_to_ntriples(built) == token
+            assert parsed._term(i) == built
+            shapes |= _shape(built, token)
+        assert set(parsed) == set(g)
+    assert shapes == {"IRI", "BlankNode", "Literal", "lang", "typed", "plain", "escaped"}
+
+
+S, P, O = "<http://example.org/s>", "<http://example.org/p>", "<http://example.org/o>"
+
+
+# Each line is in the canonical shape, so its tokens take the fast path; the
+# messages are those the strict per-term checks have always given.
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f'<no-scheme> {P} "v" .', "not an absolute IRI (missing scheme): 'no-scheme'"),
+        (f"{S} <no-scheme> {O} .", "not an absolute IRI (missing scheme): 'no-scheme'"),
+        (f"{S} {P} <no scheme> .", "not an absolute IRI (missing scheme): 'no scheme'"),
+        (f"{S} {P} <http://e.org/has space> .", "IRI contains forbidden character: 'http://e.org/has space'"),
+        (f"{S} <http://e.org/a{{b}}> {O} .", "IRI contains forbidden character: 'http://e.org/a{b}'"),
+        (f'{S} {P} "v"^^<not-an-iri> .', "not an absolute IRI (missing scheme): 'not-an-iri'"),
+        (f'{S} {P} "v"^^<http://e.org/a b> .', "IRI contains forbidden character: 'http://e.org/a b'"),
+        (f'{S} {P} "v"^^<> .', "not an absolute IRI (missing scheme): ''"),
+        (f'{S} {P} "v"^^<http://e.org/x"y> .', "IRI contains forbidden character: 'http://e.org/x\"y'"),
+    ],
+)
+def test_bad_new_tokens_fail_as_the_term_checks_do(line, message):
+    text = f'{S} {P} "first" .\n# comment\n{line}\n{S} {P} "last" .\n'
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [
+        ('"a\tb"', '"a\\tb"'),
+        ('"a\rb"', '"a\\rb"'),
+        (f'"a"^^<{XSD_STRING}>', '"a"'),
+    ],
+)
+def test_non_canonical_new_tokens_are_aliases(spelling, canonical):
+    g = parse_ntriples(f"{S} {P} {spelling} .\n{S} {P} {canonical} .\n")
+    assert len(g) == 1
+    assert serialize_ntriples(g) == f"{S} {P} {canonical} .\n"
+    assert canonical in g._tokens and spelling not in g._tokens
+    assert g._ids[spelling] == g._ids[canonical]
+
+
+def test_match_on_a_non_term_is_empty():
+    g = parse_ntriples(f"{S} {P} {O} .\n")
+    assert g.match(s="http://example.org/s") == []
+    assert g.match(o=("http://example.org/o",)) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        parse_ntriples(f'{S} {P} "v" .\n{S} {P} _:b .\n')
+        assert gc.isenabled() is enabled
+        for bad in (f"<no-scheme> {P} {O} .", f"{S} {P} {O} . extra"):
+            with pytest.raises(NTriplesParseError):
+                parse_ntriples(f"{S} {P} {O} .\n{bad}\n")
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_parse_runs_without_the_cyclic_collector():
+    text = "".join(f'<http://example.org/s{i}> {P} "v{i}" .\n' for i in range(5000))
+    collections = []
+
+    def record(phase, info):
+        collections.append(phase)
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        g = parse_ntriples(text)
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if was else gc.disable()
+    assert len(g) == 5000
+    assert collections == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import andmalkg.rdf as rdf_mod
 from andmalkg import (
     Graph,
     IRI,
@@ -12,6 +13,8 @@ from andmalkg import (
     build_schema,
     malont,
     parse_ntriples,
+    serialize_ntriples,
+    serialize_turtle,
     validate_hash_format,
     validate_individual,
 )
@@ -479,3 +482,23 @@ def test_seeded_validate_output_is_unchanged(tmp_path, capsys):
     path.write_text(SEEDED_NT, encoding="utf-8")
     assert main(["--graph", str(path), "validate"]) == 1
     assert capsys.readouterr().out == _expand(SEEDED_VALIDATE_OUTPUT)
+
+
+def test_validate_turtle_and_stats_build_no_term(registry, table1_graph, tmp_path, capsys, monkeypatch):
+    # they read IRIs and literals from the tokens of a loaded graph
+    text = serialize_ntriples(table1_graph) + _expand(SEEDED_NT)
+    path = tmp_path / "graph.nt"
+    path.write_text(text, encoding="utf-8")
+    g = parse_ntriples(text)
+
+    def build(token):
+        raise AssertionError(f"a term was built for {token}")
+
+    monkeypatch.setattr(rdf_mod, "_build_term", build)
+    assert len(validate_subjects(registry, g)) == len(SEEDED_VIOLATIONS)
+    serialize_turtle(g)
+    for by in ("family", "tag", "country", "reporter"):
+        assert main(["--graph", str(path), "stats", "--by", by]) == 0
+    assert main(["--graph", str(path), "validate"]) == 1
+    assert main(["--graph", str(path), "emit", "--format", "turtle"]) == 0
+    capsys.readouterr()
