@@ -5,6 +5,12 @@ command loads it, and ingest writes it back.  Only ingest starts from an
 empty graph when the file does not exist; any other command then fails
 with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
 2 I/O or network failure.
+
+A read command (query, stats, validate, emit) that has to parse the file
+leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
+commands load instead while it matches the file's bytes (see
+rdf.load_snapshot).  The snapshot is a cache: deleting it is always safe.
+ingest loads a matching snapshot but never writes one.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import (
     AndMalKgError,
@@ -39,6 +46,8 @@ from .rdf import (
     Graph,
     IRI,
     _collector_paused,
+    dump_snapshot,
+    load_snapshot,
     parse_ntriples,
     serialize_ntriples,
     serialize_turtle,
@@ -46,32 +55,102 @@ from .rdf import (
 from .schema import build_schema, validate_subjects
 
 
-def _load_graph(path: Path) -> Graph:
-    text = path.read_text(encoding="utf-8")
+def _snapshot_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.snap")
+
+
+def _load_graph(path: Path, write_snapshot: bool = True) -> Graph:
+    """The graph in the N-Triples file at path, loaded from its snapshot
+    when one matches the file's bytes, else parsed.  After a parse, a
+    snapshot is written when write_snapshot is set; a failed write (a
+    read-only directory, say) is ignored.
+
+    A snapshot is loaded only when its owner owns the graph file too, so
+    no one can plant one who could not also rewrite the graph.
+    """
+    snapshot = _snapshot_path(path)
     # The graph lives until the command ends and holds no reference cycle,
     # so no collection need walk it: freeze it before the collector runs
-    # again, or the first allocation after the parse would collect it all.
+    # again, or the first allocation after the load would collect it all.
     with _collector_paused():
-        graph = parse_ntriples(text)
+        if write_snapshot or snapshot.exists():
+            graph = _load_keyed(path, snapshot, write_snapshot)
+        else:
+            graph = parse_ntriples(path.read_text(encoding="utf-8"))
         gc.freeze()
     return graph
 
 
-def _dump_graph(graph: Graph, path: Path) -> None:
-    """Replace the graph file atomically: when the write fails or the
-    process dies part-way, the old file is left as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _load_keyed(path: Path, snapshot: Path, write_snapshot: bool) -> Graph:
+    import hashlib  # see rdf.load_snapshot
+
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        source = f.read()
+    digest = hashlib.sha256(source).digest()
+    data = _read_owned(snapshot, info.st_uid)
+    if data is not None:
+        graph = load_snapshot(data, digest)
+        del data
+        if graph is not None:
+            return graph
+    text = source.decode("utf-8")
+    del source
+    graph = parse_ntriples(text)
+    del text
+    if write_snapshot:
+        try:
+            _replace_file(snapshot, dump_snapshot(graph, digest), stat.S_IMODE(info.st_mode))
+        except OSError:
+            pass
+    return graph
+
+
+def _read_owned(path: Path, owner: int) -> Optional[bytes]:
+    """The bytes of the regular file at path when owner owns it, else None."""
     try:
-        tmp.write_text(serialize_ntriples(graph), encoding="utf-8")
+        with open(path, "rb") as f:
+            info = os.fstat(f.fileno())
+            if not stat.S_ISREG(info.st_mode) or info.st_uid != owner:
+                return None
+            return f.read()
+    except OSError:
+        return None
+
+
+def _replace_file(path: Path, data: Union[bytes, str], mode: Optional[int] = None) -> None:
+    """Replace the file at path with data (text is written as UTF-8)
+    atomically: when the write fails or the process dies part-way, the old
+    file is left as it was.  The new file gets permission bits mode, or the
+    umask's default when mode is None, and is never more readable than that
+    while it is written.  The temporary file is created afresh (O_EXCL), so
+    a link planted under its name is never followed."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _dump_graph(graph: Graph, path: Path) -> None:
+    """Replace the graph file atomically, keeping its permission bits."""
+    try:
+        mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        mode = None
+    _replace_file(path, serialize_ntriples(graph), mode)
+
+
 def _cmd_ingest(args) -> int:
     path = Path(args.graph)
-    graph = _load_graph(path) if path.exists() else Graph()
+    graph = _load_graph(path, write_snapshot=False) if path.exists() else Graph()
     registry = build_schema()
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))

@@ -1,17 +1,20 @@
 import gc
 import json
 import os
+import random
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from andmalkg import slug
+from andmalkg import parse_ntriples, serialize_ntriples, slug
 from andmalkg.cli import main
 import andmalkg.cli as cli_mod
 import andmalkg.ingest as ingest_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
+from randgraph import random_graph
 
 ANDMAL = "http://secuirty.birzeit.edu/android_malware_ontology#"
 MALONT = "http://idea.rpi.edu/malont#"
@@ -123,6 +126,27 @@ def test_cli_import_leaves_requests_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_ingest_without_a_snapshot_leaves_hashlib_unloaded(tmp_path):
+    # hashlib loads OpenSSL, a few MB of resident memory that an ingest
+    # meeting no snapshot has no use for
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    graph = tmp_path / "g.nt"
+    script = (
+        "import sys; from andmalkg.cli import main\n"
+        "for corpus in sys.argv[2:]:\n"
+        "    assert main(['--graph', sys.argv[1], 'ingest', '--fixtures', corpus]) == 0\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(graph), str(FIXTURES / "multifam"), str(FIXTURES / "table1")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
+
+
 @pytest.mark.parametrize("failure", ["serialize", "mid-write"])
 def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failure):
     graph = tmp_path / "graph.nt"
@@ -190,12 +214,22 @@ def test_stats_country_agrees_with_group_by_query(table1_store, tmp_path, capsys
     assert queried == stats
 
 
-def test_loaded_graph_is_frozen_out_of_collections(table1_store):
+def test_loaded_graph_is_frozen_out_of_collections(table1_store, monkeypatch):
+    cli_mod._snapshot_path(table1_store).unlink(missing_ok=True)
     assert gc.isenabled()
     gc.unfreeze()
     try:
         graph = cli_mod._load_graph(table1_store)
         # every object alive after the load, the graph's among them, is frozen
+        assert gc.get_freeze_count() > len(graph._tokens)
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+    # the same holds for a graph loaded from the snapshot the parse left
+    assert cli_mod._snapshot_path(table1_store).exists()
+    monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
+    try:
+        graph = cli_mod._load_graph(table1_store)
         assert gc.get_freeze_count() > len(graph._tokens)
         assert gc.isenabled()
     finally:
@@ -364,3 +398,272 @@ def test_live_ingest_api_error(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "--graph", str(tmp_path / "g.nt"), "ingest", "--live")
     assert rc == 2
     assert "http_post_expected" in err
+
+
+# Snapshots: .NAME.snap beside the graph file, written by read commands.
+
+
+def _no_parse(text):
+    raise AssertionError("parsed the graph file instead of loading its snapshot")
+
+
+class ParseCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(cli_mod, "parse_ntriples", self)
+
+    def __call__(self, text):
+        self.calls += 1
+        return parse_ntriples(text)
+
+
+READ_COMMANDS = [
+    ["query", str(QUERIES / "use_case_6.rq")],
+    ["query", str(QUERIES / "use_case_5.rq"), "--format", "table"],
+    ["stats", "--by", "family"],
+    ["stats", "--by", "tag"],
+    ["stats", "--by", "country"],
+    ["stats", "--by", "reporter"],
+    ["validate"],
+    ["emit", "--format", "turtle"],
+    ["emit", "--format", "ntriples"],
+]
+
+# one line in the canonical shape with a raw tab, one with an explicit
+# ^^xsd:string: the parse keeps both spellings in _ids as aliases
+ALIAS_LINES = (
+    f'<{ANDMAL}file_x> <{ANDMAL}hasFileName> "a\tb.apk" .\n'
+    f'<{ANDMAL}file_x> <{ANDMAL}hasFileName> "b.apk"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+)
+
+
+def _graph_text(name, request):
+    if name in ("table1", "multifam"):
+        return serialize_ntriples(request.getfixturevalue(f"{name}_graph"))
+    if name == "aliased":
+        return ALIAS_LINES + serialize_ntriples(request.getfixturevalue("multifam_graph"))
+    seed = int(name.split("-")[1])
+    return serialize_ntriples(random_graph(random.Random(seed), max_triples=200)) + ALIAS_LINES
+
+
+@pytest.mark.parametrize("name", ["table1", "multifam", "aliased", "randgraph-3", "randgraph-17"])
+def test_read_commands_answer_the_same_from_a_snapshot(tmp_path, capsys, monkeypatch, request, name):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(_graph_text(name, request), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
+    before = graph.read_bytes()
+    parsed = parse_ntriples(before.decode("utf-8"))
+    if name not in ("table1", "multifam"):
+        assert len(parsed._ids) > len(parsed._tokens)
+    for command in READ_COMMANDS:
+        snapshot.unlink(missing_ok=True)
+        without = run(capsys, "--graph", str(graph), *command)
+        assert snapshot.exists()
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "parse_ntriples", _no_parse)
+            with_snapshot = run(capsys, "--graph", str(graph), *command)
+            loaded = cli_mod._load_graph(graph)
+            gc.unfreeze()
+        assert with_snapshot == without
+        assert loaded._ids == parsed._ids and loaded._tokens == parsed._tokens
+        assert loaded == parsed
+    assert graph.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
+
+
+def _stale(graph, snapshot):
+    with graph.open("a", encoding="utf-8") as f:
+        f.write(f"<{ANDMAL}file_new> <{RDF_TYPE}> <{ANDMAL}File> .\n")
+
+
+def _flip(graph, snapshot):
+    # a byte inside a token's text: the payload still unmarshals, to another graph
+    data = snapshot.read_bytes()
+    i = data.rindex(b"example.org")
+    snapshot.write_bytes(data[:i] + b"E" + data[i + 1 :])
+
+
+def _truncate(graph, snapshot):
+    snapshot.write_bytes(snapshot.read_bytes()[:-1000])
+
+
+def _refield(k, value):
+    def damage(graph, snapshot):
+        header, rest = snapshot.read_bytes().split(b"\n", 1)
+        fields = header.split(b" ")
+        fields[k] = value
+        snapshot.write_bytes(b" ".join(fields) + b"\n" + rest)
+
+    return damage
+
+
+def _junk(graph, snapshot):
+    snapshot.write_bytes(b"\x89junk\x00" * 5000)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk],
+    ids=["stale", "flipped-byte", "truncated", "foreign-format", "foreign-marshal",
+         "foreign-python", "junk"],
+)
+def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch, damage):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(ALIAS_LINES + serialize_ntriples(random_graph(random.Random(7), 200)), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "tag")[0] == 0
+    assert snapshot.exists()
+    damage(graph, snapshot)
+    damaged = snapshot.read_bytes()
+    expected = serialize_ntriples(parse_ntriples(graph.read_text(encoding="utf-8")))
+
+    parses = ParseCounter(monkeypatch)
+    assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
+    assert parses.calls == 1
+    assert snapshot.read_bytes() != damaged
+    # the replacement is loaded, and holds the graph the parse gives
+    monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
+    assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
+    loaded = cli_mod._load_graph(graph)
+    gc.unfreeze()
+    parsed = parse_ntriples(graph.read_text(encoding="utf-8"))
+    assert loaded._ids == parsed._ids and loaded == parsed
+
+
+def test_snapshot_load_runs_without_the_cyclic_collector(tmp_path):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(
+        "".join(f'<http://example.org/s{i}> <http://example.org/p> "v{i}" .\n' for i in range(5000)),
+        encoding="utf-8",
+    )
+    cli_mod._load_graph(graph)
+    gc.unfreeze()
+    collections = []
+
+    def record(phase, info):
+        collections.append(phase)
+
+    gc.callbacks.append(record)
+    try:
+        loaded = cli_mod._load_graph(graph)
+    finally:
+        gc.callbacks.remove(record)
+        gc.unfreeze()
+    assert len(loaded) == 5000
+    assert collections == []
+
+
+def test_snapshot_owned_by_another_user_is_not_read(tmp_path):
+    path = tmp_path / "snap"
+    path.write_bytes(b"data")
+    assert cli_mod._read_owned(path, os.stat(path).st_uid) == b"data"
+    assert cli_mod._read_owned(path, os.stat(path).st_uid + 1) is None
+    assert cli_mod._read_owned(tmp_path, os.stat(tmp_path).st_uid) is None
+    assert cli_mod._read_owned(tmp_path / "none", 0) is None
+
+
+def test_read_command_in_a_read_only_directory_still_answers(tmp_path, capsys, monkeypatch, multifam_graph):
+    store = tmp_path / "ro"
+    store.mkdir()
+    graph = store / "graph.nt"
+    graph.write_text(serialize_ntriples(multifam_graph), encoding="utf-8")
+    expected = run(capsys, "--graph", str(graph), "stats", "--by", "family")
+    (store / ".graph.nt.snap").unlink()
+    store.chmod(0o555)
+    try:
+        if os.access(store, os.W_OK):
+            # the mode bits do not bind this user (root): refuse creation instead
+            real_open = os.open
+
+            def refuse(path, flags, *args, **kwargs):
+                if flags & os.O_CREAT and os.path.dirname(path) == str(store):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
+        assert run(capsys, "--graph", str(graph), "stats", "--by", "family") == expected
+        monkeypatch.undo()
+        assert [p.name for p in store.iterdir()] == ["graph.nt"]
+    finally:
+        store.chmod(0o755)
+
+
+def test_failed_parse_writes_no_snapshot(tmp_path, capsys):
+    graph = tmp_path / "corrupt.nt"
+    graph.write_text(f"<{ANDMAL}a> <{ANDMAL}b> <{ANDMAL}c> .\n<http://a> <http://b> missing-dot\n", encoding="utf-8")
+    for command in READ_COMMANDS:
+        rc, out, err = run(capsys, "--graph", str(graph), *command)
+        assert rc == 1 and "line 2" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["corrupt.nt"]
+
+
+def test_ingest_reads_a_matching_snapshot_but_writes_none(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "graph.nt"
+    snapshot = tmp_path / ".graph.nt.snap"
+    multifam = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]
+    table1 = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")]
+    assert run(capsys, *multifam)[0] == 0
+    assert run(capsys, *multifam)[0] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+
+    assert run(capsys, "--graph", str(graph), "validate")[0] == 0
+    written = snapshot.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "parse_ntriples", _no_parse)
+        rc, out, _ = run(capsys, *table1)
+    assert rc == 0 and "triples added: 0" not in out
+    # the snapshot is left as it was, and is stale now
+    assert snapshot.read_bytes() == written
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / "graph.nt").write_bytes(graph.read_bytes())
+    expected = run(capsys, "--graph", str(fresh / "graph.nt"), "stats", "--by", "family")
+    parses = ParseCounter(monkeypatch)
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "family") == expected
+    assert parses.calls == 1
+    (fresh / "graph.nt").unlink()
+    (fresh / ".graph.nt.snap").unlink()
+    fresh.rmdir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o644, 0o400])
+def test_ingest_keeps_the_graph_file_permissions(tmp_path, capsys, mode):
+    graph = tmp_path / "graph.nt"
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]) == 0
+    graph.chmod(mode)
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")]) == 0
+    capsys.readouterr()
+    assert _mode(graph) == mode
+
+
+def test_ingest_creates_a_graph_file_under_the_umask(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        assert main(["--graph", str(tmp_path / "g.nt"), "ingest", "--fixtures", str(FIXTURES / "multifam")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert _mode(tmp_path / "g.nt") == 0o640
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+def test_snapshot_is_no_more_readable_than_its_graph(tmp_path, capsys, monkeypatch, multifam_graph, mode):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(serialize_ntriples(multifam_graph), encoding="utf-8")
+    graph.chmod(mode)
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        replaced.append((os.path.basename(dst), _mode(src)))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "family")[0] == 0
+    assert replaced == [(".graph.nt.snap", mode)]
+    assert _mode(tmp_path / ".graph.nt.snap") == mode

@@ -1,5 +1,8 @@
 import gc
+import hashlib
+import marshal
 import random
+import sys
 
 import pytest
 
@@ -480,3 +483,126 @@ def test_parse_runs_without_the_cyclic_collector():
         gc.enable() if was else gc.disable()
     assert len(g) == 5000
     assert collections == []
+
+
+# Snapshots: a graph parsed from N-Triples bytes, saved beside them.
+
+SOURCE = hashlib.sha256(b"the graph file").digest()
+# a raw tab and an explicit ^^xsd:string are aliases in _ids; a \u escape takes
+# the strict scanner and leaves none
+ALIASED = f'{S} {P} "a\tb" .\n{S} {P} "c"^^<{XSD_STRING}> .\n{S} {P} "\\u0041" .\n'
+
+
+def _snapshot_texts():
+    rng = random.Random(53)
+    texts = [ALIASED, ""]
+    for _ in range(8):
+        texts.append(serialize_ntriples(random_graph(rng, max_triples=150)))
+    return texts
+
+
+def _wrap(payload: bytes, source: bytes = SOURCE) -> bytes:
+    """A snapshot with a well-formed header around any payload."""
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return rdf_mod._snapshot_prefix(source) + digest + b"\n" + payload
+
+
+def test_snapshot_loads_the_graph_it_was_dumped_from():
+    for text in _snapshot_texts():
+        parsed = parse_ntriples(text)
+        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, SOURCE), SOURCE)
+        assert loaded == parsed and parsed == loaded
+        assert loaded._tokens == parsed._tokens
+        assert loaded._ids == parsed._ids
+        assert loaded._triples == parsed._triples
+        assert (loaded._spo, loaded._pos, loaded._osp) == (parsed._spo, parsed._pos, parsed._osp)
+        assert loaded.prefixes == parsed.prefixes
+        assert [loaded._term(i) for i in range(len(loaded._tokens))] == [
+            parsed._term(i) for i in range(len(parsed._tokens))
+        ]
+        assert serialize_ntriples(loaded) == serialize_ntriples(parsed)
+        assert serialize_turtle(loaded) == serialize_turtle(parsed)
+    aliased = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE), SOURCE)
+    assert len(aliased._ids) == len(aliased._tokens) + 2
+    assert aliased._ids['"a\tb"'] == aliased._ids['"a\\tb"']
+    assert aliased._ids[f'"c"^^<{XSD_STRING}>'] == aliased._ids['"c"']
+
+
+def test_snapshot_header_names_format_marshal_interpreter_and_digests():
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE)
+    header, payload = data.split(b"\n", 1)
+    version = f"{sys.version_info.major}.{sys.version_info.minor}"
+    assert header.decode("ascii").split(" ") == [
+        "andmalkg-snapshot", "1", "marshal", str(marshal.version),
+        sys.implementation.name, version,
+        SOURCE.hex(), hashlib.sha256(payload).hexdigest(),
+    ]
+    # the triples are marshalled as a tuple, not as a set
+    assert type(marshal.loads(payload)[2]) is tuple
+
+
+def _flip_in_payload(data: bytes) -> bytes:
+    # a byte inside a token's text: the payload still unmarshals, to another graph
+    i = data.rindex(b"example.org")
+    return data[:i] + b"E" + data[i + 1 :]
+
+
+def _refield(data: bytes, k: int, value: bytes) -> bytes:
+    header, rest = data.split(b"\n", 1)
+    fields = header.split(b" ")
+    assert fields[k] != value
+    fields[k] = value
+    return b" ".join(fields) + b"\n" + rest
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: d,  # loaded against another graph file: stale
+        _flip_in_payload,
+        lambda d: d[:-1],
+        lambda d: d[: len(d) // 2],
+        lambda d: d[:40],
+        lambda d: _refield(d, 1, b"2"),  # format
+        lambda d: _refield(d, 3, b"3"),  # marshal version
+        lambda d: _refield(d, 4, b"pypy" if sys.implementation.name != "pypy" else b"cpython"),
+        lambda d: _refield(d, 5, b"2.7"),  # interpreter version
+        lambda d: b"\x00junk\xff" * 1000,
+        lambda d: b"",
+    ],
+    ids=["stale", "flipped-byte", "truncated-1", "truncated-half", "truncated-header",
+         "foreign-format", "foreign-marshal", "foreign-implementation", "foreign-python",
+         "junk", "empty"],
+)
+def test_unusable_snapshot_loads_nothing(damage):
+    text = ALIASED + serialize_ntriples(random_graph(random.Random(59), max_triples=100))
+    data = rdf_mod.dump_snapshot(parse_ntriples(text), SOURCE)
+    assert rdf_mod.load_snapshot(data, SOURCE) is not None
+    other = hashlib.sha256(b"an edited graph file").digest()
+    damaged = damage(data)
+    assert rdf_mod.load_snapshot(damaged, SOURCE if damaged is not data else other) is None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\xffnot marshal data",
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {}))[:-3],
+        marshal.dumps([["<urn:x>"], {"<urn:x>": 0}, (), {}, {}, {}]),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, set(), {}, {}, {})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {}, {}, {})),
+        marshal.dumps(None),
+    ],
+    ids=["not-marshal", "cut-short", "list", "five", "set-of-triples", "seven", "none"],
+)
+def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
+    assert rdf_mod.load_snapshot(_wrap(payload), SOURCE) is None
+
+
+def test_dump_snapshot_leaves_the_graph_as_it_was():
+    g = parse_ntriples(ALIASED)
+    before = (list(g._tokens), dict(g._ids), set(g._triples))
+    rdf_mod.dump_snapshot(g, SOURCE)
+    assert (g._tokens, g._ids, g._triples) == before
+    assert type(g._triples) is set
