@@ -8,9 +8,9 @@ with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
 
 A read command (query, stats, validate, emit) that has to parse the file
 leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
-commands load instead while it matches the file's bytes (see
+read commands load instead while it matches the file's bytes (see
 rdf.load_snapshot).  The snapshot is a cache: deleting it is always safe.
-ingest loads a matching snapshot but never writes one.
+ingest neither reads nor writes one: it parses the file.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .rdf import (
     parse_ntriples,
     serialize_ntriples,
     serialize_turtle,
+    snapshot_key,
 )
 from .schema import build_schema, validate_subjects
 
@@ -59,38 +60,36 @@ def _snapshot_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.snap")
 
 
-def _load_graph(path: Path, write_snapshot: bool = True) -> Graph:
-    """The graph in the N-Triples file at path, loaded from its snapshot
-    when one matches the file's bytes, else parsed.  After a parse, a
-    snapshot is written when write_snapshot is set; a failed write (a
-    read-only directory, say) is ignored.
-
-    A snapshot is loaded only when its owner owns the graph file too, so
-    no one can plant one who could not also rewrite the graph.
+def _load_graph(path: Path, snapshot: bool = True) -> Graph:
+    """The graph in the N-Triples file at path.  With snapshot set (the
+    read commands), it is loaded from the snapshot beside the file when
+    one matches the file's bytes, else parsed and a snapshot written;
+    without it (ingest), it is parsed and no snapshot is read or written.
     """
-    snapshot = _snapshot_path(path)
     # The graph lives until the command ends and holds no reference cycle,
     # so no collection need walk it: freeze it before the collector runs
     # again, or the first allocation after the load would collect it all.
     with _collector_paused():
-        if write_snapshot or snapshot.exists():
-            graph = _load_keyed(path, snapshot, write_snapshot)
+        if snapshot:
+            graph = _load_keyed(path, _snapshot_path(path))
         else:
             graph = parse_ntriples(path.read_text(encoding="utf-8"))
         gc.freeze()
     return graph
 
 
-def _load_keyed(path: Path, snapshot: Path, write_snapshot: bool) -> Graph:
-    import hashlib  # see rdf.load_snapshot
-
+def _load_keyed(path: Path, snapshot: Path) -> Graph:
+    """The graph at path from a matching snapshot, else parsed.  After a
+    parse the snapshot is written, best effort, when it could be loaded
+    later: a snapshot is loaded only when the graph file's owner owns it
+    too, so no one can plant one who could not also rewrite the graph."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         source = f.read()
-    digest = hashlib.sha256(source).digest()
+    key = snapshot_key(source)
     data = _read_owned(snapshot, info.st_uid)
     if data is not None:
-        graph = load_snapshot(data, digest)
+        graph = load_snapshot(data, key)
         del data
         if graph is not None:
             return graph
@@ -98,9 +97,10 @@ def _load_keyed(path: Path, snapshot: Path, write_snapshot: bool) -> Graph:
     del source
     graph = parse_ntriples(text)
     del text
-    if write_snapshot:
+    # where there are no uids (Windows), st_uid reads 0 for every file
+    if info.st_uid == getattr(os, "geteuid", lambda: 0)():
         try:
-            _replace_file(snapshot, dump_snapshot(graph, digest), stat.S_IMODE(info.st_mode))
+            _replace_file(snapshot, dump_snapshot(graph, key), stat.S_IMODE(info.st_mode))
         except OSError:
             pass
     return graph
@@ -123,9 +123,10 @@ def _replace_file(path: Path, data: Union[bytes, str], mode: Optional[int] = Non
     atomically: when the write fails or the process dies part-way, the old
     file is left as it was.  The new file gets permission bits mode, or the
     umask's default when mode is None, and is never more readable than that
-    while it is written.  The temporary file is created afresh (O_EXCL), so
-    a link planted under its name is never followed."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    while it is written.  The temporary file gets a random name and is
+    created afresh (O_EXCL), so a link planted under its name is never
+    followed, and one left by a killed process never blocks a later write."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
     try:
@@ -150,7 +151,7 @@ def _dump_graph(graph: Graph, path: Path) -> None:
 
 def _cmd_ingest(args) -> int:
     path = Path(args.graph)
-    graph = _load_graph(path, write_snapshot=False) if path.exists() else Graph()
+    graph = _load_graph(path, snapshot=False) if path.exists() else Graph()
     registry = build_schema()
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))

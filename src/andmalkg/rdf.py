@@ -40,10 +40,11 @@ keeps the collector suspended until it has frozen the loaded graph
 dump_snapshot and load_snapshot own the snapshot format: the marshalled
 state parse_ntriples builds (_tokens, _ids with its aliases, the triples,
 _spo, _pos, _osp) under a header keyed on the SHA-256 of the N-Triples
-bytes it was parsed from.  Loading one is several times faster than the
-parse and yields an equal graph with the same ids; a snapshot that does
-not match its key, its payload digest or its shape loads nothing, and the
-caller parses instead.  Where a snapshot file lives is the CLI's concern.
+bytes it was parsed from (snapshot_key), so only this module knows what
+the key hashes.  Loading one is several times faster than the parse and
+yields an equal graph with the same ids; a snapshot that does not match
+its key, its payload digest or its shape loads nothing, and the caller
+parses instead.  Where a snapshot file lives is the CLI's concern.
 
 A Graph supports one writer or many concurrent readers, never both;
 serialization and matching are read-only, except that readers fill the
@@ -628,8 +629,8 @@ def parse_ntriples(text: str) -> Graph:
 # state parse_ntriples builds.  The header names the format, the marshal
 # version and the interpreter, because marshal data is only promised to
 # load where it was written, then the SHA-256 of the N-Triples bytes the
-# graph was parsed from and that of the payload.  The format number, 1,
-# changes whenever the payload's layout does.
+# graph was parsed from (the key) and that of the payload.  The format
+# number, 1, changes whenever the payload's layout does.
 _SNAPSHOT_TAG = (
     f"andmalkg-snapshot 1 marshal {marshal.version} "
     f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
@@ -637,46 +638,52 @@ _SNAPSHOT_TAG = (
 _SNAPSHOT_SHAPE = (list, dict, tuple, dict, dict, dict)
 
 
-def _snapshot_prefix(source_sha256: bytes) -> bytes:
-    return f"{_SNAPSHOT_TAG} {source_sha256.hex()} ".encode("ascii")
+def _sha256(data) -> bytes:
+    # hashlib loads OpenSSL, about 4 MB of resident memory, so it is
+    # imported only when a snapshot is used: an ingest never pays for it
+    import hashlib
+
+    return hashlib.sha256(data).digest()
 
 
-def dump_snapshot(graph: Graph, source_sha256: bytes) -> bytes:
-    """A snapshot of a graph parsed from N-Triples bytes whose SHA-256 is
-    source_sha256: load_snapshot turns it back into an equal graph, with
-    the same tokens, aliases and ids, far faster than a parse.
+def snapshot_key(source: bytes) -> bytes:
+    """The key under which a graph parsed from the N-Triples bytes source
+    is snapshotted: the SHA-256 of those bytes."""
+    return _sha256(source)
+
+
+def _snapshot_prefix(key: bytes) -> bytes:
+    return f"{_SNAPSHOT_TAG} {key.hex()} ".encode("ascii")
+
+
+def dump_snapshot(graph: Graph, key: bytes) -> bytes:
+    """A snapshot of graph under key, the snapshot_key of the N-Triples
+    bytes it was parsed from: load_snapshot turns it back into an equal
+    graph, with the same tokens, aliases and ids, far faster than a parse.
 
     The triples are marshalled as a tuple: marshal writes a set of tuples
     several times slower.
     """
-    import hashlib  # see load_snapshot
-
     payload = marshal.dumps(
         (graph._tokens, graph._ids, tuple(graph._triples), graph._spo, graph._pos, graph._osp)
     )
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    return _snapshot_prefix(source_sha256) + digest + b"\n" + payload
+    return _snapshot_prefix(key) + _sha256(payload).hex().encode("ascii") + b"\n" + payload
 
 
-def load_snapshot(data: bytes, source_sha256: bytes) -> Optional[Graph]:
+def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     """The graph a dump_snapshot output holds, or None unless its header
-    matches this format, marshal version and interpreter and source_sha256,
-    and its payload matches its digest and has the expected shape.
+    matches this format, marshal version and interpreter and key, and its
+    payload matches its digest and has the expected shape.
 
     marshal is not safe against crafted input: load only a snapshot that
     no one could write who could not also rewrite the N-Triples file.
     """
-    # hashlib loads OpenSSL, about 4 MB of resident memory, so it is
-    # imported only where snapshots are used: an ingest that meets none
-    # never pays for it
-    import hashlib
-
-    prefix = _snapshot_prefix(source_sha256)
+    prefix = _snapshot_prefix(key)
     start = len(prefix) + 65  # the payload digest in hex, then a newline
     if not data.startswith(prefix):
         return None
     payload = memoryview(data)[start:]
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != data[len(prefix) : start - 1]:
+    if _sha256(payload).hex().encode("ascii") != data[len(prefix) : start - 1]:
         return None
     try:
         state = marshal.loads(payload)

@@ -126,12 +126,15 @@ def test_cli_import_leaves_requests_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_ingest_without_a_snapshot_leaves_hashlib_unloaded(tmp_path):
-    # hashlib loads OpenSSL, a few MB of resident memory that an ingest
-    # meeting no snapshot has no use for
+def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
+    # hashlib loads OpenSSL, a few MB of resident memory that an ingest,
+    # which never touches a snapshot, has no use for
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     graph = tmp_path / "g.nt"
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]) == 0
+    assert main(["--graph", str(graph), "stats", "--by", "tag"]) == 0
+    capsys.readouterr()
     script = (
         "import sys; from andmalkg.cli import main\n"
         "for corpus in sys.argv[2:]:\n"
@@ -144,7 +147,6 @@ def test_ingest_without_a_snapshot_leaves_hashlib_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
-    assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
 
 
 @pytest.mark.parametrize("failure", ["serialize", "mid-write"])
@@ -597,7 +599,7 @@ def test_failed_parse_writes_no_snapshot(tmp_path, capsys):
         assert [p.name for p in tmp_path.iterdir()] == ["corrupt.nt"]
 
 
-def test_ingest_reads_a_matching_snapshot_but_writes_none(tmp_path, capsys, monkeypatch):
+def test_ingest_parses_and_leaves_snapshots_alone(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "graph.nt"
     snapshot = tmp_path / ".graph.nt.snap"
     multifam = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]
@@ -608,23 +610,65 @@ def test_ingest_reads_a_matching_snapshot_but_writes_none(tmp_path, capsys, monk
 
     assert run(capsys, "--graph", str(graph), "validate")[0] == 0
     written = snapshot.read_bytes()
-    with monkeypatch.context() as m:
-        m.setattr(cli_mod, "parse_ntriples", _no_parse)
-        rc, out, _ = run(capsys, *table1)
+    parses = ParseCounter(monkeypatch)
+    rc, out, _ = run(capsys, *table1)
     assert rc == 0 and "triples added: 0" not in out
+    assert parses.calls == 1
     # the snapshot is left as it was, and is stale now
     assert snapshot.read_bytes() == written
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     (fresh / "graph.nt").write_bytes(graph.read_bytes())
     expected = run(capsys, "--graph", str(fresh / "graph.nt"), "stats", "--by", "family")
-    parses = ParseCounter(monkeypatch)
+    parses.calls = 0
     assert run(capsys, "--graph", str(graph), "stats", "--by", "family") == expected
     assert parses.calls == 1
     (fresh / "graph.nt").unlink()
     (fresh / ".graph.nt.snap").unlink()
     fresh.rmdir()
     assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
+
+
+def test_read_command_run_by_another_user_writes_no_snapshot(tmp_path, capsys, monkeypatch, multifam_graph):
+    # a snapshot is loaded only when the graph file's owner owns it, so one
+    # written by anyone else would never be read
+    graph = tmp_path / "graph.nt"
+    graph.write_text(serialize_ntriples(multifam_graph), encoding="utf-8")
+    expected = run(capsys, "--graph", str(graph), "stats", "--by", "family")
+    snapshot = tmp_path / ".graph.nt.snap"
+    written = snapshot.read_bytes()
+    _stale(graph, snapshot)
+    owner = graph.stat().st_uid
+    monkeypatch.setattr(os, "geteuid", lambda: owner + 1, raising=False)
+    parses = ParseCounter(monkeypatch)
+    rc, out, _ = run(capsys, "--graph", str(graph), "stats", "--by", "family")
+    assert rc == 0 and out != expected[1]
+    assert parses.calls == 1
+    # the owner's snapshot is not replaced
+    assert snapshot.read_bytes() == written
+    snapshot.unlink()
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "family") == (rc, out, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+
+
+def test_leftover_temporary_file_blocks_no_write(tmp_path, capsys):
+    # a process killed mid-write leaves its temporary file behind; one that
+    # later runs under the same process id must still write
+    graph = tmp_path / "graph.nt"
+    leftovers = [tmp_path / f".graph.nt.{os.getpid()}.tmp", tmp_path / f".graph.nt.snap.{os.getpid()}.tmp"]
+    for leftover in leftovers:
+        leftover.write_bytes(b"left behind")
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]) == 0
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")]) == 0
+    assert main(["--graph", str(graph), "stats", "--by", "tag"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / ".graph.nt.snap").exists()
+    assert len(parse_ntriples(graph.read_text(encoding="utf-8"))) > 0
+    for leftover in leftovers:
+        assert leftover.read_bytes() == b"left behind"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [".graph.nt.snap", "graph.nt"] + [p.name for p in leftovers]
+    )
 
 
 def _mode(path):

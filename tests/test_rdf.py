@@ -487,7 +487,7 @@ def test_parse_runs_without_the_cyclic_collector():
 
 # Snapshots: a graph parsed from N-Triples bytes, saved beside them.
 
-SOURCE = hashlib.sha256(b"the graph file").digest()
+SOURCE = rdf_mod.snapshot_key(b"the graph file")
 # a raw tab and an explicit ^^xsd:string are aliases in _ids; a \u escape takes
 # the strict scanner and leaves none
 ALIASED = f'{S} {P} "a\tb" .\n{S} {P} "c"^^<{XSD_STRING}> .\n{S} {P} "\\u0041" .\n'
@@ -535,7 +535,7 @@ def test_snapshot_header_names_format_marshal_interpreter_and_digests():
     assert header.decode("ascii").split(" ") == [
         "andmalkg-snapshot", "1", "marshal", str(marshal.version),
         sys.implementation.name, version,
-        SOURCE.hex(), hashlib.sha256(payload).hexdigest(),
+        hashlib.sha256(b"the graph file").hexdigest(), hashlib.sha256(payload).hexdigest(),
     ]
     # the triples are marshalled as a tuple, not as a set
     assert type(marshal.loads(payload)[2]) is tuple
@@ -578,7 +578,7 @@ def test_unusable_snapshot_loads_nothing(damage):
     text = ALIASED + serialize_ntriples(random_graph(random.Random(59), max_triples=100))
     data = rdf_mod.dump_snapshot(parse_ntriples(text), SOURCE)
     assert rdf_mod.load_snapshot(data, SOURCE) is not None
-    other = hashlib.sha256(b"an edited graph file").digest()
+    other = rdf_mod.snapshot_key(b"an edited graph file")
     damaged = damage(data)
     assert rdf_mod.load_snapshot(damaged, SOURCE if damaged is not data else other) is None
 
