@@ -1,16 +1,25 @@
 """Command-line surface: ingest, stats, query, emit, validate.
 
 The knowledge graph lives in a flat N-Triples file (--graph PATH); every
-command loads it, and ingest writes it back.  Only ingest starts from an
-empty graph when the file does not exist; any other command then fails
+read command loads it whole, and ingest grows it.  Only ingest starts from
+an empty graph when the file does not exist; any other command then fails
 with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
 2 I/O or network failure.
+
+ingest reads the file's lines and, when they are already what
+serialize_ntriples writes (rdf.canonical_lines), loads into a graph only
+the lines of the subjects the batch mints and the type lines of their
+objects (rdf.load_subjects).  It ingests the batch into that graph, and
+merges the new lines, sorted, into the file's lines.  Any other file is
+parsed whole and re-serialized first.  Either way the file it writes is
+byte for byte the one parsing, ingesting and serializing the whole graph
+writes, with the same summary.
 
 A read command (query, stats, validate, emit) that has to parse the file
 leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
 read commands load instead while it matches the file's bytes (see
 rdf.load_snapshot).  The snapshot is a cache: deleting it is always safe.
-ingest neither reads nor writes one: it parses the file.
+ingest neither reads nor writes one.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     AndMalKgError,
@@ -39,6 +48,7 @@ from .ingest import (
     LiveSource,
     fetch_reports,
     ingest_corpus,
+    mint_iris,
 )
 from .ns import RDF_TYPE, andmal, malont
 from .query import evaluate, format_results, parse_query
@@ -46,8 +56,11 @@ from .rdf import (
     Graph,
     IRI,
     _collector_paused,
+    _ntriples_lines,
+    canonical_lines,
     dump_snapshot,
     load_snapshot,
+    load_subjects,
     parse_ntriples,
     serialize_ntriples,
     serialize_turtle,
@@ -60,20 +73,15 @@ def _snapshot_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.snap")
 
 
-def _load_graph(path: Path, snapshot: bool = True) -> Graph:
-    """The graph in the N-Triples file at path.  With snapshot set (the
-    read commands), it is loaded from the snapshot beside the file when
-    one matches the file's bytes, else parsed and a snapshot written;
-    without it (ingest), it is parsed and no snapshot is read or written.
-    """
+def _load_graph(path: Path) -> Graph:
+    """The graph in the N-Triples file at path, loaded from the snapshot
+    beside it when one matches the file's bytes, else parsed and a snapshot
+    written."""
     # The graph lives until the command ends and holds no reference cycle,
     # so no collection need walk it: freeze it before the collector runs
     # again, or the first allocation after the load would collect it all.
     with _collector_paused():
-        if snapshot:
-            graph = _load_keyed(path, _snapshot_path(path))
-        else:
-            graph = parse_ntriples(path.read_text(encoding="utf-8"))
+        graph = _load_keyed(path, _snapshot_path(path))
         gc.freeze()
     return graph
 
@@ -100,7 +108,7 @@ def _load_keyed(path: Path, snapshot: Path) -> Graph:
     # where there are no uids (Windows), st_uid reads 0 for every file
     if info.st_uid == getattr(os, "geteuid", lambda: 0)():
         try:
-            _replace_file(snapshot, dump_snapshot(graph, key), stat.S_IMODE(info.st_mode))
+            _replace_file(snapshot, (dump_snapshot(graph, key),), stat.S_IMODE(info.st_mode))
         except OSError:
             pass
     return graph
@@ -118,9 +126,9 @@ def _read_owned(path: Path, owner: int) -> Optional[bytes]:
         return None
 
 
-def _replace_file(path: Path, data: Union[bytes, str], mode: Optional[int] = None) -> None:
-    """Replace the file at path with data (text is written as UTF-8)
-    atomically: when the write fails or the process dies part-way, the old
+def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None) -> None:
+    """Replace the file at path with the chunks, written in turn,
+    atomically: when a write fails or the process dies part-way, the old
     file is left as it was.  The new file gets permission bits mode, or the
     umask's default when mode is None, and is never more readable than that
     while it is written.  The temporary file gets a random name and is
@@ -131,7 +139,8 @@ def _replace_file(path: Path, data: Union[bytes, str], mode: Optional[int] = Non
     fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
     try:
         with open(fd, "wb") as f:
-            f.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+            for chunk in chunks:
+                f.write(chunk)
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, path)
@@ -140,18 +149,38 @@ def _replace_file(path: Path, data: Union[bytes, str], mode: Optional[int] = Non
         raise
 
 
-def _dump_graph(graph: Graph, path: Path) -> None:
-    """Replace the graph file atomically, keeping its permission bits."""
+# lines per chunk of a graph file write: about 1 MB of N-Triples
+_CHUNK_LINES = 4096
+
+
+def _encoded(lines: list[str]) -> Iterator[bytes]:
+    """The lines as UTF-8, in chunks of _CHUNK_LINES lines, so the whole
+    file is never held as one str or bytes object."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        yield "".join(lines[start : start + _CHUNK_LINES]).encode("utf-8")
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of the text file at path, each "\r\n" or "\r" read as
+    "\n", as Path.read_text reads them (a missing file has none)."""
     try:
-        mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
     except FileNotFoundError:
-        mode = None
-    _replace_file(path, serialize_ntriples(graph), mode)
+        return []
+
+
+def _merged(old: list[str], new: list[str]) -> list[str]:
+    """One sorted list of two sorted runs of lines.  The sort finds the two
+    runs and merges them in one pass."""
+    lines = old + new
+    lines.sort()
+    return lines
 
 
 def _cmd_ingest(args) -> int:
     path = Path(args.graph)
-    graph = _load_graph(path, snapshot=False) if path.exists() else Graph()
+    lines = canonical_lines(_read_lines(path))
     registry = build_schema()
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))
@@ -165,8 +194,20 @@ def _cmd_ingest(args) -> int:
         selector = FetchSelector.recent(limit)
     errors: list[tuple[str, str]] = []
     reports = fetch_reports(selector, source, errors)
+    # Every row a report gives has a minted subject, so the graph holds
+    # each old triple a row could repeat, and every triple and object type
+    # the validation of the touched subjects reads: the count of new
+    # triples and the violations are those of the whole graph.
+    minted = {f"<{iri}>" for report in reports for iri in mint_iris(report).values()}
+    graph = load_subjects(lines, minted)
+    loaded = set(graph._triples)
     summary = ingest_corpus(reports, registry, graph)
-    _dump_graph(graph, path)
+    new = _ntriples_lines(graph, graph._triples - loaded)
+    try:
+        mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        mode = None
+    _replace_file(path, _encoded(_merged(lines, new)), mode)
     for name, message in errors:
         print(f"warning: {name}: {message}", file=sys.stderr)
     print(f"reports: {summary.reports}")

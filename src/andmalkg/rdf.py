@@ -22,8 +22,9 @@ The id interface is Graph._id (term -> id), Graph._intern_token (token
 Graph._spo, Graph._tokens (id -> token), Graph._term (id -> term) and
 _literal_parts (a literal token's fields).  Four modules use it: query
 (the join), ingest (report rows go in as tokens), schema (the validator
-walks a subject's SPO entry, reading leaves with _each) and cli (stats).
-No other module uses ids.
+walks a subject's SPO entry, reading leaves with _each) and cli (stats,
+and ingest's new lines: Graph._triples and _ntriples_lines).  No other
+module uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
@@ -36,6 +37,16 @@ The parse runs with the cyclic garbage collector suspended: it builds
 only acyclic containers, so a collection could free nothing.  The CLI
 keeps the collector suspended until it has frozen the loaded graph
 (gc.freeze), so no later collection walks it.
+
+canonical_lines and load_subjects let the CLI ingest grow a graph file
+without loading all of it.  canonical_lines checks that a file's lines are
+already what serialize_ntriples writes: each line matches one strict
+regular expression (IRIs and plain or datatyped literals without escapes,
+single spaces, " ." and a newline) and the lines strictly increase.  Such
+lines are returned unparsed; any other text is parsed and re-serialized,
+so it raises the parse's error at the parse's line.  load_subjects finds,
+by bisection on "TOKEN ", the lines of some subjects and the rdf:type
+lines of their objects, and loads only those.
 
 dump_snapshot and load_snapshot own the snapshot format: the marshalled
 state parse_ntriples builds (_tokens, _ids with its aliases, the triples,
@@ -58,7 +69,9 @@ import gc
 import marshal
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import MalformedTermError, NTriplesParseError
@@ -440,11 +453,19 @@ class Graph:
         return [t.object for t in self.match(s=subject, p=_RDF_TYPE_IRI)]
 
 
+def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int]]] = None) -> list[str]:
+    """The canonical lines of the id triples (default: all of graph's),
+    each ending in a newline, sorted.  Tokens are self-delimiting, so no
+    line is a prefix of another and the newline leaves the order as it is
+    without one."""
+    tokens = graph._tokens
+    rows = graph._triples if triples is None else triples
+    return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in rows)
+
+
 def serialize_ntriples(graph: Graph) -> str:
     """Canonical N-Triples: one sorted line per triple, UTF-8 text."""
-    tokens = graph._tokens
-    lines = sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} ." for s, p, o in graph._triples)
-    return "".join(line + "\n" for line in lines)
+    return "".join(_ntriples_lines(graph))
 
 
 class _LineCursor:
@@ -623,6 +644,67 @@ def parse_ntriples(text: str) -> Graph:
             except MalformedTermError as exc:
                 raise NTriplesParseError(str(exc), lineno) from exc
         return graph
+
+
+# A line exactly as serialize_ntriples writes it, newline included, when no
+# term needs an escape, a language tag or a blank node.  Every token of a
+# line it accepts passes the term constructors' checks.
+_STRICT_LINE_RE = re.compile(f"{_IRI_TOKEN} {_IRI_TOKEN} (?:{_CHECKED_TOKEN_RE.pattern}) \\.\n")
+
+
+def canonical_lines(lines: list[str]) -> list[str]:
+    """The lines serialize_ntriples writes for the graph the N-Triples
+    lines spell, each ending in a newline.
+
+    lines are a text split after each newline, the last without one when
+    the text does not end in one.  When
+    every line is strict (_STRICT_LINE_RE) and they strictly increase, they
+    are already the answer and are returned as they are, unparsed.  Any
+    other text (comments, blank lines, escapes, blank nodes, language tags,
+    aliases, duplicates, unsorted lines, no final newline) is parsed, so it
+    raises the NTriplesParseError parse_ntriples raises, at the same line.
+    """
+    strict = _STRICT_LINE_RE.fullmatch
+    if all(map(strict, lines)) and all(map(str.__lt__, lines, islice(lines, 1, None))):
+        return lines
+    return _ntriples_lines(parse_ntriples("".join(lines)))
+
+
+_TYPE_TOKEN = f"<{RDF_TYPE}>"
+
+
+def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
+    """The graph of the lines whose subject is one of the subject tokens,
+    plus the rdf:type lines of every IRI or blank-node object of those
+    lines: all a validation of those subjects reads.
+
+    lines must be as canonical_lines returns them: sorted, and canonical,
+    so their tokens enter the graph unchecked.  All lines of one subject
+    start with its token and a space, so they are one run, found by
+    bisection; so are a subject's rdf:type lines.
+    """
+    end = len(lines)
+
+    def run(prefix: str) -> list[str]:
+        first = last = bisect_left(lines, prefix)
+        while last < end and lines[last].startswith(prefix):
+            last += 1
+        return lines[first:last]
+
+    picked = [line for s in subjects for line in run(s + " ")]
+    objects = {line[:-3].split(" ", 2)[2] for line in picked}
+    picked += [line for o in objects if o[0] != '"' for line in run(f"{o} {_TYPE_TOKEN} ")]
+    graph = Graph()
+    ids = graph._ids
+
+    def intern(token: str) -> int:
+        i = ids.get(token)
+        return graph._new(token, None) if i is None else i
+
+    for line in picked:
+        s, p, o = line[:-3].split(" ", 2)
+        graph._add(intern(s), intern(p), intern(o))
+    return graph
 
 
 # A snapshot is one ASCII header line, then the payload: the marshalled

@@ -449,24 +449,28 @@ class _Checker:
             prop = registry.object_properties.get(pred)
             if prop is not None:
                 for oi in objects:
+                    # each detail ends with the object, so two triples never print one line
+                    obj = tokens[oi]
                     if subject_classes and not any(prop.domain in c for c in subject_classes):
                         violations.append(
                             Violation(
                                 subj_str,
                                 "domain-mismatch",
-                                f"{pred} requires a {prop.domain} subject",
+                                f"{pred} requires a {prop.domain} subject (object {obj})",
                             )
                         )
-                    if tokens[oi][0] == '"':
+                    if obj[0] == '"':
                         violations.append(
-                            Violation(subj_str, "range-mismatch", f"{pred} object is a literal")
+                            Violation(
+                                subj_str, "range-mismatch", f"{pred} object is a literal (object {obj})"
+                            )
                         )
                     elif not self._has_class(oi, prop.range):
                         violations.append(
                             Violation(
                                 subj_str,
                                 "range-mismatch",
-                                f"{pred} requires a {prop.range} object",
+                                f"{pred} requires a {prop.range} object (object {obj})",
                             )
                         )
             elif pred in registry.data_properties:
@@ -503,7 +507,9 @@ class _Checker:
                         )
             else:
                 violations.extend(
-                    Violation(subj_str, "unknown-property", f"unregistered property {pred}")
-                    for _ in objects
+                    Violation(
+                        subj_str, "unknown-property", f"unregistered property {pred} (object {tokens[oi]})"
+                    )
+                    for oi in objects
                 )
         return violations

@@ -5,13 +5,26 @@ import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from andmalkg import parse_ntriples, serialize_ntriples, slug
+from andmalkg import (
+    FetchSelector,
+    FixtureSource,
+    NTriplesParseError,
+    build_schema,
+    fetch_reports,
+    ingest_corpus,
+    mint_iris,
+    parse_ntriples,
+    serialize_ntriples,
+    slug,
+)
 from andmalkg.cli import main
 import andmalkg.cli as cli_mod
 import andmalkg.ingest as ingest_mod
+import andmalkg.rdf as rdf_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
 from randgraph import random_graph
@@ -152,21 +165,49 @@ def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
 @pytest.mark.parametrize("failure", ["serialize", "mid-write"])
 def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failure):
     graph = tmp_path / "graph.nt"
+    table1 = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")]
     rc, _, _ = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam"))
     assert rc == 0
     before = graph.read_bytes()
+    # what each temporary file held when it was removed
+    removed = {}
+    real_unlink = Path.unlink
 
-    def broken(_graph):
-        if failure == "serialize":
-            raise RuntimeError("serializer failed")
-        # a lone surrogate cannot be encoded, so the write stops part-way
-        return "<urn:x:s> <urn:x:p> <urn:x:o> .\n" * 5000 + "\ud800"
+    def unlink(self, missing_ok=False):
+        if self.name.endswith(".tmp"):
+            removed[self.name] = self.read_bytes()
+        real_unlink(self, missing_ok=missing_ok)
 
-    monkeypatch.setattr(cli_mod, "serialize_ntriples", broken)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    real_merged = cli_mod._merged
+    if failure == "serialize":
+        # the merge of old and new lines fails before anything is written
+        def broken(old, new):
+            raise RuntimeError("merge failed")
+    else:
+        # the last chunk holds a lone surrogate, which cannot be encoded,
+        # so the write stops after the chunks before it are on disk
+        monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 100)
+
+        def broken(old, new):
+            return real_merged(old, new) + ["\ud800\n"]
+
+    monkeypatch.setattr(cli_mod, "_merged", broken)
     with pytest.raises((RuntimeError, UnicodeEncodeError)):
-        main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")])
+        main(table1)
     assert graph.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+    if failure == "serialize":
+        assert removed == {}
+        return
+    [partial] = removed.values()
+    monkeypatch.undo()
+    assert main(table1) == 0
+    capsys.readouterr()
+    # every chunk but the last was written, and the old file survived them
+    merged = graph.read_bytes()
+    assert 0 < len(partial) < len(merged) and merged.startswith(partial)
+    assert partial.count(b"\n") == 100 * (merged.count(b"\n") // 100)
 
 
 def test_ingest_missing_fixture_dir_is_io_error(tmp_path, capsys):
@@ -409,6 +450,10 @@ def _no_parse(text):
     raise AssertionError("parsed the graph file instead of loading its snapshot")
 
 
+def _no_whole_file_parse(arg):
+    raise AssertionError("ingest parsed or serialized the whole canonical graph file")
+
+
 class ParseCounter:
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -599,7 +644,7 @@ def test_failed_parse_writes_no_snapshot(tmp_path, capsys):
         assert [p.name for p in tmp_path.iterdir()] == ["corrupt.nt"]
 
 
-def test_ingest_parses_and_leaves_snapshots_alone(tmp_path, capsys, monkeypatch):
+def test_ingest_merges_without_a_parse_and_leaves_snapshots_alone(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "graph.nt"
     snapshot = tmp_path / ".graph.nt.snap"
     multifam = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")]
@@ -610,17 +655,22 @@ def test_ingest_parses_and_leaves_snapshots_alone(tmp_path, capsys, monkeypatch)
 
     assert run(capsys, "--graph", str(graph), "validate")[0] == 0
     written = snapshot.read_bytes()
+    # a canonical graph file is neither parsed whole nor serialized
     parses = ParseCounter(monkeypatch)
+    monkeypatch.setattr(rdf_mod, "parse_ntriples", _no_whole_file_parse)
+    monkeypatch.setattr(rdf_mod, "serialize_ntriples", _no_whole_file_parse)
+    monkeypatch.setattr(cli_mod, "serialize_ntriples", _no_whole_file_parse)
     rc, out, _ = run(capsys, *table1)
     assert rc == 0 and "triples added: 0" not in out
-    assert parses.calls == 1
+    assert parses.calls == 0
+    monkeypatch.undo()
     # the snapshot is left as it was, and is stale now
     assert snapshot.read_bytes() == written
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     (fresh / "graph.nt").write_bytes(graph.read_bytes())
     expected = run(capsys, "--graph", str(fresh / "graph.nt"), "stats", "--by", "family")
-    parses.calls = 0
+    parses = ParseCounter(monkeypatch)
     assert run(capsys, "--graph", str(graph), "stats", "--by", "family") == expected
     assert parses.calls == 1
     (fresh / "graph.nt").unlink()
@@ -711,3 +761,184 @@ def test_snapshot_is_no_more_readable_than_its_graph(tmp_path, capsys, monkeypat
     assert run(capsys, "--graph", str(graph), "stats", "--by", "family")[0] == 0
     assert replaced == [(".graph.nt.snap", mode)]
     assert _mode(tmp_path / ".graph.nt.snap") == mode
+
+
+# Ingest merges the batch's new lines into the graph file's sorted lines.
+# Whatever the old file, the result must be what parsing it whole,
+# ingesting and serializing gives: the same file, stdout and exit code.
+
+XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+
+
+def _reference_ingest(text, corpus):
+    """(exit code, stdout, stderr, graph bytes) of the whole-graph ingest."""
+    try:
+        graph = parse_ntriples(text)
+    except NTriplesParseError as exc:
+        return 1, "", f"error: {exc}\n", text.encode("utf-8")
+    reports = fetch_reports(FetchSelector.recent(1000), FixtureSource(corpus))
+    summary = ingest_corpus(reports, build_schema(), graph)
+    out = (
+        f"reports: {summary.reports}\ntriples added: {summary.triples_added}\n"
+        f"violations: {len(summary.violations)}\n"
+    )
+    return (1 if summary.violations else 0), out, "", serialize_ntriples(graph).encode("utf-8")
+
+
+def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
+    """Ingest corpus into a graph file holding text, check it against the
+    reference, and return how often the whole file was parsed."""
+    graph = tmp_path / "graph.nt"
+    if text is not None:
+        graph.write_bytes(text.encode("utf-8"))
+    parses = []
+    real_parse = rdf_mod.parse_ntriples
+
+    def parse(whole):
+        parses.append(whole)
+        return real_parse(whole)
+
+    with monkeypatch.context() as m:
+        m.setattr(rdf_mod, "parse_ntriples", parse)
+        got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
+    expected = _reference_ingest(text or "", corpus)
+    assert got + (graph.read_bytes(),) == expected
+    return len(parses), got[0]
+
+
+def _base_text(name, request):
+    if name == "missing":
+        return None
+    if name == "empty":
+        return ""
+    if name.startswith("randgraph"):
+        seed = int(name.split("-")[1])
+        return serialize_ntriples(random_graph(random.Random(seed), max_triples=200))
+    return serialize_ntriples(request.getfixturevalue(f"{name}_graph"))
+
+
+@pytest.mark.parametrize("corpus", ["table1", "multifam"])
+@pytest.mark.parametrize("base", ["missing", "empty", "table1", "multifam", "randgraph-3", "randgraph-17"])
+def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypatch, request, base, corpus):
+    text = _base_text(base, request)
+    parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / corpus)
+    assert rc == 0
+    # a random graph has escapes, blank nodes and language tags, so it is parsed
+    assert parses == (1 if base.startswith("randgraph") else 0)
+
+
+def _touched(table1_reports):
+    """Minted IRIs of one table1 report with a family and tags."""
+    report = next(r for r in table1_reports if r.signature and r.tags)
+    return {role: f"<{iri}>" for role, iri in mint_iris(report).items()}, report
+
+
+def _non_canonical(name, text, ids, report):
+    lines = text.splitlines(keepends=True)
+    file_node, malware_node = ids["file"], ids["malware"]
+    tag_node = ids[f"tag:{report.tags[0]}"]
+    if name == "comment":
+        return "# an old graph\n" + text
+    if name == "blank-lines":
+        return "\n".join(lines[:3]) + "\n  \t\n" + "".join(lines[3:]) + "\n"
+    if name == "escaped-literal":
+        return text + f'{file_node} <{ANDMAL}hasFileName> "a \\"b\\"\\tc\\\\d\\u00e9" .\n'
+    if name == "blank-node":
+        # the old object's type lines must be loaded, or hasTag fails its range check
+        return text + f"{malware_node} <{ANDMAL}hasTag> _:t1 .\n_:t1 <{RDF_TYPE}> <{ANDMAL}Tag> .\n"
+    if name == "language-tag":
+        return text + f'{tag_node} <{ANDMAL}tagLabel> "etiquette"@fr .\n'
+    if name == "explicit-string":
+        # an alias of the plain literal the report mints
+        return text + f'{file_node} <{ANDMAL}hasFileName> "{report.file_name}"^^<{XSD_STRING}> .\n'
+    if name == "unsorted":
+        return "".join(reversed(lines))
+    if name == "duplicate":
+        # still sorted, but not strictly
+        mid = len(lines) // 2
+        return "".join(lines[:mid] + lines[mid - 1 :])
+    assert name == "no-final-newline"
+    return text[:-1]
+
+
+NON_CANONICAL = [
+    "comment", "blank-lines", "escaped-literal", "blank-node", "language-tag",
+    "explicit-string", "unsorted", "duplicate", "no-final-newline",
+]
+
+
+@pytest.mark.parametrize("variant", NON_CANONICAL)
+def test_merged_ingest_of_a_non_canonical_file(tmp_path, capsys, monkeypatch, multifam_graph, table1_reports, variant):
+    ids, report = _touched(table1_reports)
+    text = _non_canonical(variant, serialize_ntriples(multifam_graph), ids, report)
+    parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1")
+    assert parses == 1 and rc == 0
+
+
+def test_merged_ingest_reads_crlf_line_ends_as_newlines(tmp_path, capsys, multifam_graph):
+    # as the whole-graph ingest read the file, with Path.read_text
+    text = serialize_ntriples(multifam_graph)
+    ingested = []
+    for name, data in (("lf.nt", text), ("crlf.nt", text.replace("\n", "\r\n"))):
+        graph = tmp_path / name
+        graph.write_bytes(data.encode("utf-8"))
+        got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"))
+        ingested.append((got, graph.read_bytes()))
+    assert ingested[0] == ingested[1]
+    assert ingested[0][0][0] == 0
+
+
+def test_merged_ingest_reads_the_old_family_of_a_touched_malware(tmp_path, capsys, monkeypatch, multifam_graph):
+    # dual_a's malware node already names dual_b's family, which this batch
+    # does not mint: only its old type line shows the range check holds
+    corpus = tmp_path / "dual_a"
+    corpus.mkdir()
+    (corpus / "dual_a.json").write_bytes((FIXTURES / "multifam" / "dual_a.json").read_bytes())
+    text = serialize_ntriples(multifam_graph)
+    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus) == (0, 0)
+
+
+@pytest.mark.parametrize("context", ["unregistered-property", "untyped-object", "wrongly-typed-object"])
+def test_merged_ingest_reports_violations_of_old_triples(tmp_path, capsys, monkeypatch, table1_graph, table1_reports, context):
+    ids, _ = _touched(table1_reports)
+    if context == "unregistered-property":
+        extra = f'{ids["file"]} <{ANDMAL}bogusProp> "x" .\n'
+    elif context == "untyped-object":
+        extra = f"{ids['malware']} <{ANDMAL}hasTag> <{ANDMAL}tag_untyped> .\n"
+    else:
+        extra = f"{ids['malware']} <{ANDMAL}hasTag> <{ANDMAL}thing> .\n<{ANDMAL}thing> <{RDF_TYPE}> <{ANDMAL}File> .\n"
+    # canonical, so the merge path runs
+    text = serialize_ntriples(parse_ntriples(serialize_ntriples(table1_graph) + extra))
+    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_merged_ingest_of_random_triples_on_minted_iris(tmp_path, capsys, monkeypatch, multifam_graph, table1_reports, seed):
+    # old triples of every kind on nodes the batch touches, so violations
+    # depend on old subjects, old objects and their old types
+    rng = random.Random(seed)
+    iris = sorted({iri for r in table1_reports[:8] for iri in mint_iris(r).values()})
+    predicates = [f"{ANDMAL}{p}" for p in ("hasTag", "contains", "hasFileName", "hasMalwareFamily", "bogusProp")]
+    predicates += [f"{MALONT}hasReporter", RDF_TYPE]
+    classes = [f"{ANDMAL}Tag", f"{ANDMAL}File", f"{MALONT}Malware", f"{MALONT}MalwareFamily", f"{ANDMAL}Imaginary"]
+    extra = []
+    for _ in range(rng.randint(20, 120)):
+        p = rng.choice(predicates)
+        if rng.random() < 0.2:
+            o = f'"{rng.choice(["x", "a.apk", "2"])}"'
+        else:
+            o = f"<{rng.choice(classes if p == RDF_TYPE else iris)}>"
+        extra.append(f"<{rng.choice(iris)}> <{p}> {o} .\n")
+    text = serialize_ntriples(parse_ntriples(serialize_ntriples(multifam_graph) + "".join(extra)))
+    parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1")
+    assert parses == 0 and rc == 1
+
+
+@pytest.mark.parametrize("bad", ["missing-dot", "bad-iri"])
+def test_merged_ingest_of_a_malformed_file_fails_as_the_parse_does(tmp_path, capsys, monkeypatch, multifam_graph, bad):
+    lines = serialize_ntriples(multifam_graph).splitlines(keepends=True)
+    broken = "<http://a> <http://b> missing-dot\n" if bad == "missing-dot" else "<a> <http://b> <http://c> .\n"
+    text = "".join(lines[:7]) + broken + "".join(lines[7:])
+    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (1, 1)
+    # the CLI printed this error, and the graph file is unchanged
+    assert "line 8" in _reference_ingest(text, FIXTURES / "table1")[2]

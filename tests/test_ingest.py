@@ -82,6 +82,19 @@ def test_absent_signature_mints_no_family():
     assert "family" not in ids
 
 
+def test_report_rows_have_exactly_the_minted_subjects(table1_reports, multifam_reports):
+    # The CLI ingest loads only the old lines of the minted IRIs and the
+    # types of their objects, so every row's subject must be minted, and
+    # every object a schema check reads the type of (any IRI object but a
+    # class) must be minted too.
+    for report in table1_reports + multifam_reports + [report_from_record(record())]:
+        minted = {f"<{iri}>" for iri in mint_iris(report).values()}
+        rows = ingest_mod._report_rows(report)
+        assert {s for s, _, _ in rows} == minted
+        objects = {o for _, p, o in rows if p != f"<{RDF_TYPE}>" and o[0] == "<"}
+        assert objects <= minted
+
+
 def test_parse_report_rejects_bad_documents():
     with pytest.raises(ReportParseError):
         parse_report("{not json")

@@ -396,25 +396,27 @@ _:b2 <{A}hasFileName> "q" .
 """
 
 # What validate_individual reported for each subject of SEEDED_NT, in
-# subjects() order, before validation moved onto term ids.
+# subjects() order, before validation moved onto term ids; since then the
+# unknown-property, domain-mismatch and range-mismatch details also name
+# the object, so two triples never print the same line.
 SEEDED_VIOLATIONS = [
-    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp'),
-    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp'),
+    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp (object "x")'),
+    ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp (object <{A}family_v>)'),
     ('<{A}file_v>', 'datatype-mismatch', "{A}hasFileSize value 'big' does not parse as {X}integer"),
-    ('<{A}file_v>', 'range-mismatch', '{A}hasHash object is a literal'),
-    ('<{A}file_v>', 'domain-mismatch', '{A}hasMalwareFamily requires a {M}Malware subject'),
-    ('<{A}malware_v>', 'range-mismatch', '{A}hasFile requires a {A}File object'),
-    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object'),
-    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object'),
+    ('<{A}file_v>', 'range-mismatch', '{A}hasHash object is a literal (object "abc")'),
+    ('<{A}file_v>', 'domain-mismatch', '{A}hasMalwareFamily requires a {M}Malware subject (object <{A}family_v>)'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasFile requires a {A}File object (object _:b1)'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object (object <{A}family_v>)'),
+    ('<{A}malware_v>', 'range-mismatch', '{A}hasTag requires a {A}Tag object (object <{A}tag_untyped>)'),
     ('<{A}md5_v>', 'bad-hash-format', "{A}md5Value value 'D41D8CD98F00B204E9800998ECF8427E' fails the format rules"),
-    ('<{A}multi>', 'range-mismatch', '{A}hasMalwareFamily requires a {M}MalwareFamily object'),
+    ('<{A}multi>', 'range-mismatch', '{A}hasMalwareFamily requires a {M}MalwareFamily object (object <{A}thing>)'),
     ('<{A}mystery>', 'missing-type', 'no type triple'),
     ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'tooshort' fails the format rules"),
     ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'zz' fails the format rules"),
     ('<{A}thing2>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
     ('<{A}thing>', 'unknown-class', 'type is not a registered class: "File"'),
     ('<{A}thing>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
-    ('<{A}thing>', 'domain-mismatch', '{A}contains requires a {A}File subject'),
+    ('<{A}thing>', 'domain-mismatch', '{A}contains requires a {A}File subject (object <{A}malware_v>)'),
     ('<{A}thing>', 'datatype-mismatch', '{A}tagLabel value is not a literal'),
     ('<{A}vi_v>', 'datatype-mismatch', "{A}analysisDate value 'yesterday' does not parse as {X}dateTime"),
     ('<{A}vi_v>', 'datatype-mismatch', "{A}vendorLink value 'not a uri' does not parse as {X}anyURI"),
@@ -434,24 +436,24 @@ datatype-mismatch (5):
   <{A}vi_v>: {A}vendorLink value 'not a uri' does not parse as {X}anyURI
   <{A}vi_v>: {A}verdict value 'x' does not parse as http://example.org/custom
 domain-mismatch (2):
-  <{A}file_v>: {A}hasMalwareFamily requires a {M}Malware subject
-  <{A}thing>: {A}contains requires a {A}File subject
+  <{A}file_v>: {A}hasMalwareFamily requires a {M}Malware subject (object <{A}family_v>)
+  <{A}thing>: {A}contains requires a {A}File subject (object <{A}malware_v>)
 missing-type (2):
   <{A}mystery>: no type triple
   _:b2: no type triple
 range-mismatch (5):
-  <{A}file_v>: {A}hasHash object is a literal
-  <{A}malware_v>: {A}hasFile requires a {A}File object
-  <{A}malware_v>: {A}hasTag requires a {A}Tag object
-  <{A}malware_v>: {A}hasTag requires a {A}Tag object
-  <{A}multi>: {A}hasMalwareFamily requires a {M}MalwareFamily object
+  <{A}file_v>: {A}hasHash object is a literal (object "abc")
+  <{A}malware_v>: {A}hasFile requires a {A}File object (object _:b1)
+  <{A}malware_v>: {A}hasTag requires a {A}Tag object (object <{A}family_v>)
+  <{A}malware_v>: {A}hasTag requires a {A}Tag object (object <{A}tag_untyped>)
+  <{A}multi>: {A}hasMalwareFamily requires a {M}MalwareFamily object (object <{A}thing>)
 unknown-class (3):
   <{A}thing2>: type is not a registered class: <{A}Imaginary>
   <{A}thing>: type is not a registered class: "File"
   <{A}thing>: type is not a registered class: <{A}Imaginary>
 unknown-property (2):
-  <{A}file_v>: unregistered property {A}bogusProp
-  <{A}file_v>: unregistered property {A}bogusProp
+  <{A}file_v>: unregistered property {A}bogusProp (object "x")
+  <{A}file_v>: unregistered property {A}bogusProp (object <{A}family_v>)
 violations: 22
 """
 
