@@ -3,8 +3,10 @@
 The knowledge graph lives in a flat N-Triples file (--graph PATH); every
 read command loads it whole, and ingest grows it.  Only ingest starts from
 an empty graph when the file does not exist; any other command then fails
-with exit code 2.  Exit codes: 0 success, 1 validation or parse failure,
-2 I/O or network failure.
+with exit code 2.  Every command reads the graph and a query file as
+UTF-8, CRLF and a lone CR as a newline (_decoded).  Exit codes: 0 success,
+1 validation or parse failure (bytes that are not UTF-8 included), 2 I/O
+or network failure.
 
 ingest reads the file's lines and, when they are already what
 serialize_ntriples writes (rdf.canonical_lines), loads into a graph only
@@ -101,7 +103,7 @@ def _load_keyed(path: Path, snapshot: Path) -> Graph:
         del data
         if graph is not None:
             return graph
-    text = source.decode("utf-8")
+    text = _decoded(path, source)
     del source
     graph = parse_ntriples(text)
     del text
@@ -112,6 +114,17 @@ def _load_keyed(path: Path, snapshot: Path) -> Graph:
         except OSError:
             pass
     return graph
+
+
+def _decoded(path: Path, source: bytes) -> str:
+    """The UTF-8 text of the file at path's bytes, CRLF and a lone CR read as
+    a newline (universal newlines); bytes not UTF-8 raise, naming their line."""
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _decoded(path, source[: exc.start]).count("\n") + 1
+        raise AndMalKgError(f"{path}: line {line}: not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_owned(path: Path, owner: int) -> Optional[bytes]:
@@ -161,13 +174,16 @@ def _encoded(lines: list[str]) -> Iterator[bytes]:
 
 
 def _read_lines(path: Path) -> list[str]:
-    """The lines of the text file at path, each "\r\n" or "\r" read as
-    "\n", as Path.read_text reads them (a missing file has none)."""
+    """The lines of the file at path, read as _decoded reads its bytes (a
+    missing file has none)."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.readlines()
     except FileNotFoundError:
         return []
+    except UnicodeDecodeError:
+        _decoded(path, path.read_bytes())  # raises, naming the line
+        raise
 
 
 def _merged(old: list[str], new: list[str]) -> list[str]:
@@ -259,7 +275,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_query(args) -> int:
     graph = _load_graph(Path(args.graph))
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = _decoded(Path(args.file), Path(args.file).read_bytes())
     table = evaluate(graph, parse_query(text))
     fmt = "aligned-table" if args.format == "table" else "tsv"
     sys.stdout.write(format_results(table, fmt))

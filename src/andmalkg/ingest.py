@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
-from .rdf import Graph, Triple, _checked_term, _literal_token as _literal
+from .rdf import _SCHEME_RE, Graph, Triple, _checked_term, _literal_token as _literal
 from .schema import (
     HASH_KINDS,
     SchemaRegistry,
@@ -39,8 +39,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_ENDPOINT = "https://mb-api.abuse.ch/api/v1/"
 
 _registry = build_schema()
-
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 _VERDICT_ALIASES = {
     "malicious": "malicious",
@@ -552,7 +550,7 @@ def _report_rows(report: MalwareReport) -> list[tuple]:
     return rows
 
 
-def report_to_triples(report: MalwareReport, registry: SchemaRegistry) -> set[Triple]:
+def report_to_triples(report: MalwareReport) -> set[Triple]:
     """Emit the report's subgraph.  Every subject validates cleanly."""
     return {
         Triple(_checked_term(s), _checked_term(p), _checked_term(o))
@@ -596,7 +594,7 @@ def _fetch_fixtures(
     for fixture in sorted(path.glob("*.json")):
         try:
             report = parse_report(fixture.read_text(encoding="utf-8"))
-        except (ReportParseError, InvalidReportError) as exc:
+        except (ReportParseError, InvalidReportError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", fixture.name, exc)
             if errors is not None:
                 errors.append((fixture.name, str(exc)))

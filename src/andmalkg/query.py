@@ -17,14 +17,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import QueryParseError, UnknownPrefixError
 from .ns import RDF_TYPE, XSD_INTEGER
-from .rdf import Graph, IRI, Literal, Term, term_to_ntriples
+from .rdf import _LANG, _UNESCAPES, Graph, IRI, Literal, Term, _unescape, term_to_ntriples
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
 _KEYWORDS = {
     "select",
     "prefix",
@@ -83,136 +81,85 @@ class ResultTable:
     rows: list[dict]  # header name -> Term | int
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: object
     pos: int
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A string's body: no newline, and only the escapes of _UNESCAPES.
+_STRING_BODY = r'[^"\\\n]*(?:\\[' + re.escape("".join(_UNESCAPES)) + r'][^"\\\n]*)*'
+# One token, after any whitespace; each kind is one named group.  '<' opens
+# an IRI only when '>' comes before any whitespace; else it is an operator.
+# "bad" takes any other character, so the matches cover the text, and the
+# last one, at the end, is empty.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<iri><[^>\s]*>)"
+    r"|(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)"
+    f'|(?P<string>"{_STRING_BODY}")'
+    r"|(?P<int>\d+)"
+    r"|(?P<op>[{}().;=]|[<>]=?|\^\^)"
+    f"|(?P<lang>@{_LANG})"
+    r"|(?P<pname>[A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*)"
+    r"|(?P<bad>.))?",
+    re.S,
+)
 
-    def error(self, message: str):
-        raise QueryParseError(message, self.pos)
 
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
+def _bad_token(text: str, start: int) -> str:
+    """What is wrong with the token that starts at text[start]."""
+    ch = text[start]
+    if ch == "?":
+        return "expected a variable name after '?'"
+    if ch == "^":
+        return "stray '^'"
+    if ch == "@":
+        return "expected a language tag after '@'"
+    if ch != '"':
+        return f"unexpected character {ch!r}"
+    end = re.compile(_STRING_BODY).match(text, start + 1).end()
+    if end == len(text) or text[end] == "\n":
+        return "unterminated string"
+    escape = text[end + 1 : end + 2]  # the body stopped at a backslash
+    return f"unknown escape '\\{escape}'" if escape else "unterminated escape"
 
-    def _next(self) -> _Token:
-        text = self.text
-        while self.pos < len(text) and text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(text):
-            return _Token("eof", None, self.pos)
-        start = self.pos
-        ch = text[start]
-        if ch == "<":
-            return self._angle(start)
-        if ch == "?":
-            m = re.match(r"\?([A-Za-z_][A-Za-z0-9_]*)", text[start:])
-            if not m:
-                self.error("expected a variable name after '?'")
-            self.pos = start + m.end()
-            return _Token("var", m.group(1), start)
-        if ch == '"':
-            return self._string(start)
-        if ch.isdigit():
-            m = re.match(r"\d+", text[start:])
-            self.pos = start + m.end()
-            return _Token("int", int(m.group(0)), start)
-        if ch in "{}().;=":
-            self.pos = start + 1
-            return _Token(ch, ch, start)
-        if ch == ">":
-            if text.startswith(">=", start):
-                self.pos = start + 2
-                return _Token(">=", ">=", start)
-            self.pos = start + 1
-            return _Token(">", ">", start)
-        if ch == "^":
-            if text.startswith("^^", start):
-                self.pos = start + 2
-                return _Token("^^", "^^", start)
-            self.error("stray '^'")
-        if ch == "@":
-            m = re.match(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)", text[start:])
-            if not m:
-                self.error("expected a language tag after '@'")
-            self.pos = start + m.end()
-            return _Token("lang", m.group(1), start)
-        m = _IDENT_RE.match(text, start)
-        if m:
-            name = m.group(0)
-            end = m.end()
-            if end < len(text) and text[end] == ":":
-                end += 1
-                local_match = _LOCAL_RE.match(text, end)
-                local = ""
-                if local_match:
-                    local = local_match.group(0)
-                    end = local_match.end()
-                self.pos = end
-                return _Token("pname", (name, local), start)
-            self.pos = end
-            if name.lower() in _KEYWORDS:
-                return _Token("keyword", name.lower(), start)
-            if name == "a":
-                return _Token("a", "a", start)
-            self.error(f"unexpected identifier {name!r}")
-        self.error(f"unexpected character {ch!r}")
 
-    def _angle(self, start: int) -> _Token:
-        # '<' opens an IRI only if '>' arrives before any whitespace;
-        # otherwise it is a comparison operator.
-        text = self.text
-        i = start + 1
-        while i < len(text) and not text[i].isspace():
-            if text[i] == ">":
-                self.pos = i + 1
-                return _Token("iri", text[start + 1 : i], start)
-            i += 1
-        if text.startswith("<=", start):
-            self.pos = start + 2
-            return _Token("<=", "<=", start)
-        self.pos = start + 1
-        return _Token("<", "<", start)
-
-    def _string(self, start: int) -> _Token:
-        text = self.text
-        chars = []
-        i = start + 1
-        while True:
-            if i >= len(text) or text[i] == "\n":
-                self.error("unterminated string")
-            ch = text[i]
-            if ch == '"':
-                self.pos = i + 1
-                return _Token("string", "".join(chars), start)
-            if ch == "\\":
-                if i + 1 >= len(text):
-                    self.error("unterminated escape")
-                esc = text[i + 1]
-                mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(esc)
-                if mapped is None:
-                    self.error(f"unknown escape '\\{esc}'")
-                chars.append(mapped)
-                i += 2
-            else:
-                chars.append(ch)
-                i += 1
+def _tokens(text: str) -> list[_Token]:
+    """The tokens of a query, the last of kind "eof"; a bad one raises
+    QueryParseError at its start (an unknown identifier, at its end)."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # the empty match at the end
+            break
+        word = m[kind]
+        start = m.start(kind)
+        if kind == "op" or word == "a":  # 'a' is rdf:type, a token of its own
+            out.append(_Token(word, word, start))
+        elif kind == "var" or kind == "lang":
+            out.append(_Token(kind, word[1:], start))
+        elif kind == "iri":
+            out.append(_Token(kind, word[1:-1], start))
+        elif kind == "string":
+            out.append(_Token(kind, _unescape(word[1:-1]), start))
+        elif kind == "int":
+            out.append(_Token(kind, int(word), start))
+        elif kind == "pname":
+            out.append(_Token(kind, tuple(word.split(":")), start))
+        elif kind == "bad":
+            raise QueryParseError(_bad_token(text, start), start)
+        elif word.lower() in _KEYWORDS:
+            out.append(_Token("keyword", word.lower(), start))
+        else:
+            raise QueryParseError(f"unexpected identifier {word!r}", m.end())
+    out.append(_Token("eof", None, len(text)))
+    return out
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text).tokens()
+        self.toks = _tokens(text)
         self.i = 0
 
     def peek(self) -> _Token:
@@ -301,7 +248,7 @@ class _Parser:
             ast.limit = tok.value
         if self.peek().kind != "eof":
             self.error("unexpected trailing content")
-        _check(ast, self)
+        _check(ast)
         return ast
 
     def _aggregate(self, ast: QueryAST) -> CountAgg:
@@ -379,7 +326,7 @@ def _pattern_vars(ast: QueryAST) -> set[str]:
     return names
 
 
-def _check(ast: QueryAST, parser: _Parser) -> None:
+def _check(ast: QueryAST) -> None:
     def fail(message: str):
         raise QueryParseError(message, 0)
 

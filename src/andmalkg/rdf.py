@@ -31,8 +31,10 @@ with one regular expression each, mapping tokens it has seen straight to
 their ids; a new token is checked by _CHECKED_TOKEN_RE, and one that
 regex rejects is built into a term by its constructor, which checks it in
 full and so raises the same errors as ever.  Any other line
-(comments, blank nodes, escapes, language tags, other spacing) goes
-through the strict scanner.  Every spelling of a term gets the same id.
+(comments, blank nodes, escapes, language tags, other spacing) is read by
+_NT_LINE, the full N-Triples line grammar; where it stops short, the
+line's first defect is named with its line number.  Every spelling of a
+term gets the same id.
 The parse runs with the cyclic garbage collector suspended: it builds
 only acyclic containers, so a collection could free nothing.  The CLI
 keeps the collector suspended until it has frozen the loaded graph
@@ -77,15 +79,33 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import MalformedTermError, NTriplesParseError
 from .ns import PREFIXES, RDF_TYPE, XSD_STRING
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_IRI_FORBIDDEN_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-_BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
-# scanning form: no anchor, and the label may not end with '.'
-_BLANK_SCAN_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
-_LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
-# Conservative subset of Turtle's PN_LOCAL: good enough for every local
-# name this toolkit mints; anything else falls back to <...> form.
-_PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-.]*$")
+# The term grammar, spelled once: every term check, token regex and
+# scanner in the package is built from these fragments.  A blank node label
+# may not end in '.' (the N-Triples BLANK_NODE_LABEL).
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
+_IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'  # the body of a character class
+_LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_BLANK_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+_SCHEME_RE = re.compile(_SCHEME)
+_IRI_FORBIDDEN_RE = re.compile(f"[{_IRI_FORBIDDEN}]")
+_LANG_TAG_RE = re.compile(_LANG)
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
+# One escape: a character of _UNESCAPES, or a code point in hex.
+_ESCAPE = (
+    r"\\(?:[" + re.escape("".join(_UNESCAPES)) + r"]|u[0-9A-Fa-f]{4}|U00(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4})"
+)
+_ESCAPE_RE = re.compile(_ESCAPE)
+# The text between a literal's quotes.
+_LITERAL_BODY = rf'[^"\\]*(?:{_ESCAPE}[^"\\]*)*'
+
+
+def _unescape(body: str) -> str:
+    """The text a literal's or a query string's body spells."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda e: _UNESCAPES.get(e[0][1:]) or chr(int(e[0][2:], 16)), body)
 
 
 @dataclass(frozen=True)
@@ -110,7 +130,7 @@ class Literal:
 
     def __post_init__(self):
         if self.language is not None:
-            if not _LANG_TAG_RE.match(self.language):
+            if not _LANG_TAG_RE.fullmatch(self.language):
                 raise MalformedTermError(f"bad language tag: {self.language!r}")
             # the N-Triples form of a tagged literal has no room for a datatype
             if self.datatype != XSD_STRING:
@@ -131,7 +151,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not _BLANK_LABEL_RE.match(self.label):
+        if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise MalformedTermError(f"bad blank node label: {self.label!r}")
 
     def __repr__(self):
@@ -140,8 +160,7 @@ class BlankNode:
 
 Term = Union[IRI, Literal, BlankNode]
 
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPES = str.maketrans({char: "\\" + code for code, char in _UNESCAPES.items()})
 
 
 def _literal_token(lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> str:
@@ -187,35 +206,28 @@ class Triple:
         )
 
 
-_IRI_TOKEN = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
+_IRI_TOKEN = f"<{_SCHEME}[^{_IRI_FORBIDDEN}]*>"
 # A token this regex accepts is canonical and passes the IRI and Literal
 # constructor checks: an IRI, or a literal without escapes, raw tab, CR or
 # newline, language tag or explicit ^^xsd:string, whose datatype is an IRI.
 _CHECKED_TOKEN_RE = re.compile(
     _IRI_TOKEN + r'|"[^"\\\t\r\n]*"(?:\^\^(?!<' + re.escape(XSD_STRING) + ">)" + _IRI_TOKEN + ")?"
 )
-_LEXICAL_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
-_UNESCAPE_RE = re.compile(r"\\(.)", re.S)
+# A literal token: its body, then its datatype or language, if any.
+_LITERAL_RE = re.compile(f'"({_LITERAL_BODY})"(?:\\^\\^<([^>]*)>|@({_LANG}))?')
 
 
 def _literal_parts(token: str) -> tuple[str, str, Optional[str]]:
-    """(lexical, datatype, language) of a literal token that uses only the
-    escapes serialize_ntriples writes."""
+    """(lexical, datatype, language) of a literal token."""
     if token[-1] == '"' and "\\" not in token:  # the common plain literal
         return token[1:-1], XSD_STRING, None
     if "\\" in token:
-        m = _LEXICAL_RE.match(token)
-        lexical = _UNESCAPE_RE.sub(lambda e: _UNESCAPES[e[1]], m[1])
-        close = m.end(1)
-    else:
-        close = token.index('"', 1)
-        lexical = token[1:close]
-    suffix = token[close + 1 :]
-    if not suffix:
-        return lexical, XSD_STRING, None
-    if suffix[0] == "@":
-        return lexical, XSD_STRING, suffix[1:]
-    return lexical, suffix[3:-1], None  # suffix is ^^<datatype>
+        body, datatype, language = _LITERAL_RE.fullmatch(token).groups()
+        return _unescape(body), XSD_STRING if datatype is None else datatype, language
+    close = token.index('"', 1)
+    if token[close + 1] == "@":
+        return token[1:close], XSD_STRING, token[close + 2 :]
+    return token[1:close], token[close + 4 : -1], None  # suffix is ^^<datatype>
 
 
 def _build_term(token: str) -> Term:
@@ -468,111 +480,76 @@ def serialize_ntriples(graph: Graph) -> str:
     return "".join(_ntriples_lines(graph))
 
 
-class _LineCursor:
-    """Single-line scanner for the N-Triples grammar."""
+# One N-Triples term, with five groups: an IRI's text, or a literal's body
+# and its datatype or language, or a blank node label.
+_NT_TERM = f'<([^>]*)>|"({_LITERAL_BODY})"(?:\\^\\^[ \t]*<([^>]*)>|@({_LANG}))?|_:({_BLANK_LABEL})'
+# A line: three terms, " ." and an optional comment, with spaces and tabs
+# between.  Each part is optional after the one before, so the regex always
+# matches, as far as the line is well formed, and never backtracks into a
+# term it has read: each term is read greedily, left to right, as the
+# grammar reads it.  Only lines off the canonical fast path use it, so it is
+# compiled on first use (re caches it), not on every import.
+_NT_LINE = "[ \t]*(?:(?:{0})[ \t]*(?:(?:{0})[ \t]*(?:(?:{0})[ \t]*(?:(\\.)[ \t]*(?:#.*)?)?)?)?)?".format(
+    _NT_TERM
+)
 
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
 
-    def error(self, message: str):
-        raise NTriplesParseError(message, self.lineno)
+def _nt_line_error(line: str, pos: int, parts: int) -> str:
+    """What is wrong at pos, where _NT_LINE stopped after parts parts
+    (terms, then the dot) of line."""
+    ch = line[pos : pos + 1]
+    if line[pos - 1 : pos] == '"':  # right after a literal's closing quote
+        if line.startswith("^^", pos):
+            after = line[pos + 2 :].lstrip(" \t")
+            return "unterminated IRI" if after[:1] == "<" else "expected datatype IRI after '^^'"
+        if ch == "@":
+            return "bad language tag"
+    if parts == 4:
+        return "unexpected trailing content after '.'"
+    if parts == 3:
+        return "missing terminating '.'"
+    if not ch:
+        return "unexpected end of line, expected a term"
+    if ch == "<":
+        return "unterminated IRI"
+    if ch == "_":
+        return "bad blank node label" if line.startswith("_:", pos) else "expected '_:' blank node"
+    if ch != '"':
+        return f"expected IRI, literal, or blank node at column {pos + 1}"
+    end = re.compile(_LITERAL_BODY).match(line, pos + 1).end()
+    if end == len(line):
+        return "unterminated literal"
+    escape = line[end + 1 : end + 2]  # the body stopped at a backslash
+    if not escape:
+        return "unterminated escape in literal"
+    if escape in "uU":
+        return f"bad \\{escape} escape in literal"
+    return f"unknown escape '\\{escape}' in literal"
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text) or self.text[self.pos] == "#"
-
-    def take_term(self) -> Term:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of line, expected a term")
-        ch = self.text[self.pos]
-        if ch == "<":
-            return self._take_iri()
-        if ch == '"':
-            return self._take_literal()
-        if ch == "_":
-            return self._take_blank()
-        self.error(f"expected IRI, literal, or blank node at column {self.pos + 1}")
-
-    def _take_iri(self) -> IRI:
-        end = self.text.find(">", self.pos + 1)
-        if end == -1:
-            self.error("unterminated IRI")
-        raw = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        try:
-            return IRI(raw)
-        except MalformedTermError as exc:
-            self.error(str(exc))
-
-    def _take_blank(self) -> BlankNode:
-        if not self.text.startswith("_:", self.pos):
-            self.error("expected '_:' blank node")
-        m = _BLANK_SCAN_RE.match(self.text, self.pos + 2)
-        if not m:
-            self.error("bad blank node label")
-        label = m.group(0)
-        self.pos = m.end()
-        return BlankNode(label)
-
-    def _take_literal(self) -> Literal:
-        chars: list[str] = []
-        i = self.pos + 1
-        text = self.text
-        while True:
-            if i >= len(text):
-                self.error("unterminated literal")
-            ch = text[i]
-            if ch == '"':
-                i += 1
-                break
-            if ch == "\\":
-                if i + 1 >= len(text):
-                    self.error("unterminated escape in literal")
-                esc = text[i + 1]
-                if esc in _UNESCAPES:
-                    chars.append(_UNESCAPES[esc])
-                    i += 2
-                elif esc == "u" or esc == "U":
-                    width = 4 if esc == "u" else 8
-                    hexpart = text[i + 2 : i + 2 + width]
-                    if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                        self.error(f"bad \\{esc} escape in literal")
-                    chars.append(chr(int(hexpart, 16)))
-                    i += 2 + width
-                else:
-                    self.error(f"unknown escape '\\{esc}' in literal")
-            else:
-                chars.append(ch)
-                i += 1
-        self.pos = i
-        lexical = "".join(chars)
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != "<":
-                self.error("expected datatype IRI after '^^'")
-            dt = self._take_iri()
-            return Literal(lexical, datatype=dt.value)
-        if self.pos < len(self.text) and self.text[self.pos] == "@":
-            m = re.match(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)", self.text[self.pos :])
-            if not m:
-                self.error("bad language tag")
-            self.pos += m.end()
-            return Literal(lexical, language=m.group(1))
-        return Literal(lexical)
-
-    def take_dot(self) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ".":
-            self.error("missing terminating '.'")
-        self.pos += 1
+def _scan_line(line: str, lineno: int) -> Triple:
+    """The triple of one N-Triples line that is not blank or a comment.
+    Its terms are built in line order, so the first bad IRI raises; else
+    the line's first defect, read from the left, raises NTriplesParseError."""
+    m = re.match(_NT_LINE, line)
+    groups = m.groups()
+    terms: list[Term] = []
+    try:
+        for k in range(0, 15, 5):
+            iri, body, datatype, language, label = groups[k : k + 5]
+            if iri is not None:
+                terms.append(IRI(iri))
+            elif body is not None:
+                dt = XSD_STRING if datatype is None else IRI(datatype).value
+                terms.append(Literal(_unescape(body), dt, language))
+            elif label is not None:
+                terms.append(BlankNode(label))
+        parts = len(terms) + (groups[15] is not None)
+        if parts < 4 or m.end() < len(line):
+            raise NTriplesParseError(_nt_line_error(line, m.end(), parts), lineno)
+        return Triple(*terms)
+    except MalformedTermError as exc:
+        raise NTriplesParseError(str(exc), lineno) from exc
 
 
 # A line as serialize_ntriples writes it when no term needs an escape, a
@@ -598,10 +575,12 @@ class _collector_paused:
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text (with '#' comments and blank lines) into a Graph.
+    Only a newline ends a line: a caller reading a file reads CRLF and a
+    lone CR as a newline first, as the CLI does.
 
     Lines in the canonical form this module writes take a fast path: each
     token already seen maps straight to its id, and only a new token is
-    checked.  Any other line goes through the strict _LineCursor scanner.
+    checked.  Any other line is read by the full line grammar (_scan_line).
     Every spelling of a term gets the same id.  The cyclic garbage
     collector is suspended while parsing and left as it was found.
     """
@@ -630,19 +609,8 @@ def parse_ntriples(text: str) -> Graph:
                 add(s, p, o)
                 continue
             stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cur = _LineCursor(raw, lineno)
-            subject = cur.take_term()
-            predicate = cur.take_term()
-            obj = cur.take_term()
-            cur.take_dot()
-            if not cur.at_end():
-                cur.error("unexpected trailing content after '.'")
-            try:
-                graph.insert(Triple(subject, predicate, obj))
-            except MalformedTermError as exc:
-                raise NTriplesParseError(str(exc), lineno) from exc
+            if stripped and stripped[0] != "#":
+                graph.insert(_scan_line(raw, lineno))
         return graph
 
 
@@ -788,7 +756,10 @@ def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -
     for prefix, namespace in prefixes.items():
         if value.startswith(namespace) and (best is None or len(namespace) > len(prefixes[best])):
             local = value[len(namespace) :]
-            if _PN_LOCAL_RE.match(local) and not local.endswith("."):
+            # Turtle's PN_LOCAL, cut down to ASCII without ':' or escapes, has
+            # the grammar of a blank node label: enough for every local name
+            # this toolkit mints; anything else falls back to <...> form
+            if _BLANK_LABEL_RE.fullmatch(local):
                 best = prefix
     if best is not None:
         return f"{best}:{value[len(prefixes[best]):]}"

@@ -30,7 +30,7 @@ from .ns import (
     andmal,
     malont,
 )
-from .rdf import Graph, IRI, _each, _literal_parts, term_to_ntriples
+from .rdf import _SCHEME_RE, Graph, IRI, _each, _literal_parts, term_to_ntriples
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ def _literal_value_ok(datatype: str, lexical: str) -> bool:
         except ValueError:
             return False
     if datatype == XSD_ANYURI:
-        return re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:", lexical) is not None
+        return _SCHEME_RE.match(lexical) is not None
     # unknown datatype tags cannot be checked, so they fail closed
     return False
 

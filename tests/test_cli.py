@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -886,6 +887,82 @@ def test_merged_ingest_reads_crlf_line_ends_as_newlines(tmp_path, capsys, multif
         ingested.append((got, graph.read_bytes()))
     assert ingested[0] == ingested[1]
     assert ingested[0][0][0] == 0
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+def test_read_commands_read_crlf_and_cr_line_ends_as_newlines(tmp_path, capsys, multifam_graph, line_end):
+    # the rule ingest follows; the snapshot stays keyed on the raw bytes
+    text = serialize_ntriples(multifam_graph)
+    lf, other = tmp_path / "lf.nt", tmp_path / "other.nt"
+    lf.write_bytes(text.encode("utf-8"))
+    other.write_bytes(text.replace("\n", line_end).encode("utf-8"))
+    for command in READ_COMMANDS:
+        for graph in (lf, other):
+            cli_mod._snapshot_path(graph).unlink(missing_ok=True)
+        want = run(capsys, "--graph", str(lf), *command)
+        assert run(capsys, "--graph", str(other), *command) == want
+        assert want[0] == 0 and want[1]
+    snapshot = cli_mod._snapshot_path(other).read_bytes()
+    key = hashlib.sha256(other.read_bytes()).digest()
+    assert rdf_mod.load_snapshot(snapshot, key) == multifam_graph
+
+
+def test_only_newline_characters_end_a_graph_file_line(tmp_path, capsys):
+    # U+2028 and the other characters str.splitlines breaks at stay inside
+    # a literal
+    line = f'<{ANDMAL}file_x> <{ANDMAL}hasFileName> "a\u2028b\x85c\x0bd\x0ce\x1cf" .\n'
+    graph = tmp_path / "graph.nt"
+    for text in (line, line.replace("\n", "\r\n")):
+        graph.write_bytes(text.encode("utf-8"))
+        cli_mod._snapshot_path(graph).unlink(missing_ok=True)
+        assert run(capsys, "--graph", str(graph), "emit") == (0, line, "")
+
+
+def _not_utf8_at_line_3(path, line_end="\n"):
+    lines = [f"<{ANDMAL}file_{i}> <{RDF_TYPE}> <{ANDMAL}File> .{line_end}".encode("utf-8") for i in range(5)]
+    lines[2] = lines[2].replace(b"File>", b"Fil\xff>")
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("command", [
+    ["stats", "--by", "family"], ["query", str(QUERIES / "use_case_6.rq")], ["validate"], ["emit"],
+    ["ingest", "--fixtures", str(FIXTURES / "multifam")],
+])
+def test_graph_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, line_end):
+    graph = tmp_path / "graph.nt"
+    _not_utf8_at_line_3(graph, line_end)
+    before = graph.read_bytes(), graph.stat().st_mtime_ns
+    assert run(capsys, "--graph", str(graph), *command) == (1, "", f"error: {graph}: line 3: not UTF-8\n")
+    assert (graph.read_bytes(), graph.stat().st_mtime_ns) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+
+
+def test_query_file_that_is_not_utf8_fails_cleanly(table1_store, tmp_path, capsys):
+    qfile = tmp_path / "q.rq"
+    qfile.write_bytes(b"SELECT ?s WHERE { ?s ?p ?o }\n# \xff\n")
+    rc, out, err = run(capsys, "--graph", str(table1_store), "query", str(qfile))
+    assert (rc, out, err) == (1, "", f"error: {qfile}: line 2: not UTF-8\n")
+
+
+def test_query_with_a_non_ascii_digit_fails_cleanly(table1_store, tmp_path, capsys):
+    qfile = tmp_path / "q.rq"
+    qfile.write_text("SELECT ?s WHERE { ?s ?p ² }", encoding="utf-8")
+    rc, out, err = run(capsys, "--graph", str(table1_store), "query", str(qfile))
+    assert (rc, out, err) == (1, "", "error: at offset 24: unexpected character '²'\n")
+
+
+def test_ingest_skips_a_fixture_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ok.json").write_text(
+        json.dumps({"sha256_hash": "c" * 64, "file_name": "ok.apk"}), encoding="utf-8"
+    )
+    (corpus / "latin1.json").write_bytes(b'{"sha256_hash": "' + b"d" * 64 + b'", "file_name": "caf\xe9.apk"}')
+    rc, out, err = run(capsys, "--graph", str(tmp_path / "g.nt"), "ingest", "--fixtures", str(corpus))
+    assert rc == 0
+    assert "reports: 1" in out
+    assert err.startswith("warning: latin1.json: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_merged_ingest_reads_the_old_family_of_a_touched_malware(tmp_path, capsys, monkeypatch, multifam_graph):

@@ -48,9 +48,9 @@ def test_slug_rule():
     assert slug("two  spaces&more") == "two_spaces_more"
 
 
-def test_minimal_report_emits_exactly_eight_triples(registry):
+def test_minimal_report_emits_exactly_eight_triples():
     report = report_from_record(record())
-    triples = report_to_triples(report, registry)
+    triples = report_to_triples(report)
     f = IRI(andmal(f"file_{SHA_A}"))
     m = IRI(andmal(f"malware_{SHA_A}"))
     h = IRI(andmal(f"sha256_{SHA_A}"))
@@ -245,9 +245,9 @@ def test_full_report_validates_and_links(registry):
     assert sizes[0].object == Literal("1000", datatype=XSD_INTEGER)
 
 
-def test_two_tags_make_two_tag_nodes(registry):
+def test_two_tags_make_two_tag_nodes():
     report = report_from_record(record(tags=["banker", "stealer"]))
-    triples = report_to_triples(report, registry)
+    triples = report_to_triples(report)
     tag_edges = [t for t in triples if t.predicate == IRI(andmal("hasTag"))]
     assert len(tag_edges) == 2
     assert len({t.object for t in tag_edges}) == 2
@@ -439,11 +439,11 @@ def test_empty_corpus_changes_nothing(registry):
     assert len(g) == 0
 
 
-def _triples_graph(reports, registry):
+def _triples_graph(reports):
     """The reports' subgraphs inserted Triple by Triple."""
     g = Graph()
     for report in reports:
-        g.insert_all(report_to_triples(report, registry))
+        g.insert_all(report_to_triples(report))
     return g
 
 
@@ -455,7 +455,7 @@ def test_ingest_corpus_equals_inserting_report_triples(registry, table1_reports,
     reports = table1_reports + multifam_reports
     g = Graph()
     summary = ingest_corpus(reports, registry, g)
-    expected = _triples_graph(reports, registry)
+    expected = _triples_graph(reports)
     assert g == expected
     assert summary.triples_added == len(g) == 2540
     text = serialize_ntriples(g)
@@ -493,7 +493,7 @@ def test_escaped_and_non_ascii_text_round_trips(registry):
     g = Graph()
     summary = ingest_corpus([report], registry, g)
     assert summary.violations == []
-    assert g == _triples_graph([report], registry)
+    assert g == _triples_graph([report])
     text = serialize_ntriples(g)
     assert '"asay \\"hi\\" \\\\ back\\nslash\\tü 漢字 \u2028.apk"' in text
     assert parse_ntriples(text) == g

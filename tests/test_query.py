@@ -128,6 +128,62 @@ def test_parse_rejects_malformed_queries(text):
         parse_query(text)
 
 
+_W = "SELECT ?s WHERE { ?s ?p "
+_L = "SELECT ?s WHERE { ?s ?p ?o } LIMIT"
+
+
+# Every error the tokenizer raises, with its offset: the start of the bad
+# token, except an unknown identifier, reported at its end.  The last rows
+# pin token positions through the parser's errors: '<' opens an IRI only
+# when '>' comes before any whitespace, Unicode whitespace separates tokens.
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("SELECT ? WHERE { ?s ?p ?o }", "expected a variable name after '?'", 7),
+        ("SELECT ?1 WHERE { ?s ?p ?o }", "expected a variable name after '?'", 7),
+        (_W + '"v"^<http://e.org/dt> }', "stray '^'", 27),
+        (_W + '"v"@ }', "expected a language tag after '@'", 27),
+        (_W + '"v"@1 }', "expected a language tag after '@'", 27),
+        (_L + "S 3", "unexpected identifier 'LIMITS'", 35),
+        ("SELECT ?s WHERE { ?s foo ?o }", "unexpected identifier 'foo'", 24),
+        ("SELECT ?s WHERE { ?s ?p ?o } !", "unexpected character '!'", 29),
+        (_W + "- }", "unexpected character '-'", 24),
+        (_W + '"unterminated }', "unterminated string", 24),
+        (_W + '"line\nbreak" }', "unterminated string", 24),
+        (_W + '"ends in a backslash\\', "unterminated escape", 24),
+        (_W + '"\\q" }', "unknown escape '\\q'", 24),
+        (_W + '"\\u0041" }', "unknown escape '\\u'", 24),
+        (_W + '"\\\n" }', "unknown escape '\\\n'", 24),
+        (_W + "<no-scheme> }", "not an absolute IRI (missing scheme): 'no-scheme'", 24),
+        (_W + "<a b> }", "unexpected identifier 'b'", 28),
+        (_W + '"v"@en-1x . } LIMIT x', "unexpected identifier 'x'", 45),
+        ("PREFIX x <http://e.org/> SELECT ?s WHERE { ?s ?p ?o }", "unexpected identifier 'x'", 8),
+        (_L + " <= 3", "expected 'int'", 35),
+        (_L + " < 3", "expected 'int'", 35),
+        (_L + " <x y>", "unexpected identifier 'x'", 37),
+        (_L + "\xa0>= 3", "expected 'int'", 35),
+        (_L + " ^^", "expected 'int'", 35),
+        (_L + " \x1c\x1d x", "unexpected identifier 'x'", 39),
+        (_L + " 3 ٣", "unexpected trailing content", 37),
+    ],
+)
+def test_tokenizer_errors_keep_their_message_and_position(text, message, position):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert err.value.position == position
+    assert str(err.value) == f"at offset {position}: {message}"
+
+
+def test_a_non_ascii_digit_is_a_parse_error_not_a_crash():
+    with pytest.raises(QueryParseError) as err:
+        parse_query("SELECT ?s WHERE { ?s ?p ² }")
+    assert str(err.value) == "at offset 24: unexpected character '²'"
+    with pytest.raises(QueryParseError):
+        parse_query("SELECT ?s WHERE { ?s ?p 1² }")
+    # a decimal digit of another script is still a digit
+    assert parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT ٣").limit == 3
+
+
 def test_trailing_dot_optional():
     a = parse_query("SELECT ?s WHERE { ?s ?p ?o . }")
     b = parse_query("SELECT ?s WHERE { ?s ?p ?o }")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import marshal
 import random
+import string
 import sys
 
 import pytest
@@ -393,8 +394,8 @@ def test_lazily_built_terms_equal_the_strict_scanners():
         parsed = parse_ntriples(serialize_ntriples(g))
         for i, token in enumerate(parsed._tokens):
             built = rdf_mod._build_term(token)
-            assert built == rdf_mod._LineCursor(token, 1).take_term()
-            assert hash(built) == hash(rdf_mod._LineCursor(token, 1).take_term())
+            assert built == rdf_mod._scan_line(f"{S} {P} {token} .", 1).object
+            assert hash(built) == hash(rdf_mod._scan_line(f"{S} {P} {token} .", 1).object)
             assert term_to_ntriples(built) == token
             assert parsed._term(i) == built
             shapes |= _shape(built, token)
@@ -427,6 +428,112 @@ def test_bad_new_tokens_fail_as_the_term_checks_do(line, message):
         parse_ntriples(text)
     assert err.value.line == 3
     assert str(err.value) == f"line 3: {message}"
+
+
+# Every error the strict path for non-canonical lines raises, with the line
+# it names: a defect is reported where a left-to-right reading meets it, and
+# a bad IRI in an earlier term comes before a syntax error after it.
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f"{S} {P}", "unexpected end of line, expected a term"),
+        (f"{S} {P}   ", "unexpected end of line, expected a term"),
+        (f"{S} {P} unquoted .", "expected IRI, literal, or blank node at column 47"),
+        (f"\t{S} {P} 42 .", "expected IRI, literal, or blank node at column 48"),
+        (f"\x0c{S} {P} {O} .", "expected IRI, literal, or blank node at column 1"),
+        (f'"v"^x {P} {O} .', "expected IRI, literal, or blank node at column 4"),
+        (f"_:a_:b {O} .", "expected IRI, literal, or blank node at column 5"),
+        (f"{S} {P} <http://e.org/o", "unterminated IRI"),
+        (f'{S} {P} "v"^^<http://e.org/dt .', "unterminated IRI"),
+        (f'{S} {P} "v"^^ <http://e.org/dt .', "unterminated IRI"),
+        (f"{S} {P} <http://e.org/a b> .", "IRI contains forbidden character: 'http://e.org/a b'"),
+        (f"{S} {P} <http://e.org/x\ry> .", "IRI contains forbidden character: 'http://e.org/x\\ry'"),
+        (f"{S} {P} <no-scheme> .", "not an absolute IRI (missing scheme): 'no-scheme'"),
+        (f'{S} {P} "v"^^<no-scheme> .', "not an absolute IRI (missing scheme): 'no-scheme'"),
+        (f'{S} {P} "v"^^ <http://e.org/a b>.', "IRI contains forbidden character: 'http://e.org/a b'"),
+        (f"<no-scheme> {P} {O} junk", "not an absolute IRI (missing scheme): 'no-scheme'"),
+        (f'{S} <http://e.org/a b> "unterminated', "IRI contains forbidden character: 'http://e.org/a b'"),
+        (f"{S} {P} _x .", "expected '_:' blank node"),
+        (f"{S} {P} _:.a .", "bad blank node label"),
+        (f"{S} {P} _: .", "bad blank node label"),
+        (f'{S} {P} "unterminated .', "unterminated literal"),
+        (f'{S} {P} "ends in a backslash\\', "unterminated escape in literal"),
+        (f'{S} {P} "\\u12G4" .', "bad \\u escape in literal"),
+        (f'{S} {P} "\\u12" .', "bad \\u escape in literal"),
+        (f'{S} {P} "\\U0001F40" .', "bad \\U escape in literal"),
+        (f'{S} {P} "\\q" .', "unknown escape '\\q' in literal"),
+        (f'{S} {P} "a\\\\\\x" .', "unknown escape '\\x' in literal"),
+        (f'{S} {P} "v"^^http://e.org/dt .', "expected datatype IRI after '^^'"),
+        (f'{S} {P} "v"^^ .', "expected datatype IRI after '^^'"),
+        (f'{S} {P} "v"@ .', "bad language tag"),
+        (f'{S} {P} "v"@1en .', "bad language tag"),
+        (f'{S} {P} "v"@-en .', "bad language tag"),
+        (f"{S} {P} {O}", "missing terminating '.'"),
+        (f"{S} {P} {O} ,", "missing terminating '.'"),
+        (f'{S} {P} "v" ^^<http://e.org/dt> .', "missing terminating '.'"),
+        (f'{S} {P} "v" @en .', "missing terminating '.'"),
+        (f'{S} {P} "v"^<http://e.org/dt> .', "missing terminating '.'"),
+        (f'{S} {P} "v"@en-.', "missing terminating '.'"),
+        (f"{S} {P} {O} . extra", "unexpected trailing content after '.'"),
+        (f"{S} {P} {O} .\r", "unexpected trailing content after '.'"),
+        (f"{S} {P} {O} . .", "unexpected trailing content after '.'"),
+        (f"{S} {P} {O} .\u2028", "unexpected trailing content after '.'"),
+        (f"{S} {P} _:a. .", "unexpected trailing content after '.'"),
+        (f"{S} {P} _:a..", "unexpected trailing content after '.'"),
+        (f"{S}{P}{O}.x", "unexpected trailing content after '.'"),
+        (f"{S} {P} {O} .<x>", "unexpected trailing content after '.'"),
+        (f'"v" {P} {O} .', "subject must be an IRI or blank node: Literal('v')"),
+        (f"{S} _:b {O} .", "predicate must be an IRI: BlankNode('b')"),
+        (f'{S} "p" {O} .', "predicate must be an IRI: Literal('p')"),
+    ],
+)
+def test_strict_line_errors_keep_their_message_and_line(line, message):
+    text = f'{S} {P} "first" .\n# comment\n{line}\n{S} {P} "last" .\n'
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("escape", ["\\U00110000", "\\UFFFFFFFF"])
+def test_an_escape_beyond_unicode_is_a_parse_error(escape):
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(f'{S} {P} "{escape}" .\n')
+    assert str(err.value) == "line 1: bad \\U escape in literal"
+
+
+def test_one_rule_for_blank_node_labels_and_language_tags():
+    # the constructors check with the scanner's grammar: a label may not end
+    # in '.', and neither may carry a trailing newline
+    with pytest.raises(MalformedTermError) as err:
+        BlankNode("a.")
+    assert str(err.value) == "bad blank node label: 'a.'"
+    for label in ("", ".a", "a b", "a\n", "é"):
+        with pytest.raises(MalformedTermError):
+            BlankNode(label)
+    with pytest.raises(MalformedTermError):
+        Literal("x", language="en\n")
+
+
+def _random_label(rng: random.Random) -> str:
+    first = string.ascii_letters + string.digits + "_"
+    middle = "".join(rng.choice(first + ".-") for _ in range(rng.randint(0, 5)))
+    return rng.choice(first) + (middle + rng.choice(first + "-") if middle else "")
+
+
+def test_random_blank_labels_round_trip_through_ntriples_and_turtle():
+    rng = random.Random(43)
+    for _ in range(60):
+        g = Graph()
+        for _ in range(rng.randint(1, 25)):
+            a, b = BlankNode(_random_label(rng)), BlankNode(_random_label(rng))
+            g.insert(Triple(a, IRI("http://example.org/p"), b))
+            g.insert(Triple(IRI("http://example.org/s"), IRI("http://example.org/q"), a))
+        text = serialize_ntriples(g)
+        assert parse_ntriples(text) == g
+        # with no space before the dot, a label still stops where it must
+        assert parse_ntriples(text.replace(" .\n", ".\n")) == g
+        assert parse_turtle(serialize_turtle(g)) == ntriples_as_tuples(text)
 
 
 @pytest.mark.parametrize(
