@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
-from .rdf import _SCHEME_RE, Graph, Triple, _checked_term, _literal_token as _literal
+from .rdf import _SCHEME_RE, _SURROGATE_RE, Graph, Triple, _checked_term, _literal_token as _literal
 from .schema import (
     HASH_KINDS,
     SchemaRegistry,
@@ -278,6 +278,11 @@ def _parse_code_sign(raw) -> Optional[CertInfo]:
 
 def report_from_record(record: dict) -> MalwareReport:
     """Map one MalwareBazaar-shaped record to a validated MalwareReport."""
+    return _without_lone_surrogates(_report(record))
+
+
+def _report(record: dict) -> MalwareReport:
+    """report_from_record, except that a text may hold a lone surrogate."""
     if not isinstance(record, dict):
         raise ReportParseError("report record is not a JSON object")
     sha256_kind, *optional_kinds, vhash_kind = HASH_KINDS
@@ -367,13 +372,32 @@ def report_from_record(record: dict) -> MalwareReport:
     )
 
 
+def _without_lone_surrogates(report: MalwareReport) -> MalwareReport:
+    """The report, unless one of its texts holds a lone surrogate, which no
+    term may hold (a JSON escape such as \\ud800 spells one): then
+    InvalidReportError names the text's record field."""
+    for name, value in vars(report).items():
+        if value is None or type(value) is int:
+            continue
+        for part in value if type(value) is tuple else (value,):  # a tuple of texts or records
+            for text in (part,) if type(part) is str else vars(part).values():
+                if type(text) is str and not text.isascii() and _SURROGATE_RE.search(text):
+                    key = "code_sign" if name == "certificate" else name
+                    raise InvalidReportError(f"{key} holds a lone surrogate: {text!r}", field=key)
+    return report
+
+
 def parse_report(document: str) -> MalwareReport:
     """Parse one JSON report document."""
     try:
         record = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ReportParseError(f"not valid JSON: {exc}") from exc
-    return report_from_record(record)
+    report = _report(record)
+    # only a non-ASCII character or a \u escape can spell a lone surrogate
+    if document.isascii() and "\\u" not in document:
+        return report
+    return _without_lone_surrogates(report)
 
 
 def mint_iris(report: MalwareReport) -> dict[str, str]:

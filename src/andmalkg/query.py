@@ -7,8 +7,12 @@ ORDER BY ASC()/DESC(), and LIMIT.  No OPTIONAL, FILTER, UNION, DISTINCT,
 or property paths.
 
 Evaluation runs on the graph's term ids (see rdf.Graph): the join binds
-ids, grouping keys on id tuples, and rows sort by the ids' cached
-canonical tokens.  Terms are built only for the cells a query returns.
+ids, reading the SPO/POS/OSP index leaves directly, grouping keys on id
+tuples, and rows sort by the ids' cached canonical tokens.  The result
+table carries those tokens, and format_results writes them as they are.
+Terms are built only for the cells a query returns, when a caller first
+reads the table's rows, and they belong to the table: the graph's term
+cache does not grow with the results.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .errors import QueryParseError, UnknownPrefixError
-from .ns import RDF_TYPE, XSD_INTEGER
-from .rdf import _LANG, _UNESCAPES, Graph, IRI, Literal, Term, _unescape, term_to_ntriples
+from .errors import MalformedTermError, QueryParseError, UnknownPrefixError
+from .ns import RDF_TYPE, XSD_INTEGER, XSD_STRING
+from .rdf import _LANG, _UNESCAPES, Graph, IRI, Literal, Term, _build_term, _unescape, term_to_ntriples
 
 _KEYWORDS = {
     "select",
@@ -75,10 +80,53 @@ class QueryAST:
     limit: Optional[int] = None
 
 
-@dataclass
 class ResultTable:
-    header: list[str]
-    rows: list[dict]  # header name -> Term | int
+    """A query's result: the header's names, and rows, one dict per row
+    mapping each name to a Term or, for a count, an int.
+
+    A table evaluate returns holds its cells: each row a list of the
+    terms' canonical N-Triples tokens and the counts, in header order.
+    format_results always writes the cells, so such a table's rows are for
+    reading: they are built from the cells on first read and then kept, and
+    their Terms belong to the table, not to the graph.  A table built as
+    ResultTable(header, rows) holds only rows, and formats those.
+    """
+
+    def __init__(self, header: list[str], rows: list[dict]):
+        self.header = header
+        self.rows = rows
+        self._cells: Optional[list[list]] = None
+
+    @classmethod
+    def _of_cells(cls, header: list[str], cells: list[list]) -> ResultTable:
+        table = cls.__new__(cls)
+        table.header = header
+        table._cells = cells
+        return table
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """Only a table built from cells gets here, on the first read."""
+        terms: dict[str, Term] = {}  # token -> term, one object per term
+
+        def cell_value(cell):
+            if type(cell) is int:
+                return cell
+            term = terms.get(cell)
+            if term is None:
+                term = terms[cell] = _build_term(cell)
+            return term
+
+        header = self.header
+        return [dict(zip(header, map(cell_value, row))) for row in self._cells]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.header, self.rows) == (other.header, other.rows)
+
+    def __repr__(self) -> str:
+        return f"ResultTable(header={self.header!r}, rows={self.rows!r})"
 
 
 class _Token(NamedTuple):
@@ -296,22 +344,24 @@ class _Parser:
         if position in ("subject", "predicate"):
             self.error(f"expected an IRI or variable in {position} position", tok)
         if tok.kind == "string":
-            lexical = tok.value
+            datatype, language = XSD_STRING, None
             nxt = self.peek()
             if nxt.kind == "^^":
                 self.take()
                 dt = self.take()
                 if dt.kind == "iri":
-                    return Literal(lexical, datatype=dt.value)
-                if dt.kind == "pname":
-                    return Literal(
-                        lexical, datatype=self._expand(dt.value[0], dt.value[1], ast, dt.pos).value
-                    )
-                self.error("expected a datatype IRI after '^^'", dt)
-            if nxt.kind == "lang":
+                    datatype = dt.value
+                elif dt.kind == "pname":
+                    datatype = self._expand(dt.value[0], dt.value[1], ast, dt.pos).value
+                else:
+                    self.error("expected a datatype IRI after '^^'", dt)
+            elif nxt.kind == "lang":
                 self.take()
-                return Literal(lexical, language=nxt.value)
-            return Literal(lexical)
+                language = nxt.value
+            try:
+                return Literal(tok.value, datatype, language)
+            except MalformedTermError as exc:  # a lone surrogate
+                self.error(str(exc), tok)
         if tok.kind == "int":
             return Literal(str(tok.value), datatype=XSD_INTEGER)
         self.error("expected a term in object position", tok)
@@ -378,6 +428,11 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], 
     constant the graph does not hold leaves no solutions and is not
     interned.  The next pattern is the one with the most bound positions,
     then the most constants.
+
+    A pattern's access path is chosen once.  With two positions bound, the
+    index leaf that holds the third (_spo[s][p], _pos[p][o] or _osp[o][s])
+    is read inline for each solution; any other pattern goes through
+    Graph._rows.
     """
     slots: dict[str, int] = {}
     for pat in patterns:
@@ -406,28 +461,67 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], 
         refs = remaining[k]
         return (sum(r in bound for r in refs), sum(r in consts for r in refs))
 
-    rows_of = graph._rows
+    # a free position -> the index whose leaves hold it, and the positions
+    # of that index's two keys
+    leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2), 1: (graph._osp, 2, 0)}
     solutions = [start]
     while remaining and solutions:
         refs = remaining.pop(max(range(len(remaining)), key=score))
-        probe = itemgetter(*(r if r in bound else 0 for r in refs))
-        first: dict[int, int] = {}  # slot -> position, for each variable bound here
-        same: list[tuple[int, int]] = []  # (position, first position) of a repeated one
-        for pos, r in enumerate(refs):
-            if r not in bound and first.setdefault(r, pos) != pos:
-                same.append((pos, first[r]))
-        next_solutions = []
-        for sol in solutions:
-            for row in rows_of(*probe(sol)):
-                if same and any(row[a] != row[b] for a, b in same):
-                    continue
-                extended = sol.copy()
-                for r, pos in first.items():
-                    extended[r] = row[pos]
-                next_solutions.append(extended)
-        solutions = next_solutions
+        free = [pos for pos, r in enumerate(refs) if r not in bound]
+        if len(free) == 1:
+            index, a, b = leaf_of[free[0]]
+            solutions = _extend(index, refs[a], refs[b], refs[free[0]], solutions)
+        else:
+            solutions = _scan(graph, refs, bound, solutions)
         bound.update(refs)
     return slots, solutions
+
+
+def _extend(index: dict, a: int, b: int, c: int, solutions: list[list]) -> list[list]:
+    """Each solution extended, in slot c, by every id of its index leaf
+    index[sol[a]][sol[b]]."""
+    extended = []
+    add = extended.append
+    inner_of = index.get
+    for sol in solutions:
+        inner = inner_of(sol[a])
+        if inner is None:
+            continue
+        leaf = inner.get(sol[b])
+        if leaf is None:
+            continue
+        if type(leaf) is int:  # a lone id, the common case
+            new = sol.copy()
+            new[c] = leaf
+            add(new)
+            continue
+        for i in leaf:
+            new = sol.copy()
+            new[c] = i
+            add(new)
+    return extended
+
+
+def _scan(graph: Graph, refs: list[int], bound: set[int], solutions: list[list]) -> list[list]:
+    """Each solution extended by every id triple Graph._rows gives for the
+    pattern refs."""
+    probe = itemgetter(*(r if r in bound else 0 for r in refs))
+    first: dict[int, int] = {}  # slot -> position, for each variable bound here
+    same: list[tuple[int, int]] = []  # (position, first position) of a repeated one
+    for pos, r in enumerate(refs):
+        if r not in bound and first.setdefault(r, pos) != pos:
+            same.append((pos, first[r]))
+    rows_of = graph._rows
+    extended = []
+    for sol in solutions:
+        for row in rows_of(*probe(sol)):
+            if same and any(row[a] != row[b] for a, b in same):
+                continue
+            new = sol.copy()
+            for r, pos in first.items():
+                new[r] = row[pos]
+            extended.append(new)
+    return extended
 
 
 _OPS = {
@@ -444,7 +538,9 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
 
     Rows sort by their cells in header order, then stably by the ORDER BY
     key, then LIMIT applies.  A column holds only counts or only terms, and
-    terms order by their canonical N-Triples text.
+    terms order by their canonical N-Triples text.  The table holds each
+    row's tokens and counts; Terms are built only for the cells a query
+    returns, when its rows are first read.
     """
     header = [
         f"?{item.name}" if isinstance(item, Var) else f"?{item.alias}"
@@ -452,45 +548,33 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
     ]
     counted = [isinstance(item, CountAgg) for item in ast.select]
     slots, solutions = _join(graph, ast.where)
+    tokens = graph._tokens
     if ast.group_by or any(counted):
         # ids are one-to-one with terms, so id tuples group like terms
         key_slots = [slots[v.name] for v in ast.group_by]
         groups = Counter(tuple([sol[k] for k in key_slots]) for sol in solutions)
         # a projected variable is grouped, so its id is in the group key
         at = {v.name: i for i, v in enumerate(ast.group_by)}
-        cells = [None if c else at[item.name] for item, c in zip(ast.select, counted)]
+        picks = [None if c else at[item.name] for item, c in zip(ast.select, counted)]
         having = ast.having
-        rows = [
-            [count if i is None else key[i] for i in cells]
+        cells = [
+            [count if i is None else tokens[key[i]] for i in picks]
             for key, count in groups.items()
             if having is None or _OPS[having.op](count, having.value)
         ]
     else:
         columns = [slots[item.name] for item in ast.select]
-        rows = [[sol[c] for c in columns] for sol in solutions]
+        cells = [[tokens[sol[c]] for c in columns] for sol in solutions]
 
-    tokens = graph._tokens
-    rows.sort(key=lambda row: [cell if c else tokens[cell] for cell, c in zip(row, counted)])
+    # a column holds only tokens or only counts, so rows compare cell by cell
+    cells.sort()
     if ast.order_by is not None:
         name, direction = ast.order_by
-        col = header.index(f"?{name}")
-        key = itemgetter(col) if counted[col] else (lambda row: tokens[row[col]])
         # stable sort, so rows tying on the key keep canonical order
-        rows.sort(key=key, reverse=(direction == "DESC"))
+        cells.sort(key=itemgetter(header.index(f"?{name}")), reverse=(direction == "DESC"))
     if ast.limit is not None:
-        rows = rows[: ast.limit]
-    terms = graph._terms
-    build = graph._term  # for a cell whose term is not built yet
-    return ResultTable(
-        header,
-        [
-            {
-                name: cell if c else terms[cell] or build(cell)
-                for name, cell, c in zip(header, row, counted)
-            }
-            for row in rows
-        ],
-    )
+        del cells[ast.limit :]
+    return ResultTable._of_cells(header, cells)
 
 
 def run_query(graph: Graph, text: str) -> ResultTable:
@@ -503,17 +587,26 @@ def _cell_text(value) -> str:
     return term_to_ntriples(value)
 
 
+def _text_rows(table: ResultTable) -> list[list[str]]:
+    """Each row's cells as text, in header order: an evaluated table's
+    tokens as they are, a hand-built table's Terms rendered."""
+    cells = table._cells
+    if cells is not None:
+        # a column holds only tokens or only counts, so one row shows which
+        if cells and int in map(type, cells[0]):
+            return [list(map(str, row)) for row in cells]
+        return cells
+    return [[_cell_text(row[name]) for name in table.header] for row in table.rows]
+
+
 def format_results(table: ResultTable, fmt: str) -> str:
     """Render results as 'tsv' or 'aligned-table' text."""
     if fmt == "tsv":
         lines = ["\t".join(table.header)]
-        for row in table.rows:
-            lines.append("\t".join(_cell_text(row[name]) for name in table.header))
+        lines += map("\t".join, _text_rows(table))
         return "\n".join(lines) + "\n"
     if fmt == "aligned-table":
-        cells = [table.header] + [
-            [_cell_text(row[name]) for name in table.header] for row in table.rows
-        ]
+        cells = [table.header] + _text_rows(table)
         widths = [max(len(r[i]) for r in cells) for i in range(len(table.header))]
         lines = []
         for r, row in enumerate(cells):

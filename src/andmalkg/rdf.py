@@ -81,9 +81,11 @@ from .ns import PREFIXES, RDF_TYPE, XSD_STRING
 
 # The term grammar, spelled once: every term check, token regex and
 # scanner in the package is built from these fragments.  A blank node label
-# may not end in '.' (the N-Triples BLANK_NODE_LABEL).
+# may not end in '.' (the N-Triples BLANK_NODE_LABEL).  No term holds a lone
+# surrogate (U+D800-U+DFFF), which UTF-8 cannot encode.
 _SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
-_IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'  # the body of a character class
+_SURROGATES = r"\ud800-\udfff"  # the body of a character class
+_IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\' + _SURROGATES  # likewise
 _LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -92,9 +94,13 @@ _SCHEME_RE = re.compile(_SCHEME)
 _IRI_FORBIDDEN_RE = re.compile(f"[{_IRI_FORBIDDEN}]")
 _LANG_TAG_RE = re.compile(_LANG)
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
-# One escape: a character of _UNESCAPES, or a code point in hex.
+_SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+# One escape: a character of _UNESCAPES, or a code point in hex that is not
+# a surrogate.
 _ESCAPE = (
-    r"\\(?:[" + re.escape("".join(_UNESCAPES)) + r"]|u[0-9A-Fa-f]{4}|U00(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4})"
+    r"\\(?:[" + re.escape("".join(_UNESCAPES)) + r"]"
+    r"|u(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}"
+    r"|U00(?!00[Dd][89A-Fa-f])(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4})"
 )
 _ESCAPE_RE = re.compile(_ESCAPE)
 # The text between a literal's quotes.
@@ -129,6 +135,8 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
+        if _SURROGATE_RE.search(self.lexical) or _SURROGATE_RE.search(self.datatype):
+            raise MalformedTermError(f"literal holds a lone surrogate: {self!r}")
         if self.language is not None:
             if not _LANG_TAG_RE.fullmatch(self.language):
                 raise MalformedTermError(f"bad language tag: {self.language!r}")
@@ -208,10 +216,12 @@ class Triple:
 
 _IRI_TOKEN = f"<{_SCHEME}[^{_IRI_FORBIDDEN}]*>"
 # A token this regex accepts is canonical and passes the IRI and Literal
-# constructor checks: an IRI, or a literal without escapes, raw tab, CR or
-# newline, language tag or explicit ^^xsd:string, whose datatype is an IRI.
+# constructor checks: an IRI, or a literal without escapes, raw tab, CR,
+# newline or surrogate, language tag or explicit ^^xsd:string, whose
+# datatype is an IRI.
 _CHECKED_TOKEN_RE = re.compile(
-    _IRI_TOKEN + r'|"[^"\\\t\r\n]*"(?:\^\^(?!<' + re.escape(XSD_STRING) + ">)" + _IRI_TOKEN + ")?"
+    _IRI_TOKEN + r'|"[^"\\\t\r\n' + _SURROGATES + r']*"'
+    r"(?:\^\^(?!<" + re.escape(XSD_STRING) + ">)" + _IRI_TOKEN + ")?"
 )
 # A literal token: its body, then its datatype or language, if any.
 _LITERAL_RE = re.compile(f'"({_LITERAL_BODY})"(?:\\^\\^<([^>]*)>|@({_LANG}))?')

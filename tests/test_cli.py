@@ -965,6 +965,63 @@ def test_ingest_skips_a_fixture_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith("warning: latin1.json: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_ingest_skips_a_fixture_with_a_lone_surrogate(tmp_path, capsys):
+    # JSON can spell a lone surrogate, which no graph file can hold: the
+    # report is skipped with a warning and the other reports go in
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("report_000.json", "report_001.json"):
+        (corpus / name).write_bytes((FIXTURES / "table1" / name).read_bytes())
+    evil = json.loads((FIXTURES / "table1" / "report_002.json").read_text(encoding="utf-8"))
+    evil["file_name"] = "evil\ud800.apk"
+    (corpus / "evil.json").write_text(json.dumps(evil), encoding="utf-8")
+    assert '"evil\\ud800.apk"' in (corpus / "evil.json").read_text(encoding="utf-8")
+    graph = tmp_path / "g.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
+    assert rc == 0
+    assert "reports: 2" in out
+    assert err == "warning: evil.json: file_name holds a lone surrogate: 'evil\\ud800.apk'\n"
+    assert run(capsys, "--graph", str(graph), "emit")[0] == 0
+    assert run(capsys, "--graph", str(graph), "validate")[0] == 0
+
+
+@pytest.mark.parametrize("command", [["stats", "--by", "family"], ["emit"], ["validate"]])
+def test_a_surrogate_escape_in_the_graph_file_fails_cleanly(tmp_path, capsys, command):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(
+        '<http://e.org/s> <http://e.org/p> "ok" .\n<http://e.org/s> <http://e.org/p> "\\uD800" .\n', encoding="utf-8"
+    )
+    assert run(capsys, "--graph", str(graph), *command) == (1, "", "error: line 2: bad \\u escape in literal\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+
+
+# The use cases' stdout on the graph of table1 plus multifam, as the CLI
+# printed it before query results carried tokens.
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "g.nt"
+    for corpus in ("table1", "multifam"):
+        assert main(["--graph", str(path), "ingest", "--fixtures", str(FIXTURES / corpus)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "table"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_query_output_matches_the_golden_file(golden_store, capsys, k, fmt):
+    capsys.readouterr()
+    want = (GOLDEN / f"use_case_{k}.{fmt}").read_text(encoding="utf-8")
+    snapshot = cli_mod._snapshot_path(golden_store)
+    snapshot.unlink(missing_ok=True)
+    command = ["--graph", str(golden_store), "query", str(QUERIES / f"use_case_{k}.rq"), "--format", fmt]
+    assert run(capsys, *command) == (0, want, "")  # parses, and writes the snapshot
+    assert snapshot.exists()
+    assert run(capsys, *command) == (0, want, "")  # loads the snapshot
+    gc.unfreeze()
+
+
 def test_merged_ingest_reads_the_old_family_of_a_touched_malware(tmp_path, capsys, monkeypatch, multifam_graph):
     # dual_a's malware node already names dual_b's family, which this batch
     # does not mint: only its old type line shows the range check holds

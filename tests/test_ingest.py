@@ -120,6 +120,34 @@ def test_parse_validates_every_present_hash():
         report_from_record(record(vhash="has\nnewline"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("file_name", "evil\ud800.apk"),
+        ("file_type", "\udfff"),
+        ("signature", "Fam\udc00"),
+        ("reporter", "\udbff"),
+        ("tags", ["ok", "b\ud800"]),
+        ("vendor_intel", {"V\ud800": {"verdict": "malicious"}}),
+        ("vendor_intel", [{"vendor": "V", "detection": "d\ud800"}]),
+        ("yara_rules", [{"rule_name": "r", "author": "\ud800"}]),
+        ("code_sign", [{"thumbprint_algorithm": "sha256", "issuer_cn": "CN=\ud800"}]),
+    ],
+)
+def test_a_lone_surrogate_in_any_text_rejects_the_report(key, value):
+    with pytest.raises(InvalidReportError) as err:
+        report_from_record(record(**{key: value}))
+    assert err.value.field == key
+    assert str(err.value).startswith(f"{key} holds a lone surrogate: ")
+    # a JSON document spells one with an escape, or as a character of a str
+    for ascii_only in (True, False):
+        with pytest.raises(InvalidReportError):
+            parse_report(json.dumps(record(**{key: value}), ensure_ascii=ascii_only))
+    # a paired surrogate escape is a character outside the BMP, and fine
+    report = parse_report('{"sha256_hash": "%s", "file_name": "\\ud83d\\ude00.apk"}' % SHA_A)
+    assert report.file_name == "\U0001f600.apk"
+
+
 def test_uppercase_sha256_is_accepted_and_lowercased():
     report = report_from_record(record(sha256_hash=SHA_A.upper()))
     assert report.sha256 == SHA_A

@@ -20,8 +20,10 @@ from andmalkg import (
     evaluate,
     format_results,
     malont,
+    parse_ntriples,
     parse_query,
     run_query,
+    serialize_ntriples,
 )
 from andmalkg.ns import RDF_TYPE, XSD_INTEGER
 
@@ -165,6 +167,14 @@ _L = "SELECT ?s WHERE { ?s ?p ?o } LIMIT"
         (_L + " ^^", "expected 'int'", 35),
         (_L + " \x1c\x1d x", "unexpected identifier 'x'", 39),
         (_L + " 3 ٣", "unexpected trailing content", 37),
+        # a term may not hold a lone surrogate
+        (_W + '"a\ud800" }', "literal holds a lone surrogate: Literal('a\\ud800')", 24),
+        (
+            _W + '"a"^^<http://e.org/\udfff> }',
+            "literal holds a lone surrogate: Literal('a', datatype='http://e.org/\\udfff')",
+            24,
+        ),
+        (_W + "<http://e.org/\ud800> }", "IRI contains forbidden character: 'http://e.org/\\ud800'", 24),
     ],
 )
 def test_tokenizer_errors_keep_their_message_and_position(text, message, position):
@@ -391,6 +401,80 @@ def test_engine_matches_reference_on_random_cases():
         header, rows = evaluate_reference(g, ast)
         assert mine.header == header
         assert table_as_text(mine) == rows_as_text(header, rows)
+
+
+def _random_cases(seed: int, count: int):
+    """Seeded (graph, AST) pairs; each graph is also given re-parsed, so
+    none of its terms is built yet."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = query_graph(rng)
+        ast = random_ast(rng)
+        yield g, ast
+        yield parse_ntriples(serialize_ntriples(g)), ast
+
+
+def test_token_text_equals_term_text_on_random_cases():
+    # format_results writes an evaluated table's tokens; a table built by
+    # hand from the same rows renders their Terms, to the same text
+    for g, ast in _random_cases(9090, 150):
+        table = evaluate(g, ast)
+        texts = {fmt: format_results(table, fmt) for fmt in ("tsv", "aligned-table")}
+        by_hand = ResultTable(table.header, table.rows)
+        for fmt, text in texts.items():
+            assert text == format_results(by_hand, fmt)
+        header, rows = evaluate_reference(g, ast)
+        assert table_as_text(table) == rows_as_text(header, rows)
+
+
+def test_evaluate_and_format_leave_the_graph_terms_unchanged():
+    for g, ast in _random_cases(5151, 100):
+        before = list(g._terms)
+        table = evaluate(g, ast)
+        format_results(table, "tsv")
+        format_results(table, "aligned-table")
+        assert isinstance(table.rows, list)  # builds the rows' Terms
+        assert len(g._terms) == len(before)
+        assert all(now is then for now, then in zip(g._terms, before))
+
+
+def test_rows_are_built_once():
+    g = parse_ntriples(serialize_ntriples(tiny_graph()))
+    table = run_query(
+        g, f"SELECT ?f ?loc WHERE {{ ?f <{andmal('ReportedFrom')}> ?loc . }}"
+    )
+    rows = table.rows
+    assert table.rows is rows
+    assert len(rows) == 3
+    # one Term object per distinct term within a table
+    assert rows[0]["?loc"] is rows[1]["?loc"] == IRI(andmal("loc_US"))
+    assert g._terms == [None] * len(g._tokens)
+
+
+def test_result_table_equality_and_repr():
+    row = {"?s": IRI("http://e.org/x"), "?n": 3}
+    table = ResultTable(["?s", "?n"], [row])
+    assert repr(table) == (
+        "ResultTable(header=['?s', '?n'], rows=[{'?s': IRI('http://e.org/x'), '?n': 3}])"
+    )
+    assert table == ResultTable(["?s", "?n"], [dict(row)])
+    assert table != ResultTable(["?s", "?n"], [{"?s": IRI("http://e.org/x"), "?n": 4}])
+    assert table != ResultTable(["?n", "?s"], [row])
+    assert table != (["?s", "?n"], [row])
+    assert repr(ResultTable(["?s"], [])) == "ResultTable(header=['?s'], rows=[])"
+    with pytest.raises(TypeError):
+        hash(table)
+    # an evaluated table equals, and prints as, the table built from its rows
+    g = Graph()
+    g.insert(Triple(IRI("http://e.org/x"), IRI("http://e.org/p"), Literal("v")))
+    g.insert(Triple(IRI("http://e.org/x"), IRI("http://e.org/p"), Literal("w")))
+    evaluated = run_query(
+        g, "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://e.org/p> ?o . } GROUP BY ?s"
+    )
+    assert evaluated == ResultTable(["?s", "?n"], [{"?s": IRI("http://e.org/x"), "?n": 2}])
+    assert repr(evaluated) == (
+        "ResultTable(header=['?s', '?n'], rows=[{'?s': IRI('http://e.org/x'), '?n': 2}])"
+    )
 
 
 def test_use_case_1_counts_family_members(table1_graph, manifest, query_text):

@@ -502,6 +502,41 @@ def test_an_escape_beyond_unicode_is_a_parse_error(escape):
     assert str(err.value) == "line 1: bad \\U escape in literal"
 
 
+@pytest.mark.parametrize(
+    "escape, kind",
+    [("\\uD800", "u"), ("\\udfff", "u"), ("\\uDBFF\\uDC00", "u"), ("\\U0000D800", "U"), ("\\U0000dFfF", "U")],
+)
+def test_a_surrogate_escape_is_a_parse_error(escape, kind):
+    # a lone surrogate cannot be written as UTF-8, so no escape may spell one
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(f'{S} {P} "ok" .\n{S} {P} "a{escape}" .\n')
+    assert str(err.value) == f"line 2: bad \\{kind} escape in literal"
+
+
+def test_escapes_beside_the_surrogates_still_parse():
+    g = parse_ntriples(f'{S} {P} "\\uD7FF\\uE000\\U0000D7FF\\U0000E000\\U00010000" .\n')
+    assert next(iter(g)).object.lexical == "\ud7ff\ue000\ud7ff\ue000\U00010000"
+
+
+def test_terms_reject_lone_surrogates():
+    with pytest.raises(MalformedTermError) as err:
+        Literal("a\ud800")
+    assert str(err.value) == "literal holds a lone surrogate: Literal('a\\ud800')"
+    with pytest.raises(MalformedTermError):
+        Literal("x", datatype="http://e.org/\udfff")
+    with pytest.raises(MalformedTermError) as err:
+        IRI("http://e.org/\udc00")
+    assert str(err.value) == "IRI contains forbidden character: 'http://e.org/\\udc00'"
+    # raw surrogates in text handed to the parser, on the canonical fast path
+    for line, message in (
+        (f'{S} {P} "\ud800" .', "literal holds a lone surrogate: Literal('\\ud800')"),
+        (f"{S} {P} <http://e.org/\ud800> .", "IRI contains forbidden character: 'http://e.org/\\ud800'"),
+    ):
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(line + "\n")
+        assert str(err.value) == f"line 1: {message}"
+
+
 def test_one_rule_for_blank_node_labels_and_language_tags():
     # the constructors check with the scanner's grammar: a label may not end
     # in '.', and neither may carry a trailing newline
