@@ -216,9 +216,9 @@ def _cmd_ingest(args) -> int:
     # triples and the violations are those of the whole graph.
     minted = {f"<{iri}>" for report in reports for iri in mint_iris(report).values()}
     graph = load_subjects(lines, minted)
-    loaded = set(graph._triples)
+    loaded = set(graph._walk())
     summary = ingest_corpus(reports, registry, graph)
-    new = _ntriples_lines(graph, graph._triples - loaded)
+    new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
     try:
         mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
     except FileNotFoundError:

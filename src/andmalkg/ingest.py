@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
@@ -137,7 +137,7 @@ class FetchSelector:
 
 @dataclass(frozen=True)
 class FixtureSource:
-    path: Path
+    path: Union[str, Path]
 
 
 @dataclass(frozen=True)
@@ -603,7 +603,7 @@ def fetch_reports(
     (name, message) pairs; they never abort the batch.
     """
     if isinstance(source, FixtureSource):
-        return _fetch_fixtures(selector, source.path, errors)
+        return _fetch_fixtures(selector, Path(source.path), errors)
     if isinstance(source, LiveSource):
         return _fetch_live(selector, source.endpoint, errors)
     raise TypeError(f"unknown source: {source!r}")
@@ -688,11 +688,3 @@ def ingest_corpus(
     summary.violations.extend(validate_subjects(registry, graph, touched))
     return summary
 
-
-def __getattr__(name: str):
-    # `requests` is imported on first use, but stays reachable as ingest.requests
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

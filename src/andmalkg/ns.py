@@ -18,15 +18,6 @@ PREFIXES = {
     "malont": MALONT,
 }
 
-# Datatype tag (as used in property definitions) -> full XSD IRI.
-DATATYPE_IRIS = {
-    "string": XSD_STRING,
-    "integer": XSD_INTEGER,
-    "dateTime": XSD_DATETIME,
-    "anyURI": XSD_ANYURI,
-}
-
-
 def andmal(local: str) -> str:
     return ANDMAL + local
 

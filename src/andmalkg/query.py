@@ -11,8 +11,7 @@ ids, reading the SPO/POS/OSP index leaves directly, grouping keys on id
 tuples, and rows sort by the ids' cached canonical tokens.  The result
 table carries those tokens, and format_results writes them as they are.
 Terms are built only for the cells a query returns, when a caller first
-reads the table's rows, and they belong to the table: the graph's term
-cache does not grow with the results.
+reads the table's rows, and they belong to the table.
 """
 
 from __future__ import annotations
@@ -84,18 +83,19 @@ class ResultTable:
     """A query's result: the header's names, and rows, one dict per row
     mapping each name to a Term or, for a count, an int.
 
-    A table evaluate returns holds its cells: each row a list of the
-    terms' canonical N-Triples tokens and the counts, in header order.
-    format_results always writes the cells, so such a table's rows are for
-    reading: they are built from the cells on first read and then kept, and
-    their Terms belong to the table, not to the graph.  A table built as
-    ResultTable(header, rows) holds only rows, and formats those.
+    A table holds its cells: each row a list of the terms' canonical
+    N-Triples tokens and the counts, in header order; ResultTable(header,
+    rows) converts the rows it is given.  format_results writes the cells,
+    so the rows are for reading: they are built from the cells on first
+    read and then kept, and their Terms belong to the table, not to a graph.
     """
 
     def __init__(self, header: list[str], rows: list[dict]):
         self.header = header
-        self.rows = rows
-        self._cells: Optional[list[list]] = None
+        self._cells = [
+            [v if isinstance(v, int) else term_to_ntriples(v) for v in map(row.__getitem__, header)]
+            for row in rows
+        ]
 
     @classmethod
     def _of_cells(cls, header: list[str], cells: list[list]) -> ResultTable:
@@ -106,7 +106,6 @@ class ResultTable:
 
     @cached_property
     def rows(self) -> list[dict]:
-        """Only a table built from cells gets here, on the first read."""
         terms: dict[str, Term] = {}  # token -> term, one object per term
 
         def cell_value(cell):
@@ -323,6 +322,13 @@ class _Parser:
         self.expect(")")
         return Having(Var(var.value), op_tok.kind, value.value)
 
+    def _iri(self, tok: _Token) -> IRI:
+        """The IRI an iri token spells; a malformed one raises at the token."""
+        try:
+            return IRI(tok.value)
+        except MalformedTermError as exc:
+            self.error(str(exc), tok)
+
     def _expand(self, prefix: str, local: str, ast: QueryAST, pos: int) -> IRI:
         if prefix not in ast.prefixes:
             raise UnknownPrefixError(prefix, pos)
@@ -333,10 +339,7 @@ class _Parser:
         if tok.kind == "var":
             return Var(tok.value)
         if tok.kind == "iri":
-            try:
-                return IRI(tok.value)
-            except Exception as exc:
-                self.error(str(exc), tok)
+            return self._iri(tok)
         if tok.kind == "pname":
             return self._expand(tok.value[0], tok.value[1], ast, tok.pos)
         if tok.kind == "a" and position == "predicate":
@@ -350,7 +353,7 @@ class _Parser:
                 self.take()
                 dt = self.take()
                 if dt.kind == "iri":
-                    datatype = dt.value
+                    datatype = self._iri(dt).value
                 elif dt.kind == "pname":
                     datatype = self._expand(dt.value[0], dt.value[1], ast, dt.pos).value
                 else:
@@ -581,22 +584,13 @@ def run_query(graph: Graph, text: str) -> ResultTable:
     return evaluate(graph, parse_query(text))
 
 
-def _cell_text(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return term_to_ntriples(value)
-
-
 def _text_rows(table: ResultTable) -> list[list[str]]:
-    """Each row's cells as text, in header order: an evaluated table's
-    tokens as they are, a hand-built table's Terms rendered."""
+    """Each row's cells as text, in header order."""
     cells = table._cells
-    if cells is not None:
-        # a column holds only tokens or only counts, so one row shows which
-        if cells and int in map(type, cells[0]):
-            return [list(map(str, row)) for row in cells]
-        return cells
-    return [[_cell_text(row[name]) for name in table.header] for row in table.rows]
+    # a column holds only tokens or only counts, so one row shows which
+    if cells and int in map(type, cells[0]):
+        return [list(map(str, row)) for row in cells]
+    return cells
 
 
 def format_results(table: ResultTable, fmt: str) -> str:

@@ -2,29 +2,29 @@
 
 Terms are immutable.  A Graph is dictionary-encoded: each distinct term
 is named by its canonical N-Triples token (the spelling serialize_ntriples
-writes) and stored once, under an int id; the triple set and the
-SPO/POS/OSP indexes (subject-, predicate- and object-keyed) hold ids only.
-A pattern with any bound position is answered from an index instead of a
-full scan, and the serializers sort by the tokens.  Ids are private:
-equality, matching and output depend on the terms alone, never on
-insertion order.
+writes) and stored once, under an int id; the SPO/POS/OSP indexes
+(subject-, predicate- and object-keyed) hold ids only, and are the only
+copy of the triples.  A pattern with any bound position is answered from
+an index instead of a full scan, a whole-graph walk reads SPO, and the
+serializers sort by the tokens.  Ids are private: equality, matching and
+output depend on the terms alone, never on insertion order.
 
 A term's token is its identity: one dict maps each token to its id, and
 a token is checked once, when it enters the graph.  Other legal
 spellings the parser meets (escapes, an explicit ^^xsd:string) stay in
-that dict as aliases of the canonical token.  Graph._terms[i] is built
-from Graph._tokens[i] on first use, without re-running the checks, so
-code that needs only the text of a term (the serializers, the validator,
-stats) never builds one.
+that dict as aliases of the canonical token.  A Term object is built
+from its token only when asked for (Graph._term), without re-running
+the checks, so code that needs only the text of a term (the
+serializers, the validator, stats, query results) never builds one.
 
 The id interface is Graph._id (term -> id), Graph._intern_token (token
 -> id), Graph._add (id triple), Graph._rows (id-level pattern lookup),
-Graph._spo, Graph._tokens (id -> token), Graph._term (id -> term) and
-_literal_parts (a literal token's fields).  Four modules use it: query
-(the join), ingest (report rows go in as tokens), schema (the validator
-walks a subject's SPO entry, reading leaves with _each) and cli (stats,
-and ingest's new lines: Graph._triples and _ntriples_lines).  No other
-module uses ids.
+Graph._walk (every id triple), Graph._spo, Graph._tokens (id -> token),
+Graph._term (id -> term) and _literal_parts (a literal token's fields).
+Four modules use it: query (the join), ingest (report rows go in as
+tokens), schema (the validator walks a subject's SPO entry, reading
+leaves with _each) and cli (stats, and ingest's new lines: Graph._walk
+and _ntriples_lines).  No other module uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
@@ -51,18 +51,16 @@ by bisection on "TOKEN ", the lines of some subjects and the rdf:type
 lines of their objects, and loads only those.
 
 dump_snapshot and load_snapshot own the snapshot format: the marshalled
-state parse_ntriples builds (_tokens, _ids with its aliases, the triples,
-_spo, _pos, _osp) under a header keyed on the SHA-256 of the N-Triples
-bytes it was parsed from (snapshot_key), so only this module knows what
-the key hashes.  Loading one is several times faster than the parse and
-yields an equal graph with the same ids; a snapshot that does not match
-its key, its payload digest or its shape loads nothing, and the caller
-parses instead.  Where a snapshot file lives is the CLI's concern.
+state parse_ntriples builds (_tokens, _ids with its aliases, the triple
+count, _spo, _pos, _osp) under a header keyed on the SHA-256 of the
+N-Triples bytes it was parsed from (snapshot_key), so only this module
+knows what the key hashes.  Loading one is several times faster than the
+parse and yields an equal graph with the same ids; a snapshot that does
+not match its key, its payload digest or its shape loads nothing, and the
+caller parses instead.  Where a snapshot file lives is the CLI's concern.
 
 A Graph supports one writer or many concurrent readers, never both;
-serialization and matching are read-only, except that readers fill the
-term cache, where two of them may race to build the same term (either
-result is kept, and the two are equal).
+serialization and matching are read-only.
 """
 
 from __future__ import annotations
@@ -275,19 +273,24 @@ _Leaf = Union[int, set[int]]
 _Index = dict[int, dict[int, _Leaf]]
 
 
-def _index(index: _Index, a: int, b: int, c: int) -> None:
-    """Add c under (a, b); the caller guarantees c is not there yet."""
+def _index(index: _Index, a: int, b: int, c: int) -> bool:
+    """Add c under (a, b); True when it was there already."""
     inner = index.get(a)
     if inner is None:
         index[a] = {b: c}
-        return
+        return False
     leaf = inner.get(b)
     if leaf is None:
         inner[b] = c
     elif type(leaf) is int:
+        if leaf == c:
+            return True
         inner[b] = {leaf, c}
+    elif c in leaf:
+        return True
     else:
         leaf.add(c)
+    return False
 
 
 def _each(leaf: _Leaf) -> Iterable[int]:
@@ -304,45 +307,45 @@ _RDF_TYPE_IRI = IRI(RDF_TYPE)
 
 
 class Graph:
-    """A set of triples plus SPO/POS/OSP indexes and a prefix table.
+    """A set of triples, held in SPO/POS/OSP indexes, plus a prefix table.
 
     Every distinct term is stored once, named by its canonical N-Triples
-    token and numbered by an int id; the triple set and the indexes hold
-    ids only.  Two graphs compare equal when they hold the same triple
-    set, whatever ids their terms got; prefixes are serialization state
-    and do not take part in equality.
+    token and numbered by an int id; the indexes hold ids only.  Two
+    graphs compare equal when they hold the same triples, whatever ids
+    their terms got; prefixes are serialization state and do not take
+    part in equality.
     """
 
     def __init__(self, prefixes: Optional[dict[str, str]] = None):
-        self._terms: list[Optional[Term]] = []  # id -> term, None until first use
         self._tokens: list[str] = []  # id -> canonical N-Triples token
         self._ids: dict[str, int] = {}  # canonical token or another spelling -> id
-        self._triples: set[tuple[int, int, int]] = set()
+        self._size = 0  # the number of triples
         self._spo: _Index = {}
         self._pos: _Index = {}
         self._osp: _Index = {}
         self.prefixes: dict[str, str] = dict(PREFIXES if prefixes is None else prefixes)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
         term = self._term
-        return (Triple(term(s), term(p), term(o)) for s, p, o in self._triples)
+        return (Triple(term(s), term(p), term(o)) for s, p, o in self._walk())
 
     def __contains__(self, t: Triple) -> bool:
         if not isinstance(t, Triple):
             return False
-        return (self._id(t.subject), self._id(t.predicate), self._id(t.object)) in self._triples
+        return self._id(t.object) in _leaf(self._spo, self._id(t.subject), self._id(t.predicate))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if len(self._triples) != len(other._triples):
+        if self._size != other._size:
             return False
         # distinct terms have distinct tokens, so this id map is one-to-one
         theirs = [other._ids.get(token) for token in self._tokens]
-        return all((theirs[s], theirs[p], theirs[o]) in other._triples for s, p, o in self._triples)
+        spo = other._spo
+        return all(theirs[o] in _leaf(spo, theirs[s], theirs[p]) for s, p, o in self._walk())
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
@@ -356,47 +359,41 @@ class Graph:
             return None
 
     def _term(self, i: int) -> Term:
-        """The term with id i, built from its token on first use."""
-        term = self._terms[i]
-        if term is None:
-            term = self._terms[i] = _build_term(self._tokens[i])
-        return term
+        """The term with id i, built from its token."""
+        return _build_term(self._tokens[i])
 
-    def _new(self, token: str, term: Optional[Term]) -> int:
+    def _new(self, token: str) -> int:
         i = len(self._tokens)
         self._ids[token] = i
         self._tokens.append(token)
-        self._terms.append(term)
         return i
 
     def _intern(self, term: Term) -> int:
         token = term_to_ntriples(term)
         i = self._ids.get(token)
-        return self._new(token, term) if i is None else i
+        return self._new(token) if i is None else i
 
     def _intern_token(self, token: str) -> int:
         """The id of the term one IRI or literal token spells.
 
-        A new token _CHECKED_TOKEN_RE accepts is stored as it is; its term
-        is built on first use.  Any other new token is built into a term
-        by its constructor, which raises MalformedTermError on a bad term,
-        and is kept as another spelling of the term's canonical token.
+        A new token _CHECKED_TOKEN_RE accepts is stored as it is.  Any
+        other new token is built into a term by its constructor, which
+        raises MalformedTermError on a bad term, and is kept as another
+        spelling of the term's canonical token.
         """
         i = self._ids.get(token)
         if i is None:
             if _CHECKED_TOKEN_RE.fullmatch(token):
-                return self._new(token, None)
+                return self._new(token)
             i = self._ids[token] = self._intern(_checked_term(token))
         return i
 
     def _add(self, s: int, p: int, o: int) -> bool:
-        key = (s, p, o)
-        if key in self._triples:
+        if _index(self._spo, s, p, o):
             return False
-        self._triples.add(key)
-        _index(self._spo, s, p, o)
         _index(self._pos, p, o, s)
         _index(self._osp, o, s, p)
+        self._size += 1
         return True
 
     def insert(self, t: Triple) -> bool:
@@ -407,6 +404,15 @@ class Graph:
 
     def insert_all(self, triples) -> int:
         return sum(1 for t in triples if self.insert(t))
+
+    def _walk(self) -> Iterator[tuple[int, int, int]]:
+        """Every id triple, read from SPO, in no particular order."""
+        return (
+            (s, p, o)
+            for s, by_p in self._spo.items()
+            for p, objs in by_p.items()
+            for o in _each(objs)
+        )
 
     def _canonical(self, rows: list[tuple[int, int, int]]) -> list[Triple]:
         """The rows as Triples, sorted by their N-Triples text."""
@@ -424,8 +430,8 @@ class Graph:
 
         Served from SPO when the subject is bound (from OSP when the object
         is bound and the predicate is not), else from POS when the
-        predicate is bound, else from OSP.  Every id passed must come from
-        this graph.
+        predicate is bound, else from OSP; with nothing bound, from SPO.
+        Every id passed must come from this graph.
         """
         if si is not None:
             if pi is not None:
@@ -445,7 +451,7 @@ class Graph:
         if oi is not None:
             by_s = self._osp.get(oi, {})
             return [(sub, pred, oi) for sub, preds in by_s.items() for pred in _each(preds)]
-        return list(self._triples)
+        return list(self._walk())
 
     def match(
         self,
@@ -481,7 +487,7 @@ def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int
     line is a prefix of another and the newline leaves the order as it is
     without one."""
     tokens = graph._tokens
-    rows = graph._triples if triples is None else triples
+    rows = graph._walk() if triples is None else triples
     return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in rows)
 
 
@@ -677,7 +683,7 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
 
     def intern(token: str) -> int:
         i = ids.get(token)
-        return graph._new(token, None) if i is None else i
+        return graph._new(token) if i is None else i
 
     for line in picked:
         s, p, o = line[:-3].split(" ", 2)
@@ -690,12 +696,12 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
 # version and the interpreter, because marshal data is only promised to
 # load where it was written, then the SHA-256 of the N-Triples bytes the
 # graph was parsed from (the key) and that of the payload.  The format
-# number, 1, changes whenever the payload's layout does.
+# number, 2, changes whenever the payload's layout does.
 _SNAPSHOT_TAG = (
-    f"andmalkg-snapshot 1 marshal {marshal.version} "
+    f"andmalkg-snapshot 2 marshal {marshal.version} "
     f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
 )
-_SNAPSHOT_SHAPE = (list, dict, tuple, dict, dict, dict)
+_SNAPSHOT_SHAPE = (list, dict, int, dict, dict, dict)
 
 
 def _sha256(data) -> bytes:
@@ -720,12 +726,9 @@ def dump_snapshot(graph: Graph, key: bytes) -> bytes:
     """A snapshot of graph under key, the snapshot_key of the N-Triples
     bytes it was parsed from: load_snapshot turns it back into an equal
     graph, with the same tokens, aliases and ids, far faster than a parse.
-
-    The triples are marshalled as a tuple: marshal writes a set of tuples
-    several times slower.
     """
     payload = marshal.dumps(
-        (graph._tokens, graph._ids, tuple(graph._triples), graph._spo, graph._pos, graph._osp)
+        (graph._tokens, graph._ids, graph._size, graph._spo, graph._pos, graph._osp)
     )
     return _snapshot_prefix(key) + _sha256(payload).hex().encode("ascii") + b"\n" + payload
 
@@ -752,9 +755,7 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     if type(state) is not tuple or tuple(map(type, state)) != _SNAPSHOT_SHAPE:
         return None
     graph = Graph()
-    graph._tokens, graph._ids, triples, graph._spo, graph._pos, graph._osp = state
-    graph._terms = [None] * len(graph._tokens)
-    graph._triples = set(triples)
+    graph._tokens, graph._ids, graph._size, graph._spo, graph._pos, graph._osp = state
     return graph
 
 

@@ -228,9 +228,6 @@ class SchemaRegistry:
             cur = parent
         return frozenset(chain)
 
-    def is_class(self, iri: str) -> bool:
-        return iri in self.classes
-
     def is_subclass_of(self, child: str, ancestor: str) -> bool:
         """True iff ancestor is reachable from child by parent edges (reflexive)."""
         if child not in self.classes:
@@ -280,8 +277,18 @@ def build_schema() -> SchemaRegistry:
 
 _RDF_TYPE = IRI(RDF_TYPE)
 
-_HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
-_LOWER_HEX_RE = re.compile(r"^[0-9a-f]+$")
+_HEX = "[0-9a-fA-F]"
+# local name of a hash class -> the pattern its whole value matches
+_HASH_FORMATS = {
+    "MD5": re.compile("[0-9a-f]{32}"),
+    "SHA1": re.compile(f"{_HEX}{{40}}"),
+    "SHA256": re.compile(f"{_HEX}{{64}}"),
+    "IMPHASH": re.compile(f"{_HEX}{{32}}"),
+    "TLSH": re.compile(f"(?:T1)?{_HEX}{{70}}"),
+    "TELFHASH": re.compile(f"{_HEX}{{70}}"),
+    "GIMPHASH": re.compile(f"{_HEX}{{64}}"),
+}
+_HEX_RE = re.compile(f"{_HEX}+")
 
 _SHA23_LENGTHS = {56: 224, 64: 256, 96: 384, 128: 512}
 
@@ -296,28 +303,12 @@ def validate_hash_format(
     lengths is accepted.
     """
     local = _local_name(registry, kind)
-    if local == "MD5":
-        return len(value) == 32 and bool(_LOWER_HEX_RE.match(value))
-    if local == "SHA1":
-        return len(value) == 40 and bool(_HEX_RE.match(value))
-    if local == "SHA256":
-        return len(value) == 64 and bool(_HEX_RE.match(value))
-    if local == "IMPHASH":
-        return len(value) == 32 and bool(_HEX_RE.match(value))
-    if local == "TLSH":
-        if value.startswith("T1"):
-            rest = value[2:]
-            return len(rest) == 70 and bool(_HEX_RE.match(rest))
-        return len(value) == 70 and bool(_HEX_RE.match(value))
-    if local == "TELFHASH":
-        return len(value) == 70 and bool(_HEX_RE.match(value))
-    if local == "GIMPHASH":
-        return len(value) == 64 and bool(_HEX_RE.match(value))
+    pattern = _HASH_FORMATS.get(local)
+    if pattern is not None:
+        return pattern.fullmatch(value) is not None
     if local in ("SHA2", "SHA3"):
-        if not _HEX_RE.match(value):
-            return False
         bits = _SHA23_LENGTHS.get(len(value))
-        if bits is None:
+        if bits is None or _HEX_RE.fullmatch(value) is None:
             return False
         return digest_bits is None or digest_bits == bits
     if local in ("SSDeep", "VHash"):

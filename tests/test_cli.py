@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import marshal
 import os
 import random
 import stat
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
 from andmalkg import (
     FetchSelector,
@@ -24,7 +26,6 @@ from andmalkg import (
 )
 from andmalkg.cli import main
 import andmalkg.cli as cli_mod
-import andmalkg.ingest as ingest_mod
 import andmalkg.rdf as rdf_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
@@ -417,7 +418,7 @@ def test_live_ingest_uses_endpoint_env(tmp_path, capsys, monkeypatch):
             {"query_status": "ok", "data": [{"sha256_hash": "e" * 64, "file_name": "e.apk"}]}
         )
 
-    monkeypatch.setattr(ingest_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("AMKG_API_ENDPOINT", "https://mirror.example.test/api/")
     rc, out, _ = run(
         capsys,
@@ -433,7 +434,7 @@ def test_live_ingest_uses_endpoint_env(tmp_path, capsys, monkeypatch):
 
 def test_live_ingest_api_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        ingest_mod.requests,
+        requests,
         "post",
         lambda url, data=None, timeout=None: FakeResponse(
             {"query_status": "http_post_expected", "data": []}
@@ -549,11 +550,24 @@ def _junk(graph, snapshot):
     snapshot.write_bytes(b"\x89junk\x00" * 5000)
 
 
+def _format_1(graph, snapshot):
+    # a snapshot as format 1 wrote it, keyed on this graph file: its payload
+    # also held every triple, as a tuple of id triples
+    g = parse_ntriples(graph.read_text(encoding="utf-8"))
+    triples = tuple(g._walk())
+    payload = marshal.dumps((g._tokens, g._ids, triples, g._spo, g._pos, g._osp))
+    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 2 ", "andmalkg-snapshot 1 ")
+    key = hashlib.sha256(graph.read_bytes()).hexdigest()
+    header = f"{tag} {key} {hashlib.sha256(payload).hexdigest()}\n"
+    snapshot.write_bytes(header.encode("ascii") + payload)
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk],
+    [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk,
+     _format_1],
     ids=["stale", "flipped-byte", "truncated", "foreign-format", "foreign-marshal",
-         "foreign-python", "junk"],
+         "foreign-python", "junk", "format-1"],
 )
 def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch, damage):
     graph = tmp_path / "graph.nt"
@@ -963,6 +977,24 @@ def test_ingest_skips_a_fixture_that_is_not_utf8(tmp_path, capsys):
     assert rc == 0
     assert "reports: 1" in out
     assert err.startswith("warning: latin1.json: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_ingest_skips_a_fixture_whose_hash_ends_in_a_newline(tmp_path, capsys):
+    # a hex digest with a trailing newline is not a digest: the report is
+    # skipped with a warning, and the other reports go in
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("report_000.json", "report_001.json"):
+        (corpus / name).write_bytes((FIXTURES / "table1" / name).read_bytes())
+    bad = json.loads((FIXTURES / "table1" / "report_002.json").read_text(encoding="utf-8"))
+    bad["sha256_hash"] = "e" * 63 + "\n"
+    (corpus / "newline.json").write_text(json.dumps(bad), encoding="utf-8")
+    graph = tmp_path / "g.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
+    assert rc == 0
+    assert "reports: 2" in out
+    assert err == f"warning: newline.json: bad sha256 {bad['sha256_hash']!r}\n"
+    assert run(capsys, "--graph", str(graph), "validate")[0] == 0
 
 
 def test_ingest_skips_a_fixture_with_a_lone_surrogate(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 
 import pytest
+import requests
 
 from andmalkg import (
     ApiError,
@@ -416,7 +417,7 @@ def test_live_mode_posts_form_and_maps_records(monkeypatch):
         calls.append((url, data))
         return FakeResponse({"query_status": "ok", "data": [record(), record(sha256_hash=SHA_B, file_name="b.apk")]})
 
-    monkeypatch.setattr(ingest_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     reports = fetch_reports(
         FetchSelector.by_signature("Anubis", 50), LiveSource("https://api.example.org/v1/")
     )
@@ -428,7 +429,7 @@ def test_live_mode_posts_form_and_maps_records(monkeypatch):
 
 def test_live_mode_bad_status_raises(monkeypatch):
     monkeypatch.setattr(
-        ingest_mod.requests,
+        requests,
         "post",
         lambda url, data=None, timeout=None: FakeResponse({"query_status": "no_results", "data": []}),
     )
@@ -438,12 +439,10 @@ def test_live_mode_bad_status_raises(monkeypatch):
 
 
 def test_live_mode_network_failure_raises(monkeypatch):
-    import requests as requests_lib
-
     def boom(url, data=None, timeout=None):
-        raise requests_lib.ConnectionError("refused")
+        raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(ingest_mod.requests, "post", boom)
+    monkeypatch.setattr(requests, "post", boom)
     with pytest.raises(NetworkError):
         fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
 
@@ -451,7 +450,7 @@ def test_live_mode_network_failure_raises(monkeypatch):
 def test_live_mode_skips_bad_records(monkeypatch):
     payload = {"query_status": "ok", "data": [record(), {"file_name": "nosha.apk"}]}
     monkeypatch.setattr(
-        ingest_mod.requests, "post", lambda url, data=None, timeout=None: FakeResponse(payload)
+        requests, "post", lambda url, data=None, timeout=None: FakeResponse(payload)
     )
     errors = []
     reports = fetch_reports(FetchSelector.recent(5), LiveSource("https://x.example/"), errors)
@@ -543,10 +542,10 @@ def test_ingest_into_respelled_graph_adds_no_term(registry):
     )
     assert respelled != canonical
     g = parse_ntriples(respelled)
-    terms = len(g._terms)
-    assert terms == len(fresh._terms)
+    terms = len(g._tokens)
+    assert terms == len(fresh._tokens)
     summary = ingest_corpus([report], registry, g)
     assert summary.triples_added == 0
     assert summary.violations == []
-    assert len(g._terms) == terms
+    assert len(g._tokens) == terms
     assert serialize_ntriples(g) == canonical

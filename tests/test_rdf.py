@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import marshal
@@ -356,7 +357,7 @@ def test_match_on_absent_term_is_empty_and_interns_nothing():
     rng = random.Random(37)
     g = random_graph(rng, max_triples=80)
     g.insert(random_triple(rng))
-    terms = len(g._terms)
+    terms = len(g._tokens)
     absent = [IRI("http://example.org/absent"), Literal("absent"), BlankNode("absent")]
     for term in absent:
         assert g.match(s=term) == []
@@ -365,7 +366,7 @@ def test_match_on_absent_term_is_empty_and_interns_nothing():
         assert g.types_of(term) == []
     assert g.match(p=IRI("http://example.org/absent")) == []
     assert Triple(absent[0], absent[0], absent[1]) not in g
-    assert len(g._terms) == terms
+    assert len(g._tokens) == terms
 
 
 # --- token-keyed store: lazily built terms, the new-token check, the GC ----
@@ -656,7 +657,7 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
         assert loaded == parsed and parsed == loaded
         assert loaded._tokens == parsed._tokens
         assert loaded._ids == parsed._ids
-        assert loaded._triples == parsed._triples
+        assert len(loaded) == len(parsed)
         assert (loaded._spo, loaded._pos, loaded._osp) == (parsed._spo, parsed._pos, parsed._osp)
         assert loaded.prefixes == parsed.prefixes
         assert [loaded._term(i) for i in range(len(loaded._tokens))] == [
@@ -675,12 +676,12 @@ def test_snapshot_header_names_format_marshal_interpreter_and_digests():
     header, payload = data.split(b"\n", 1)
     version = f"{sys.version_info.major}.{sys.version_info.minor}"
     assert header.decode("ascii").split(" ") == [
-        "andmalkg-snapshot", "1", "marshal", str(marshal.version),
+        "andmalkg-snapshot", "2", "marshal", str(marshal.version),
         sys.implementation.name, version,
         hashlib.sha256(b"the graph file").hexdigest(), hashlib.sha256(payload).hexdigest(),
     ]
-    # the triples are marshalled as a tuple, not as a set
-    assert type(marshal.loads(payload)[2]) is tuple
+    # the payload holds the triple count, not the triples: the indexes hold those
+    assert marshal.loads(payload)[2] == len(parse_ntriples(ALIASED))
 
 
 def _flip_in_payload(data: bytes) -> bytes:
@@ -705,7 +706,7 @@ def _refield(data: bytes, k: int, value: bytes) -> bytes:
         lambda d: d[:-1],
         lambda d: d[: len(d) // 2],
         lambda d: d[:40],
-        lambda d: _refield(d, 1, b"2"),  # format
+        lambda d: _refield(d, 1, b"1"),  # format
         lambda d: _refield(d, 3, b"3"),  # marshal version
         lambda d: _refield(d, 4, b"pypy" if sys.implementation.name != "pypy" else b"cpython"),
         lambda d: _refield(d, 5, b"2.7"),  # interpreter version
@@ -729,14 +730,17 @@ def test_unusable_snapshot_loads_nothing(damage):
     "payload",
     [
         b"\xffnot marshal data",
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {}))[:-3],
-        marshal.dumps([["<urn:x>"], {"<urn:x>": 0}, (), {}, {}, {}]),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {})),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, set(), {}, {}, {})),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, (), {}, {}, {}, {})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}))[:-3],
+        marshal.dumps([["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}, {}]),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, {(0, 0, 0)}, {}, {}, {})),
+        # format 1's layout: the triples, as a tuple, where the count now is
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, ((0, 0, 0),), {0: {0: 0}}, {0: {0: 0}}, {0: {0: 0}})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}, {}, {})),
         marshal.dumps(None),
     ],
-    ids=["not-marshal", "cut-short", "list", "five", "set-of-triples", "seven", "none"],
+    ids=["not-marshal", "cut-short", "list", "five", "set-of-triples", "format-1-payload", "seven",
+         "none"],
 )
 def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
     assert rdf_mod.load_snapshot(_wrap(payload), SOURCE) is None
@@ -744,7 +748,6 @@ def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
 
 def test_dump_snapshot_leaves_the_graph_as_it_was():
     g = parse_ntriples(ALIASED)
-    before = (list(g._tokens), dict(g._ids), set(g._triples))
+    before = copy.deepcopy(vars(g))
     rdf_mod.dump_snapshot(g, SOURCE)
-    assert (g._tokens, g._ids, g._triples) == before
-    assert type(g._triples) is set
+    assert vars(g) == before

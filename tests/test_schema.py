@@ -180,6 +180,26 @@ def test_hash_format_table(registry, kind, value, expected):
     assert validate_hash_format(registry, kind, value) is expected
 
 
+# values that pass their class's format check, at least one per hash class
+VALID_HASHES = [(kind, value) for kind, value, ok in HASH_CASES if ok] + [
+    (andmal("SHA2"), "a" * 64),
+    (andmal("SHA3"), "a" * 128),
+]
+
+
+def test_valid_hashes_cover_every_hash_class():
+    kinds = {kind for kind, _ in VALID_HASHES}
+    assert kinds == {k.cls for k in HASH_KINDS} | {andmal("SHA2"), andmal("SHA3")}
+
+
+@pytest.mark.parametrize("kind,value", VALID_HASHES)
+def test_hash_format_rejects_a_trailing_newline(registry, kind, value):
+    # a '$' anchor also matches before a final newline; the whole value must match
+    assert validate_hash_format(registry, kind, value)
+    assert not validate_hash_format(registry, kind, value + "\n")
+    assert not validate_hash_format(registry, kind, value[:-1] + "\n")  # the valid length
+
+
 def test_sha2_sha3_lengths(registry):
     for kind in (andmal("SHA2"), andmal("SHA3")):
         for length, bits in [(56, 224), (64, 256), (96, 384), (128, 512)]:
