@@ -43,20 +43,9 @@ from .errors import (
     QueryParseError,
     ReportParseError,
 )
-from .ingest import (
-    DEFAULT_ENDPOINT,
-    FetchSelector,
-    FixtureSource,
-    LiveSource,
-    fetch_reports,
-    ingest_corpus,
-    mint_iris,
-)
 from .ns import RDF_TYPE, andmal, malont
-from .query import evaluate, format_results, parse_query
 from .rdf import (
     Graph,
-    IRI,
     _collector_paused,
     _ntriples_lines,
     canonical_lines,
@@ -68,7 +57,9 @@ from .rdf import (
     serialize_turtle,
     snapshot_key,
 )
-from .schema import build_schema, validate_subjects
+
+# ingest, query and schema are imported inside the commands that run them,
+# so no command loads or compiles a module it does not use.
 
 
 def _snapshot_path(path: Path) -> Path:
@@ -195,6 +186,17 @@ def _merged(old: list[str], new: list[str]) -> list[str]:
 
 
 def _cmd_ingest(args) -> int:
+    from .ingest import (
+        DEFAULT_ENDPOINT,
+        FetchSelector,
+        FixtureSource,
+        LiveSource,
+        _ingest_rows,
+        _report_rows,
+        fetch_reports,
+    )
+    from .schema import build_schema
+
     path = Path(args.graph)
     lines = canonical_lines(_read_lines(path))
     registry = build_schema()
@@ -210,14 +212,15 @@ def _cmd_ingest(args) -> int:
         selector = FetchSelector.recent(limit)
     errors: list[tuple[str, str]] = []
     reports = fetch_reports(selector, source, errors)
-    # Every row a report gives has a minted subject, so the graph holds
-    # each old triple a row could repeat, and every triple and object type
-    # the validation of the touched subjects reads: the count of new
-    # triples and the violations are those of the whole graph.
-    minted = {f"<{iri}>" for report in reports for iri in mint_iris(report).values()}
-    graph = load_subjects(lines, minted)
+    rows = [_report_rows(report) for report in reports]
+    # The graph holds every old line of a row's subject, so each old triple
+    # a row could repeat, and every triple and object type the validation
+    # of the touched subjects reads: the count of new triples and the
+    # violations are those of the whole graph.
+    graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
     loaded = set(graph._walk())
-    summary = ingest_corpus(reports, registry, graph)
+    summary = _ingest_rows(len(reports), rows, registry, graph)
+    del rows
     new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
     try:
         mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
@@ -242,11 +245,12 @@ _STATS_EDGES = {
 
 def _cmd_stats(args) -> int:
     graph = _load_graph(Path(args.graph))
+    ids = graph._ids
 
     def rows(predicate: str, obj: Optional[str] = None) -> list[tuple[int, int, int]]:
         # id rows of one whole-predicate lookup; a term the graph lacks matches nothing
-        pi = graph._id(IRI(predicate))
-        oi = None if obj is None else graph._id(IRI(obj))
+        pi = ids.get(f"<{predicate}>")
+        oi = None if obj is None else ids.get(f"<{obj}>")
         if pi is None or (obj is not None and oi is None):
             return []
         return graph._rows(None, pi, oi)
@@ -274,6 +278,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .query import evaluate, format_results, parse_query
+
     graph = _load_graph(Path(args.graph))
     text = _decoded(Path(args.file), Path(args.file).read_bytes())
     table = evaluate(graph, parse_query(text))
@@ -296,6 +302,8 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .schema import build_schema, validate_subjects
+
     graph = _load_graph(Path(args.graph))
     registry = build_schema()
     by_rule: dict[str, list] = {}

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
@@ -35,6 +35,10 @@ from .schema import (
 )
 
 logger = logging.getLogger(__name__)
+# A library logs; the application decides where records go.  Without a
+# handler on the package's logger, logging's last-resort handler would print
+# every ingest warning to stderr next to the CLI's own "warning:" line.
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 DEFAULT_ENDPOINT = "https://mb-api.abuse.ch/api/v1/"
 
@@ -676,12 +680,19 @@ def ingest_corpus(
     reports: list[MalwareReport], registry: SchemaRegistry, graph: Graph
 ) -> IngestSummary:
     """Insert every report's subgraph, then validate all touched subjects."""
-    summary = IngestSummary(reports=len(reports))
+    return _ingest_rows(len(reports), map(_report_rows, reports), registry, graph)
+
+
+def _ingest_rows(
+    count: int, report_rows: Iterable[list[tuple]], registry: SchemaRegistry, graph: Graph
+) -> IngestSummary:
+    """ingest_corpus of count reports, given each report's _report_rows."""
+    summary = IngestSummary(reports=count)
     intern = graph._intern_token
     add = graph._add
     touched: set[int] = set()
-    for report in reports:
-        for s, p, o in _report_rows(report):
+    for rows in report_rows:
+        for s, p, o in rows:
             si = intern(s)
             touched.add(si)
             summary.triples_added += add(si, intern(p), intern(o))

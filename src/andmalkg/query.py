@@ -244,8 +244,7 @@ class _Parser:
             tok = self.take()
             if tok.kind != "pname" or tok.value[1] != "":
                 self.error("expected a 'name:' prefix declaration", tok)
-            iri_tok = self.expect("iri")
-            ast.prefixes[tok.value[0]] = iri_tok.value
+            ast.prefixes[tok.value[0]] = self._iri(self.expect("iri")).value
         self.expect_keyword("select")
         while not self.at_keyword("where"):
             tok = self.peek()
@@ -332,6 +331,8 @@ class _Parser:
     def _expand(self, prefix: str, local: str, ast: QueryAST, pos: int) -> IRI:
         if prefix not in ast.prefixes:
             raise UnknownPrefixError(prefix, pos)
+        # the namespace was checked where it was declared, and a local name
+        # adds no character an IRI forbids
         return IRI(ast.prefixes[prefix] + local)
 
     def _term(self, ast: QueryAST, position: str):

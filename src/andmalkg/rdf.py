@@ -88,11 +88,28 @@ _LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
+
+class _Lazy:
+    """A regular expression compiled when first used; the first lookup of
+    a method of the compiled pattern keeps that method on the instance.
+    The four token regexes with the surrogate range in a character class
+    are slow to compile, and a command that loads a snapshot uses none of
+    them."""
+
+    def __init__(self, pattern: str):
+        self.pattern = pattern
+
+    def __getattr__(self, name: str):
+        method = getattr(re.compile(self.pattern), name)
+        setattr(self, name, method)
+        return method
+
+
 _SCHEME_RE = re.compile(_SCHEME)
-_IRI_FORBIDDEN_RE = re.compile(f"[{_IRI_FORBIDDEN}]")
+_IRI_FORBIDDEN_RE = _Lazy(f"[{_IRI_FORBIDDEN}]")
 _LANG_TAG_RE = re.compile(_LANG)
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
-_SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+_SURROGATE_RE = _Lazy(f"[{_SURROGATES}]")
 # One escape: a character of _UNESCAPES, or a code point in hex that is not
 # a surrogate.
 _ESCAPE = (
@@ -217,7 +234,7 @@ _IRI_TOKEN = f"<{_SCHEME}[^{_IRI_FORBIDDEN}]*>"
 # constructor checks: an IRI, or a literal without escapes, raw tab, CR,
 # newline or surrogate, language tag or explicit ^^xsd:string, whose
 # datatype is an IRI.
-_CHECKED_TOKEN_RE = re.compile(
+_CHECKED_TOKEN_RE = _Lazy(
     _IRI_TOKEN + r'|"[^"\\\t\r\n' + _SURROGATES + r']*"'
     r"(?:\^\^(?!<" + re.escape(XSD_STRING) + ">)" + _IRI_TOKEN + ")?"
 )
@@ -301,9 +318,6 @@ def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
     inner = index.get(a)
     leaf = None if inner is None else inner.get(b)
     return () if leaf is None else _each(leaf)
-
-
-_RDF_TYPE_IRI = IRI(RDF_TYPE)
 
 
 class Graph:
@@ -478,7 +492,7 @@ class Graph:
         return [self._term(i) for i in sorted(self._spo, key=self._tokens.__getitem__)]
 
     def types_of(self, subject: Term) -> list[Term]:
-        return [t.object for t in self.match(s=subject, p=_RDF_TYPE_IRI)]
+        return [t.object for t in self.match(s=subject, p=IRI(RDF_TYPE))]
 
 
 def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int]]] = None) -> list[str]:
@@ -633,7 +647,7 @@ def parse_ntriples(text: str) -> Graph:
 # A line exactly as serialize_ntriples writes it, newline included, when no
 # term needs an escape, a language tag or a blank node.  Every token of a
 # line it accepts passes the term constructors' checks.
-_STRICT_LINE_RE = re.compile(f"{_IRI_TOKEN} {_IRI_TOKEN} (?:{_CHECKED_TOKEN_RE.pattern}) \\.\n")
+_STRICT_LINE_RE = _Lazy(f"{_IRI_TOKEN} {_IRI_TOKEN} (?:{_CHECKED_TOKEN_RE.pattern}) \\.\n")
 
 
 def canonical_lines(lines: list[str]) -> list[str]:

@@ -26,6 +26,7 @@ from andmalkg import (
 )
 from andmalkg.cli import main
 import andmalkg.cli as cli_mod
+import andmalkg.ingest as ingest_mod
 import andmalkg.rdf as rdf_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
@@ -162,6 +163,98 @@ def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Runs the CLI on argv[2:] in a fresh interpreter, then writes the names of
+# all modules it imported to stderr, after a "modules:" line.  With argv[1]
+# "snapshot", a parse of the graph file fails the run.
+_IMPORTS_SCRIPT = """
+import sys
+import andmalkg.cli as cli
+if sys.argv[1] == "snapshot":
+    def parse(text):
+        raise AssertionError("parsed the graph file although a snapshot matched")
+    cli.parse_ntriples = parse
+try:
+    code = cli.main(sys.argv[2:])
+finally:
+    sys.stdout.flush()
+    print("modules:", *sorted(sys.modules), sep="\\n", file=sys.stderr)
+sys.exit(code)
+"""
+
+# read command -> its arguments, and the modules it never imports besides
+# those no read command imports
+_READ_IMPORTS = {
+    "query": ([str(QUERIES / "use_case_6.rq")], {"andmalkg.schema"}),
+    "stats": (["--by", "family"], {"andmalkg.query", "andmalkg.schema"}),
+    "emit": (["--format", "turtle"], {"andmalkg.query", "andmalkg.schema"}),
+    "validate": ([], {"andmalkg.query"}),
+}
+_NO_READ_IMPORTS = {"andmalkg.ingest", "json", "logging"}
+
+
+def _run_with_imports(graph, mode, argv):
+    """(exit code, stdout, set of imported modules) of one CLI run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT, mode, "--graph", str(graph), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    err, _, modules = proc.stderr.rpartition("modules:\n")
+    assert "Traceback" not in err, err
+    return proc.returncode, proc.stdout, set(modules.split())
+
+
+@pytest.mark.parametrize("command", sorted(_READ_IMPORTS))
+def test_read_command_imports_only_what_it_runs(tmp_path, capsys, command):
+    extra, own = _READ_IMPORTS[command]
+    never = own | _NO_READ_IMPORTS
+    graph = tmp_path / "g.nt"
+    for corpus in ("table1", "multifam"):
+        assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / corpus)]) == 0
+    capsys.readouterr()
+    snapshot = cli_mod._snapshot_path(graph)
+    assert not snapshot.exists()
+    parsed = _run_with_imports(graph, "parse", [command, *extra])
+    assert snapshot.exists()
+    loaded = _run_with_imports(graph, "snapshot", [command, *extra])
+    assert parsed[:2] == loaded[:2]
+    assert parsed[0] == 0 and parsed[1]
+    assert not never & parsed[2]
+    assert not never & loaded[2]
+    # each run imports the package's modules, not only some of them
+    assert {"andmalkg.cli", "andmalkg.rdf"} <= parsed[2] & loaded[2]
+
+
+def test_ingest_never_imports_query(tmp_path):
+    code, out, modules = _run_with_imports(
+        tmp_path / "g.nt", "parse", ["ingest", "--fixtures", str(FIXTURES / "table1")]
+    )
+    assert code == 0 and out.startswith("reports: ")
+    assert {"andmalkg.ingest", "andmalkg.schema"} <= modules
+    assert "andmalkg.query" not in modules
+
+
+def test_cli_ingest_mints_each_report_once(tmp_path, capsys, multifam_graph, table1_reports):
+    # every call of mint_iris's code counts, whatever name it is called by
+    minted = []
+    code = ingest_mod.mint_iris.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            minted.append(frame.f_locals["report"].sha256)
+
+    graph = tmp_path / "g.nt"
+    graph.write_bytes(serialize_ntriples(multifam_graph).encode("utf-8"))
+    sys.setprofile(profile)
+    try:
+        rc, out, _ = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"))
+    finally:
+        sys.setprofile(None)
+    assert rc == 0 and f"reports: {len(table1_reports)}\n" in out
+    assert sorted(minted) == sorted(r.sha256 for r in table1_reports)
 
 
 @pytest.mark.parametrize("failure", ["serialize", "mid-write"])
@@ -329,6 +422,14 @@ def test_query_malformed_file_fails_with_offset(table1_store, tmp_path, capsys):
     rc, out, err = run(capsys, "--graph", str(table1_store), "query", str(qfile))
     assert rc == 1
     assert "error:" in err and "offset" in err
+
+
+def test_query_with_a_bad_prefix_iri_fails_with_its_offset(table1_store, tmp_path, capsys):
+    qfile = tmp_path / "badprefix.rq"
+    qfile.write_text("PREFIX x: <nos> SELECT ?s WHERE { ?s x:p ?o }", encoding="utf-8")
+    rc, out, err = run(capsys, "--graph", str(table1_store), "query", str(qfile))
+    assert (rc, out) == (1, "")
+    assert err == "error: at offset 10: not an absolute IRI (missing scheme): 'nos'\n"
 
 
 def test_query_missing_file_is_io_error(table1_store, capsys, tmp_path):

@@ -84,8 +84,8 @@ def test_absent_signature_mints_no_family():
 
 
 def test_report_rows_have_exactly_the_minted_subjects(table1_reports, multifam_reports):
-    # The CLI ingest loads only the old lines of the minted IRIs and the
-    # types of their objects, so every row's subject must be minted, and
+    # The CLI ingest loads only the old lines of its rows' subjects and the
+    # types of their objects, so the subjects must be every minted IRI, and
     # every object a schema check reads the type of (any IRI object but a
     # class) must be minted too.
     for report in table1_reports + multifam_reports + [report_from_record(record())]:

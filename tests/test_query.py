@@ -175,6 +175,12 @@ _L = "SELECT ?s WHERE { ?s ?p ?o } LIMIT"
         (_W + '"x"^^<no-scheme> }', "not an absolute IRI (missing scheme): 'no-scheme'", 29),
         (_W + '"x"^^<http://e.org/a{b> }', "IRI contains forbidden character: 'http://e.org/a{b'", 29),
         (_W + "<http://e.org/\ud800> }", "IRI contains forbidden character: 'http://e.org/\\ud800'", 24),
+        # a PREFIX IRI is checked where it is declared, used or not
+        ("PREFIX x: <nos> SELECT ?s WHERE { ?s x:p ?o }", "not an absolute IRI (missing scheme): 'nos'", 10),
+        ("PREFIX x: <nos> SELECT ?s WHERE { ?s ?p ?o }", "not an absolute IRI (missing scheme): 'nos'", 10),
+        ("PREFIX x: <> SELECT ?s WHERE { ?s x:p ?o }", "not an absolute IRI (missing scheme): ''", 10),
+        ("PREFIX a: <http://e.org/>\nPREFIX x: <http://e.org/\ud800> SELECT ?s WHERE { ?s a:p ?o }",
+         "IRI contains forbidden character: 'http://e.org/\\ud800'", 36),
     ],
 )
 def test_tokenizer_errors_keep_their_message_and_position(text, message, position):
