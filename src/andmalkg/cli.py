@@ -280,9 +280,9 @@ def _cmd_stats(args) -> int:
 def _cmd_query(args) -> int:
     from .query import evaluate, format_results, parse_query
 
-    graph = _load_graph(Path(args.graph))
-    text = _decoded(Path(args.file), Path(args.file).read_bytes())
-    table = evaluate(graph, parse_query(text))
+    # a missing or malformed query fails before the graph is loaded
+    ast = parse_query(_decoded(Path(args.file), Path(args.file).read_bytes()))
+    table = evaluate(_load_graph(Path(args.graph)), ast)
     fmt = "aligned-table" if args.format == "table" else "tsv"
     sys.stdout.write(format_results(table, fmt))
     return 0

@@ -7,7 +7,7 @@ ORDER BY ASC()/DESC(), and LIMIT.  No OPTIONAL, FILTER, UNION, DISTINCT,
 or property paths.
 
 Evaluation runs on the graph's term ids (see rdf.Graph): the join binds
-ids, reading the SPO/POS/OSP index leaves directly, grouping keys on id
+ids, reading the SPO and POS index leaves directly, grouping keys on id
 tuples, and rows sort by the ids' cached canonical tokens.  The result
 table carries those tokens, and format_results writes them as they are.
 Terms are built only for the cells a query returns, when a caller first
@@ -433,10 +433,10 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], 
     interned.  The next pattern is the one with the most bound positions,
     then the most constants.
 
-    A pattern's access path is chosen once.  With two positions bound, the
-    index leaf that holds the third (_spo[s][p], _pos[p][o] or _osp[o][s])
-    is read inline for each solution; any other pattern goes through
-    Graph._rows.
+    A pattern's access path is chosen once.  When the object or the
+    subject is its one free position, the index leaf that holds it
+    (_spo[s][p] or _pos[p][o]) is read inline for each solution; any other
+    pattern, a free predicate included, goes through Graph._rows.
     """
     slots: dict[str, int] = {}
     for pat in patterns:
@@ -467,12 +467,12 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], 
 
     # a free position -> the index whose leaves hold it, and the positions
     # of that index's two keys
-    leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2), 1: (graph._osp, 2, 0)}
+    leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2)}
     solutions = [start]
     while remaining and solutions:
         refs = remaining.pop(max(range(len(remaining)), key=score))
         free = [pos for pos, r in enumerate(refs) if r not in bound]
-        if len(free) == 1:
+        if len(free) == 1 and free[0] in leaf_of:
             index, a, b = leaf_of[free[0]]
             solutions = _extend(index, refs[a], refs[b], refs[free[0]], solutions)
         else:

@@ -2,12 +2,12 @@
 
 Terms are immutable.  A Graph is dictionary-encoded: each distinct term
 is named by its canonical N-Triples token (the spelling serialize_ntriples
-writes) and stored once, under an int id; the SPO/POS/OSP indexes
-(subject-, predicate- and object-keyed) hold ids only, and are the only
-copy of the triples.  A pattern with any bound position is answered from
-an index instead of a full scan, a whole-graph walk reads SPO, and the
-serializers sort by the tokens.  Ids are private: equality, matching and
-output depend on the terms alone, never on insertion order.
+writes) and stored once, under an int id; the SPO and POS indexes
+(subject- and predicate-keyed) hold ids only, and are the only copy of
+the triples.  A pattern with any bound position is answered from an
+index instead of a full scan (see Graph._rows), a whole-graph walk reads
+SPO, and the serializers sort by the tokens.  Ids are private: equality,
+matching and output depend on the terms alone, never on insertion order.
 
 A term's token is its identity: one dict maps each token to its id, and
 a token is checked once, when it enters the graph.  Other legal
@@ -52,7 +52,7 @@ lines of their objects, and loads only those.
 
 dump_snapshot and load_snapshot own the snapshot format: the marshalled
 state parse_ntriples builds (_tokens, _ids with its aliases, the triple
-count, _spo, _pos, _osp) under a header keyed on the SHA-256 of the
+count, _spo, _pos) under a header keyed on the SHA-256 of the
 N-Triples bytes it was parsed from (snapshot_key), so only this module
 knows what the key hashes.  Loading one is several times faster than the
 parse and yields an equal graph with the same ids; a snapshot that does
@@ -321,7 +321,7 @@ def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
 
 
 class Graph:
-    """A set of triples, held in SPO/POS/OSP indexes, plus a prefix table.
+    """A set of triples, held in SPO and POS indexes, plus a prefix table.
 
     Every distinct term is stored once, named by its canonical N-Triples
     token and numbered by an int id; the indexes hold ids only.  Two
@@ -336,7 +336,6 @@ class Graph:
         self._size = 0  # the number of triples
         self._spo: _Index = {}
         self._pos: _Index = {}
-        self._osp: _Index = {}
         self.prefixes: dict[str, str] = dict(PREFIXES if prefixes is None else prefixes)
 
     def __len__(self) -> int:
@@ -406,7 +405,6 @@ class Graph:
         if _index(self._spo, s, p, o):
             return False
         _index(self._pos, p, o, s)
-        _index(self._osp, o, s, p)
         self._size += 1
         return True
 
@@ -442,9 +440,10 @@ class Graph:
         """Id triples matching the bound ids (None leaves a position
         unbound), in no particular order.
 
-        Served from SPO when the subject is bound (from OSP when the object
-        is bound and the predicate is not), else from POS when the
-        predicate is bound, else from OSP; with nothing bound, from SPO.
+        Served from SPO when the subject or nothing is bound, else from
+        POS.  With the object bound and the predicate not, each of the
+        subject's predicates, or each predicate's POS entry, is probed for
+        the object: a graph built from reports has a few dozen predicates.
         Every id passed must come from this graph.
         """
         if si is not None:
@@ -453,9 +452,9 @@ class Graph:
                 if oi is None:
                     return [(si, pi, obj) for obj in objs]
                 return [(si, pi, oi)] if oi in objs else []
-            if oi is not None:
-                return [(si, pred, oi) for pred in _leaf(self._osp, oi, si)]
             by_p = self._spo.get(si, {})
+            if oi is not None:
+                return [(si, pred, oi) for pred, objs in by_p.items() if oi in _each(objs)]
             return [(si, pred, obj) for pred, objs in by_p.items() for obj in _each(objs)]
         if pi is not None:
             if oi is not None:
@@ -463,8 +462,7 @@ class Graph:
             by_o = self._pos.get(pi, {})
             return [(sub, pi, obj) for obj, subs in by_o.items() for sub in _each(subs)]
         if oi is not None:
-            by_s = self._osp.get(oi, {})
-            return [(sub, pred, oi) for sub, preds in by_s.items() for pred in _each(preds)]
+            return [(sub, pred, oi) for pred, by_o in self._pos.items() for sub in _each(by_o.get(oi, ()))]
         return list(self._walk())
 
     def match(
@@ -487,13 +485,6 @@ class Graph:
             return []
         return self._canonical(self._rows(si, pi, oi))
 
-    def subjects(self) -> list[Term]:
-        """Distinct subjects, in canonical order."""
-        return [self._term(i) for i in sorted(self._spo, key=self._tokens.__getitem__)]
-
-    def types_of(self, subject: Term) -> list[Term]:
-        return [t.object for t in self.match(s=subject, p=IRI(RDF_TYPE))]
-
 
 def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int]]] = None) -> list[str]:
     """The canonical lines of the id triples (default: all of graph's),
@@ -501,8 +492,18 @@ def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int
     line is a prefix of another and the newline leaves the order as it is
     without one."""
     tokens = graph._tokens
-    rows = graph._walk() if triples is None else triples
-    return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in rows)
+    if triples is not None:
+        return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in triples)
+    lines = []
+    for s, by_p in graph._spo.items():
+        for p, objs in by_p.items():
+            head = f"{tokens[s]} {tokens[p]} "
+            if type(objs) is int:  # a lone object, the common case
+                lines.append(f"{head}{tokens[objs]} .\n")
+            else:
+                lines += [f"{head}{tokens[o]} .\n" for o in objs]
+    lines.sort()
+    return lines
 
 
 def serialize_ntriples(graph: Graph) -> str:
@@ -710,12 +711,12 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
 # version and the interpreter, because marshal data is only promised to
 # load where it was written, then the SHA-256 of the N-Triples bytes the
 # graph was parsed from (the key) and that of the payload.  The format
-# number, 2, changes whenever the payload's layout does.
+# number, 3, changes whenever the payload's layout does.
 _SNAPSHOT_TAG = (
-    f"andmalkg-snapshot 2 marshal {marshal.version} "
+    f"andmalkg-snapshot 3 marshal {marshal.version} "
     f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
 )
-_SNAPSHOT_SHAPE = (list, dict, int, dict, dict, dict)
+_SNAPSHOT_SHAPE = (list, dict, int, dict, dict)
 
 
 def _sha256(data) -> bytes:
@@ -741,9 +742,7 @@ def dump_snapshot(graph: Graph, key: bytes) -> bytes:
     bytes it was parsed from: load_snapshot turns it back into an equal
     graph, with the same tokens, aliases and ids, far faster than a parse.
     """
-    payload = marshal.dumps(
-        (graph._tokens, graph._ids, graph._size, graph._spo, graph._pos, graph._osp)
-    )
+    payload = marshal.dumps((graph._tokens, graph._ids, graph._size, graph._spo, graph._pos))
     return _snapshot_prefix(key) + _sha256(payload).hex().encode("ascii") + b"\n" + payload
 
 
@@ -769,7 +768,7 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     if type(state) is not tuple or tuple(map(type, state)) != _SNAPSHOT_SHAPE:
         return None
     graph = Graph()
-    graph._tokens, graph._ids, graph._size, graph._spo, graph._pos, graph._osp = state
+    graph._tokens, graph._ids, graph._size, graph._spo, graph._pos = state
     return graph
 
 

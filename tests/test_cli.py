@@ -439,6 +439,24 @@ def test_query_missing_file_is_io_error(table1_store, capsys, tmp_path):
     assert rc == 2
 
 
+def test_query_file_is_read_and_parsed_before_the_graph_is_loaded(table1_store, tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(table1_store.read_bytes())
+    qfile = tmp_path / "broken.rq"
+    qfile.write_text("SELECT ?s WHERE { ?s ?p }", encoding="utf-8")
+    parses = ParseCounter(monkeypatch)
+    malformed = (1, "", "error: at offset 24: expected a term in object position\n")
+    assert run(capsys, "--graph", str(graph), "query", str(qfile)) == malformed
+    missing = run(capsys, "--graph", str(graph), "query", str(tmp_path / "none.rq"))
+    assert missing[:2] == (2, "") and "none.rq" in missing[2]
+    assert parses.calls == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.rq", "graph.nt"]
+    # with the graph bad as well, the query's error is the one reported
+    graph.write_text("<http://a> <http://b> missing-dot\n", encoding="utf-8")
+    assert run(capsys, "--graph", str(graph), "query", str(qfile)) == malformed
+    assert run(capsys, "--graph", str(tmp_path / "absent.nt"), "query", str(qfile)) == malformed
+
+
 def test_undeclared_prefix_fails(table1_store, tmp_path, capsys):
     qfile = tmp_path / "noprefix.rq"
     qfile.write_text("SELECT ?m WHERE { ?m amo:hasTag ?t . }", encoding="utf-8")
@@ -651,24 +669,43 @@ def _junk(graph, snapshot):
     snapshot.write_bytes(b"\x89junk\x00" * 5000)
 
 
-def _format_1(graph, snapshot):
-    # a snapshot as format 1 wrote it, keyed on this graph file: its payload
-    # also held every triple, as a tuple of id triples
-    g = parse_ntriples(graph.read_text(encoding="utf-8"))
-    triples = tuple(g._walk())
-    payload = marshal.dumps((g._tokens, g._ids, triples, g._spo, g._pos, g._osp))
-    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 2 ", "andmalkg-snapshot 1 ")
+def _write_old_format(graph, snapshot, number, state):
+    # a snapshot as format number wrote it, keyed on this graph file
+    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 3 ", f"andmalkg-snapshot {number} ")
+    assert tag != rdf_mod._SNAPSHOT_TAG
+    payload = marshal.dumps(state)
     key = hashlib.sha256(graph.read_bytes()).hexdigest()
     header = f"{tag} {key} {hashlib.sha256(payload).hexdigest()}\n"
     snapshot.write_bytes(header.encode("ascii") + payload)
 
 
+def _old_layout(graph):
+    """The graph in the file, and the object-keyed (OSP) index that
+    formats 1 and 2 held after POS."""
+    g = parse_ntriples(graph.read_text(encoding="utf-8"))
+    osp = {}
+    for s, p, o in g._walk():
+        rdf_mod._index(osp, o, s, p)
+    return g, osp
+
+
+def _format_1(graph, snapshot):
+    # its payload also held every triple, as a tuple of id triples
+    g, osp = _old_layout(graph)
+    _write_old_format(graph, snapshot, 1, (g._tokens, g._ids, tuple(g._walk()), g._spo, g._pos, osp))
+
+
+def _format_2(graph, snapshot):
+    g, osp = _old_layout(graph)
+    _write_old_format(graph, snapshot, 2, (g._tokens, g._ids, len(g), g._spo, g._pos, osp))
+
+
 @pytest.mark.parametrize(
     "damage",
     [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk,
-     _format_1],
+     _format_1, _format_2],
     ids=["stale", "flipped-byte", "truncated", "foreign-format", "foreign-marshal",
-         "foreign-python", "junk", "format-1"],
+         "foreign-python", "junk", "format-1", "format-2"],
 )
 def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch, damage):
     graph = tmp_path / "graph.nt"
@@ -1151,6 +1188,18 @@ def test_query_output_matches_the_golden_file(golden_store, capsys, k, fmt):
     command = ["--graph", str(golden_store), "query", str(QUERIES / f"use_case_{k}.rq"), "--format", fmt]
     assert run(capsys, *command) == (0, want, "")  # parses, and writes the snapshot
     assert snapshot.exists()
+    assert run(capsys, *command) == (0, want, "")  # loads the snapshot
+    gc.unfreeze()
+
+
+def test_object_keyed_query_matches_the_golden_file(golden_store, capsys):
+    # patterns whose free positions include the predicate, with the object
+    # bound: the output was recorded while an OSP index still served them
+    capsys.readouterr()
+    want = (GOLDEN / "object_keyed.tsv").read_text(encoding="utf-8")
+    cli_mod._snapshot_path(golden_store).unlink(missing_ok=True)
+    command = ["--graph", str(golden_store), "query", str(GOLDEN / "object_keyed.rq")]
+    assert run(capsys, *command) == (0, want, "")  # parses
     assert run(capsys, *command) == (0, want, "")  # loads the snapshot
     gc.unfreeze()
 

@@ -497,8 +497,10 @@ def test_parsed_graph_equals_ingested_graph(registry, table1_reports, multifam_r
     parsed = parse_ntriples(serialize_ntriples(ingested))
     assert parsed == ingested and ingested == parsed
     assert set(parsed) == set(ingested)
-    assert parsed.subjects() == ingested.subjects()
-    for subject in ingested.subjects()[::25]:
+    # match() is in canonical order, so the subjects are too
+    subjects = list(dict.fromkeys(t.subject for t in ingested.match()))
+    assert list(dict.fromkeys(t.subject for t in parsed.match())) == subjects
+    for subject in subjects[::25]:
         assert parsed.match(s=subject) == ingested.match(s=subject)
     ingested.insert(Triple(IRI(andmal("extra")), IRI(RDF_TYPE), IRI(andmal("File"))))
     assert parsed != ingested and ingested != parsed

@@ -398,6 +398,27 @@ def test_limit_truncates_after_ordering():
     assert table_as_text(run_query(g, q + " LIMIT 0")) == []
 
 
+def test_object_keyed_patterns_match_reference():
+    # the predicate free and the object bound, by a constant or by an
+    # earlier pattern: ?s ?p <o>, <s> ?p <o>, <s> ?q ?o after <s> ?p ?o,
+    # and ?x ?q <o> after ?x ?p <o>; s and o are drawn apart, so most
+    # pairs are linked by no triple
+    rng = random.Random(6262)
+    S, P, Q, O, X = Var("s"), Var("p"), Var("q"), Var("o"), Var("x")
+    for _ in range(40):
+        g = query_graph(rng)
+        for graph in (g, parse_ntriples(serialize_ntriples(g))):
+            s = rng.choice([t.subject for t in g] + [IRI("http://example.org/s0")])
+            o = rng.choice([t.object for t in g] + [Literal("alpha")])
+            for select, where in (
+                ([S, P], [TriplePattern(S, P, o)]),
+                ([P], [TriplePattern(s, P, o)]),
+                ([P, Q, O], [TriplePattern(s, P, O), TriplePattern(s, Q, O)]),
+                ([X, P, Q], [TriplePattern(X, P, o), TriplePattern(X, Q, o)]),
+            ):
+                assert_matches_reference(graph, QueryAST(select=select, where=where))
+
+
 def test_engine_matches_reference_on_random_cases():
     rng = random.Random(4242)
     for _ in range(60):

@@ -22,7 +22,7 @@ from andmalkg import (
     serialize_turtle,
     term_to_ntriples,
 )
-from andmalkg.ns import ANDMAL, MALONT, XSD_INTEGER, XSD_STRING
+from andmalkg.ns import ANDMAL, MALONT, RDF_TYPE, XSD_INTEGER, XSD_STRING
 
 from randgraph import NASTY_STRINGS, random_graph, random_triple
 from turtle_check import ntriples_as_tuples, parse_turtle
@@ -233,13 +233,21 @@ def test_graph_equality_ignores_prefixes():
     assert a == b
 
 
-def test_subjects_and_types_of():
+def test_match_by_object_and_by_subject_and_object():
+    s, other = IRI("http://example.org/s"), IRI("http://example.org/other")
+    p, q = IRI("http://example.org/p"), IRI("http://example.org/q")
+    o, cls = Literal("o"), IRI("http://example.org/C")
     g = Graph()
-    s = IRI("http://example.org/s")
-    cls = IRI("http://example.org/C")
-    g.insert(Triple(s, IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), cls))
-    assert g.subjects() == [s]
-    assert g.types_of(s) == [cls]
+    g.insert_all(
+        [Triple(s, p, o), Triple(s, q, o), Triple(other, p, o), Triple(s, IRI(RDF_TYPE), cls), Triple(other, q, cls)]
+    )
+    assert g.match(o=o) == [Triple(other, p, o), Triple(s, p, o), Triple(s, q, o)]
+    assert g.match(s=s, o=o) == [Triple(s, p, o), Triple(s, q, o)]
+    assert g.match(o=cls) == [Triple(other, q, cls), Triple(s, IRI(RDF_TYPE), cls)]
+    assert g.match(s=other, o=cls) == [Triple(other, q, cls)]
+    # a term of the graph that is no object, and pairs no triple links
+    assert g.match(o=s) == []
+    assert g.match(s=s, o=s) == [] and g.match(s=other, p=p, o=cls) == []
 
 
 def test_term_to_ntriples_forms():
@@ -330,7 +338,7 @@ def test_insertion_order_does_not_show():
         assert g1 == g2 and g2 == g1
         assert serialize_ntriples(g1) == serialize_ntriples(g2)
         assert serialize_turtle(g1) == serialize_turtle(g2)
-        assert g1.subjects() == g2.subjects()
+        assert {t.subject for t in g1} == {t.subject for t in g2}
         pool = triples or [random_triple(rng)]
         for probe in rng.sample(pool, min(len(pool), 10)):
             for mask in range(8):
@@ -363,7 +371,7 @@ def test_match_on_absent_term_is_empty_and_interns_nothing():
         assert g.match(s=term) == []
         assert g.match(o=term) == []
         assert g.match(s=term, p=term, o=term) == []
-        assert g.types_of(term) == []
+        assert g.match(s=term, p=IRI(RDF_TYPE)) == []
     assert g.match(p=IRI("http://example.org/absent")) == []
     assert Triple(absent[0], absent[0], absent[1]) not in g
     assert len(g._tokens) == terms
@@ -658,7 +666,7 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
         assert loaded._tokens == parsed._tokens
         assert loaded._ids == parsed._ids
         assert len(loaded) == len(parsed)
-        assert (loaded._spo, loaded._pos, loaded._osp) == (parsed._spo, parsed._pos, parsed._osp)
+        assert (loaded._spo, loaded._pos) == (parsed._spo, parsed._pos)
         assert loaded.prefixes == parsed.prefixes
         assert [loaded._term(i) for i in range(len(loaded._tokens))] == [
             parsed._term(i) for i in range(len(parsed._tokens))
@@ -671,12 +679,33 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
     assert aliased._ids[f'"c"^^<{XSD_STRING}>'] == aliased._ids['"c"']
 
 
+def test_rows_equal_a_filter_of_the_walk():
+    # all eight bound/unbound combinations, on graphs with blank nodes,
+    # literals and aliases, parsed and loaded from their snapshots; probes
+    # are triples of the graph and any three of its ids
+    rng = random.Random(61)
+    for text in _snapshot_texts():
+        parsed = parse_ntriples(text)
+        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, SOURCE), SOURCE)
+        for g in (parsed, loaded):
+            walk = list(g._walk())
+            assert len(walk) == len(g)
+            ids = range(len(g._tokens))
+            probes = rng.sample(walk, min(len(walk), 15))
+            probes += [tuple(rng.choice(ids) for _ in range(3)) for _ in range(15)] if ids else []
+            for probe in probes:
+                for mask in range(8):
+                    bound = [probe[k] if mask >> k & 1 else None for k in range(3)]
+                    want = sorted(t for t in walk if all(b is None or b == i for b, i in zip(bound, t)))
+                    assert sorted(g._rows(*bound)) == want
+
+
 def test_snapshot_header_names_format_marshal_interpreter_and_digests():
     data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE)
     header, payload = data.split(b"\n", 1)
     version = f"{sys.version_info.major}.{sys.version_info.minor}"
     assert header.decode("ascii").split(" ") == [
-        "andmalkg-snapshot", "2", "marshal", str(marshal.version),
+        "andmalkg-snapshot", "3", "marshal", str(marshal.version),
         sys.implementation.name, version,
         hashlib.sha256(b"the graph file").hexdigest(), hashlib.sha256(payload).hexdigest(),
     ]
@@ -731,16 +760,18 @@ def test_unusable_snapshot_loads_nothing(damage):
     [
         b"\xffnot marshal data",
         marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}))[:-3],
-        marshal.dumps([["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}, {}]),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {})),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, {(0, 0, 0)}, {}, {}, {})),
-        # format 1's layout: the triples, as a tuple, where the count now is
+        marshal.dumps([["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}]),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {})),
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, {(0, 0, 0)}, {}, {})),
+        # format 1's layout: the triples, as a tuple, where the count now is,
+        # and an OSP index after POS
         marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, ((0, 0, 0),), {0: {0: 0}}, {0: {0: 0}}, {0: {0: 0}})),
-        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}, {}, {})),
+        # format 2's layout: an OSP index after POS
+        marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 1, {0: {0: 0}}, {0: {0: 0}}, {0: {0: 0}})),
         marshal.dumps(None),
     ],
-    ids=["not-marshal", "cut-short", "list", "five", "set-of-triples", "format-1-payload", "seven",
-         "none"],
+    ids=["not-marshal", "cut-short", "list", "four", "set-of-triples", "format-1-payload",
+         "format-2-payload", "none"],
 )
 def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
     assert rdf_mod.load_snapshot(_wrap(payload), SOURCE) is None
