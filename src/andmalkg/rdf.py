@@ -492,18 +492,8 @@ def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int
     line is a prefix of another and the newline leaves the order as it is
     without one."""
     tokens = graph._tokens
-    if triples is not None:
-        return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in triples)
-    lines = []
-    for s, by_p in graph._spo.items():
-        for p, objs in by_p.items():
-            head = f"{tokens[s]} {tokens[p]} "
-            if type(objs) is int:  # a lone object, the common case
-                lines.append(f"{head}{tokens[objs]} .\n")
-            else:
-                lines += [f"{head}{tokens[o]} .\n" for o in objs]
-    lines.sort()
-    return lines
+    rows = graph._walk() if triples is None else triples
+    return sorted(f"{tokens[s]} {tokens[p]} {tokens[o]} .\n" for s, p, o in rows)
 
 
 def serialize_ntriples(graph: Graph) -> str:
