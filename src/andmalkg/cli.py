@@ -5,8 +5,8 @@ read command loads it whole, and ingest grows it.  Only ingest starts from
 an empty graph when the file does not exist; any other command then fails
 with exit code 2.  Every command reads the graph and a query file as
 UTF-8, CRLF and a lone CR as a newline (_decoded).  Exit codes: 0 success,
-1 validation or parse failure (bytes that are not UTF-8 included), 2 I/O
-or network failure.
+1 validation or parse failure (bytes that are not UTF-8 included), 2 I/O,
+network or usage failure.
 
 ingest reads the file's lines and, when they are already what
 serialize_ntriples writes (rdf.canonical_lines), loads into a graph only
@@ -34,15 +34,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import (
-    AndMalKgError,
-    ApiError,
-    InvalidReportError,
-    NetworkError,
-    NTriplesParseError,
-    QueryParseError,
-    ReportParseError,
-)
+from .errors import AndMalKgError, ApiError, NetworkError
 from .ns import RDF_TYPE, andmal, malont
 from .rdf import (
     Graph,
@@ -197,19 +189,23 @@ def _cmd_ingest(args) -> int:
     )
     from .schema import build_schema
 
-    path = Path(args.graph)
-    lines = canonical_lines(_read_lines(path))
-    registry = build_schema()
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))
         limit = args.limit if args.limit is not None else 100
     else:
         source = FixtureSource(Path(args.fixtures))
         limit = args.limit if args.limit is not None else 1000
-    if args.signature:
-        selector = FetchSelector.by_signature(args.signature, limit)
-    else:
-        selector = FetchSelector.recent(limit)
+    try:
+        if args.signature:
+            selector = FetchSelector.by_signature(args.signature, limit)
+        else:
+            selector = FetchSelector.recent(limit)
+    except ValueError as exc:  # a --limit outside FetchSelector's range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    path = Path(args.graph)
+    lines = canonical_lines(_read_lines(path))
+    registry = build_schema()
     errors: list[tuple[str, str]] = []
     reports = fetch_reports(selector, source, errors)
     rows = [_report_rows(report) for report in reports]
@@ -364,9 +360,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QueryParseError, NTriplesParseError, ReportParseError, InvalidReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NetworkError, ApiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

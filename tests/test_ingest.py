@@ -17,6 +17,7 @@ from andmalkg import (
     NetworkError,
     ReportParseError,
     Triple,
+    YaraRuleInfo,
     andmal,
     fetch_reports,
     ingest_corpus,
@@ -168,6 +169,34 @@ def test_field_rules():
     report = report_from_record(record(file_size="123", origin_country="us"))
     assert report.file_size == 123
     assert report.origin_country == "US"
+
+
+# outcome: the field InvalidReportError names, or the attributes of the
+# accepted report
+@pytest.mark.parametrize(
+    "overrides, outcome",
+    [
+        ({"first_seen": "the day before yesterday"}, "first_seen"),
+        ({"file_type": 7}, "file_type"),
+        ({"vendor_intel": "V: malicious"}, "vendor_intel"),
+        ({"yara_rules": {"rule_name": "r"}}, "yara_rules"),
+        ({"code_sign": "sha256"}, "code_sign"),
+        ({"tags": "a,b"}, "tags"),
+        ({"tags": ["ok", 3]}, "tags"),
+        ({"vendor_intel": {"vhash": " vh_da5db9481a "}}, {"vhash": "vh_da5db9481a", "vendor_intel": ()}),
+        ({"yara_rules": ["r", {"rule_name": "x"}]}, {"yara_rules": (YaraRuleInfo("x"),)}),
+        ({"code_sign": {"serial_number": "01", "issuer": "CN=x"}}, {"certificate": None}),
+        ({"origin_country": "n/a"}, {"origin_country": None}),
+    ],
+)
+def test_record_shapes_rejected_or_accepted(overrides, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidReportError) as err:
+            report_from_record(record(**overrides))
+        assert err.value.field == outcome
+    else:
+        report = report_from_record(record(**overrides))
+        assert {name: getattr(report, name) for name in outcome} == outcome
 
 
 @pytest.mark.parametrize("code", ["ßa", "ÄÖ"])

@@ -101,6 +101,23 @@ def test_parse_typed_and_tagged_literals():
     assert ast.where[1].o.language == "en"
 
 
+def test_prefixed_datatype_is_the_full_datatype_iri():
+    size = IRI(andmal("hasFileSize"))
+    g = Graph()
+    g.insert(Triple(IRI(andmal("file_1")), size, Literal("5", datatype=XSD_INTEGER)))
+    g.insert(Triple(IRI(andmal("file_2")), size, Literal("5")))
+    query = (
+        PREAMBLE
+        + "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+        + "SELECT ?f WHERE {{ ?f android_malware_ontology:hasFileSize {} }}"
+    )
+    prefixed = parse_query(query.format('"5"^^xsd:integer'))
+    full = parse_query(query.format(f'"5"^^<{XSD_INTEGER}>'))
+    assert prefixed == full
+    assert prefixed.where[0].o == Literal("5", datatype=XSD_INTEGER)
+    assert table_as_text(evaluate(g, prefixed)) == [(f"<{andmal('file_1')}>",)]
+
+
 def test_undeclared_prefix_reports_position():
     text = "SELECT ?s WHERE { ?s malont:hasReporter ?r . }"
     with pytest.raises(UnknownPrefixError) as err:
@@ -133,6 +150,8 @@ def test_parse_rejects_malformed_queries(text):
 
 _W = "SELECT ?s WHERE { ?s ?p "
 _L = "SELECT ?s WHERE { ?s ?p ?o } LIMIT"
+_S = "SELECT ?s WHERE { ?s ?p ?o }"
+_G = "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"
 
 
 # Every error the tokenizer raises, with its offset: the start of the bad
@@ -181,6 +200,22 @@ _L = "SELECT ?s WHERE { ?s ?p ?o } LIMIT"
         ("PREFIX x: <> SELECT ?s WHERE { ?s x:p ?o }", "not an absolute IRI (missing scheme): ''", 10),
         ("PREFIX a: <http://e.org/>\nPREFIX x: <http://e.org/\ud800> SELECT ?s WHERE { ?s a:p ?o }",
          "IRI contains forbidden character: 'http://e.org/\\ud800'", 36),
+        # the parser's errors, at the token it stops at
+        (_S + " GROUP ?s", "expected BY", 35),
+        ("SELECT (COUNT(?s) ?n) WHERE { ?s ?p ?o }", "expected AS", 18),
+        ("PREFIX x:y <http://e.org/> SELECT ?s WHERE { ?s ?p ?o }", "expected a 'name:' prefix declaration", 7),
+        ("PREFIX <http://e.org/> SELECT ?s WHERE { ?s ?p ?o }", "expected a 'name:' prefix declaration", 7),
+        (_S + " ORDER BY ?s", "expected ASC(...) or DESC(...)", 38),
+        (_G + " HAVING (COUNT(?o) 3)", "expected a comparison operator", 77),
+        ('SELECT ?s WHERE { "x" ?p ?o }', "expected an IRI or variable in subject position", 18),
+        ('SELECT ?s WHERE { ?s "x" ?o }', "expected an IRI or variable in predicate position", 21),
+        (_W + '"v"^^?x }', "expected a datatype IRI after '^^'", 29),
+        # the checks of a whole query, at offset 0
+        ("SELECT ?s WHERE { }", "WHERE needs at least one pattern", 0),
+        (_S + " HAVING (COUNT(?o) > 1)", "HAVING needs grouping", 0),
+        ("SELECT (COUNT(?x) AS ?n) WHERE { ?s ?p ?o }", "aggregated variable ?x never appears in WHERE", 0),
+        ("SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?x", "grouped variable ?x never appears in WHERE", 0),
+        (_G + " HAVING (COUNT(?x) > 1)", "HAVING variable ?x never appears in WHERE", 0),
     ],
 )
 def test_tokenizer_errors_keep_their_message_and_position(text, message, position):
