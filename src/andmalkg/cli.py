@@ -183,7 +183,9 @@ def _cmd_ingest(args) -> int:
         FetchSelector,
         FixtureSource,
         LiveSource,
+        _LIVE_RECENT_MAX,
         _ingest_rows,
+        _live_form,
         _report_rows,
         fetch_reports,
     )
@@ -191,7 +193,7 @@ def _cmd_ingest(args) -> int:
 
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))
-        limit = args.limit if args.limit is not None else 100
+        limit = args.limit if args.limit is not None else _LIVE_RECENT_MAX
     else:
         source = FixtureSource(Path(args.fixtures))
         limit = args.limit if args.limit is not None else 1000
@@ -200,7 +202,9 @@ def _cmd_ingest(args) -> int:
             selector = FetchSelector.by_signature(args.signature, limit)
         else:
             selector = FetchSelector.recent(limit)
-    except ValueError as exc:  # a --limit outside FetchSelector's range
+        if args.live:
+            _live_form(selector)
+    except ValueError as exc:  # a --limit outside FetchSelector's range, or the API's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = Path(args.graph)

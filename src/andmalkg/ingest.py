@@ -1,16 +1,20 @@
 """MalwareBazaar report pipeline: fetch or load reports, mint IRIs, emit triples.
 
 Reports arrive as JSON records (one per fixture file, or in the `data`
-array of a live API response).  Parsing is strict: every present hash is
-checked against its format rules, timestamps must be ordered, and country
-codes must be two ASCII letters, so a parsed report is guaranteed to
-produce a schema-conformant subgraph.
+array of a live API response; get_recent gives at most 100).  Parsing is
+strict: every present hash is checked against its HASH_KINDS format,
+timestamps must be ordered and fall within years 1-9999 in UTC, and
+country codes must be two ASCII letters, so a parsed report is guaranteed
+to produce a schema-conformant subgraph.  A report that breaks a rule, or
+cannot be decoded at all, raises ReportParseError or InvalidReportError,
+and a fetch skips it.
 
 A report's subgraph is built once, as rows of canonical N-Triples tokens,
-the names the store keeps terms under (see rdf.py).  ingest_corpus interns
-the tokens straight into the graph and validates the subjects it touched
-from the graph's SPO index; report_to_triples turns the same rows into
-Triples.
+the names the store keeps terms under (see rdf.py), each class and
+property named by its local name in the schema registry.  ingest_corpus
+interns the tokens straight into the graph and validates the subjects it
+touched from the graph's SPO index; report_to_triples turns the same rows
+into Triples.
 """
 
 from __future__ import annotations
@@ -24,15 +28,10 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
-from .ns import RDF_TYPE, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal, malont
-from .rdf import _SCHEME_RE, _SURROGATE_RE, Graph, Triple, _checked_term, _literal_token as _literal
-from .schema import (
-    HASH_KINDS,
-    SchemaRegistry,
-    build_schema,
-    validate_hash_format,
-    validate_subjects,
-)
+from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
+from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term
+from .rdf import _literal_token as _literal
+from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
 
 logger = logging.getLogger(__name__)
 # A library logs; the application decides where records go.  Without a
@@ -161,11 +160,11 @@ def _normalize_timestamp(raw: str, field_name: str) -> str:
     text = raw.strip().replace(" ", "T")
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
+        if dt.tzinfo is not None:  # a naive time is read as UTC
+            dt = dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # OverflowError: in UTC, outside years 1-9999
         raise InvalidReportError(f"bad timestamp {raw!r}", field=field_name)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _opt_str(record: dict, key: str) -> Optional[str]:
@@ -305,8 +304,11 @@ def report_from_record(record: dict) -> MalwareReport:
 
     file_size = record.get("file_size")
     if file_size is not None:
-        if isinstance(file_size, str) and file_size.isdigit():
-            file_size = int(file_size)
+        if isinstance(file_size, str) and file_size.isdecimal():
+            try:
+                file_size = int(file_size)
+            except ValueError:  # more digits than int() converts
+                pass
         if not isinstance(file_size, int) or isinstance(file_size, bool) or file_size < 0:
             raise InvalidReportError("file_size must be a non-negative integer", field="file_size")
 
@@ -390,7 +392,7 @@ def parse_report(document: str) -> MalwareReport:
     """Parse one JSON report document."""
     try:
         record = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nested too deep, or a number too long
         raise ReportParseError(f"not valid JSON: {exc}") from exc
     return report_from_record(record)
 
@@ -432,46 +434,12 @@ def _iri(value: str) -> str:
     return f"<{value}>"
 
 
-# Vocabulary tokens of report rows.
-_TYPE = _iri(RDF_TYPE)
-_FILE = _iri(andmal("File"))
-_MALWARE = _iri(malont("Malware"))
-_MALWARE_FAMILY = _iri(malont("MalwareFamily"))
-_TAG = _iri(andmal("Tag"))
-_MALWARE_REPORTER = _iri(andmal("MalwareReporter"))
-_LOCATION = _iri(malont("Location"))
-_VENDOR_INTELLIGENCE = _iri(andmal("VendorIntelligence"))
-_YARA_RULE = _iri(andmal("YaraRule"))
-_CERTIFICATE = _iri(andmal("Certificate"))
-_CONTAINS = _iri(andmal("contains"))
-_HAS_FILE = _iri(andmal("hasFile"))
-_HAS_FILE_NAME = _iri(andmal("hasFileName"))
-_HAS_FILE_SIZE = _iri(andmal("hasFileSize"))
-_HAS_FILE_TYPE = _iri(andmal("hasFileType"))
-_FIRST_SEEN = _iri(andmal("firstSeen"))
-_LAST_SEEN = _iri(andmal("lastSeen"))
-_HAS_MALWARE_FAMILY = _iri(andmal("hasMalwareFamily"))
-_HAS_TAG = _iri(andmal("hasTag"))
-_TAG_LABEL = _iri(andmal("tagLabel"))
-_HAS_REPORTER = _iri(malont("hasReporter"))
-_REPORTED_FROM = _iri(andmal("ReportedFrom"))
-_COUNTRY_CODE = _iri(andmal("countryCode"))
-_HAS_HASH = _iri(andmal("hasHash"))
-_HAS_VENDOR_INTEL = _iri(andmal("hasVendorIntel"))
-_VENDOR_NAME = _iri(andmal("vendorName"))
-_VERDICT = _iri(andmal("verdict"))
-_DETECTION_NAME = _iri(andmal("detectionName"))
-_VENDOR_LINK = _iri(andmal("vendorLink"))
-_ANALYSIS_DATE = _iri(andmal("analysisDate"))
-_DETECTED_BY = _iri(andmal("detectedBy"))
-_YARA_RULE_NAME = _iri(andmal("yaraRuleName"))
-_YARA_AUTHOR = _iri(andmal("yaraAuthor"))
-_YARA_DESCRIPTION = _iri(andmal("yaraDescription"))
-_YARA_REFERENCE = _iri(andmal("yaraReference"))
-_HAS_CERTIFICATE = _iri(andmal("hasCertificate"))
-_THUMBPRINT_ALGORITHM = _iri(andmal("thumbprintAlgorithm"))
-_CERT_SERIAL_NUMBER = _iri(andmal("certSerialNumber"))
-_CERT_ISSUER = _iri(andmal("certIssuer"))
+# the token of each class and property of the registry, by its (unique) local name
+_VOCABULARY = {
+    iri.rsplit("#", 1)[1]: _iri(iri)
+    for terms in (_registry.classes, _registry.object_properties, _registry.data_properties)
+    for iri in terms
+}
 # (HashKind, class token, value property token)
 _HASH_TOKENS = tuple((k, _iri(k.cls), _iri(k.value_property)) for k in HASH_KINDS)
 
@@ -479,92 +447,93 @@ _HASH_TOKENS = tuple((k, _iri(k.cls), _iri(k.value_property)) for k in HASH_KIND
 def _report_rows(report: MalwareReport) -> list[tuple]:
     """The report's subgraph as (s, p, o) canonical N-Triples tokens.  Every
     subject validates cleanly; a row may repeat."""
+    T = _VOCABULARY
     ids = {role: _iri(iri) for role, iri in mint_iris(report).items()}
     file_node = ids["file"]
     malware_node = ids["malware"]
     rows = [
-        (file_node, _TYPE, _FILE),
-        (malware_node, _TYPE, _MALWARE),
-        (file_node, _CONTAINS, malware_node),
-        (malware_node, _HAS_FILE, file_node),
-        (file_node, _HAS_FILE_NAME, _literal(report.file_name)),
+        (file_node, _TYPE_TOKEN, T["File"]),
+        (malware_node, _TYPE_TOKEN, T["Malware"]),
+        (file_node, T["contains"], malware_node),
+        (malware_node, T["hasFile"], file_node),
+        (file_node, T["hasFileName"], _literal(report.file_name)),
     ]
     add = rows.append
     if report.file_size is not None:
-        add((file_node, _HAS_FILE_SIZE, _literal(str(report.file_size), XSD_INTEGER)))
+        add((file_node, T["hasFileSize"], _literal(str(report.file_size), XSD_INTEGER)))
     if report.file_type is not None:
-        add((file_node, _HAS_FILE_TYPE, _literal(report.file_type)))
+        add((file_node, T["hasFileType"], _literal(report.file_type)))
     if report.first_seen is not None:
-        add((file_node, _FIRST_SEEN, _literal(report.first_seen, XSD_DATETIME)))
+        add((file_node, T["firstSeen"], _literal(report.first_seen, XSD_DATETIME)))
     if report.last_seen is not None:
-        add((file_node, _LAST_SEEN, _literal(report.last_seen, XSD_DATETIME)))
+        add((file_node, T["lastSeen"], _literal(report.last_seen, XSD_DATETIME)))
 
     if report.signature:
         family = ids["family"]
-        add((family, _TYPE, _MALWARE_FAMILY))
-        add((malware_node, _HAS_MALWARE_FAMILY, family))
+        add((family, _TYPE_TOKEN, T["MalwareFamily"]))
+        add((malware_node, T["hasMalwareFamily"], family))
 
     for tag in report.tags:
         tag_node = ids[f"tag:{tag}"]
-        add((tag_node, _TYPE, _TAG))
-        add((malware_node, _HAS_TAG, tag_node))
-        add((tag_node, _TAG_LABEL, _literal(tag)))
+        add((tag_node, _TYPE_TOKEN, T["Tag"]))
+        add((malware_node, T["hasTag"], tag_node))
+        add((tag_node, T["tagLabel"], _literal(tag)))
 
     if report.reporter:
         rep_node = ids["reporter"]
-        add((rep_node, _TYPE, _MALWARE_REPORTER))
-        add((file_node, _HAS_REPORTER, rep_node))
+        add((rep_node, _TYPE_TOKEN, T["MalwareReporter"]))
+        add((file_node, T["hasReporter"], rep_node))
 
     if report.origin_country:
         loc_node = ids["location"]
-        add((loc_node, _TYPE, _LOCATION))
-        add((file_node, _REPORTED_FROM, loc_node))
-        add((loc_node, _COUNTRY_CODE, _literal(report.origin_country)))
+        add((loc_node, _TYPE_TOKEN, T["Location"]))
+        add((file_node, T["ReportedFrom"], loc_node))
+        add((loc_node, T["countryCode"], _literal(report.origin_country)))
 
     for kind, cls, value_property in _HASH_TOKENS:
         value = getattr(report, kind.name)
         if value is None:
             continue
         hash_node = ids[f"hash:{kind.name}"]
-        add((hash_node, _TYPE, cls))
-        add((file_node, _HAS_HASH, hash_node))
+        add((hash_node, _TYPE_TOKEN, cls))
+        add((file_node, T["hasHash"], hash_node))
         add((hash_node, value_property, _literal(value)))
 
     for verdict in report.vendor_intel:
         vi_node = ids[f"vendor:{verdict.vendor_name}"]
-        add((vi_node, _TYPE, _VENDOR_INTELLIGENCE))
-        add((malware_node, _HAS_VENDOR_INTEL, vi_node))
-        add((vi_node, _VENDOR_NAME, _literal(verdict.vendor_name)))
-        add((vi_node, _VERDICT, _literal(verdict.verdict)))
+        add((vi_node, _TYPE_TOKEN, T["VendorIntelligence"]))
+        add((malware_node, T["hasVendorIntel"], vi_node))
+        add((vi_node, T["vendorName"], _literal(verdict.vendor_name)))
+        add((vi_node, T["verdict"], _literal(verdict.verdict)))
         if verdict.detection_name:
-            add((vi_node, _DETECTION_NAME, _literal(verdict.detection_name)))
+            add((vi_node, T["detectionName"], _literal(verdict.detection_name)))
         if verdict.link:
-            add((vi_node, _VENDOR_LINK, _literal(verdict.link, XSD_ANYURI)))
+            add((vi_node, T["vendorLink"], _literal(verdict.link, XSD_ANYURI)))
         if verdict.analysis_date:
-            add((vi_node, _ANALYSIS_DATE, _literal(verdict.analysis_date, XSD_DATETIME)))
+            add((vi_node, T["analysisDate"], _literal(verdict.analysis_date, XSD_DATETIME)))
 
     for rule in report.yara_rules:
         yara_node = ids[f"yara:{rule.name}"]
-        add((yara_node, _TYPE, _YARA_RULE))
-        add((malware_node, _DETECTED_BY, yara_node))
-        add((yara_node, _YARA_RULE_NAME, _literal(rule.name)))
+        add((yara_node, _TYPE_TOKEN, T["YaraRule"]))
+        add((malware_node, T["detectedBy"], yara_node))
+        add((yara_node, T["yaraRuleName"], _literal(rule.name)))
         if rule.author:
-            add((yara_node, _YARA_AUTHOR, _literal(rule.author)))
+            add((yara_node, T["yaraAuthor"], _literal(rule.author)))
         if rule.description:
-            add((yara_node, _YARA_DESCRIPTION, _literal(rule.description)))
+            add((yara_node, T["yaraDescription"], _literal(rule.description)))
         if rule.reference:
-            add((yara_node, _YARA_REFERENCE, _literal(rule.reference)))
+            add((yara_node, T["yaraReference"], _literal(rule.reference)))
 
     cert = report.certificate
     if cert:
         cert_node = ids["cert"]
-        add((cert_node, _TYPE, _CERTIFICATE))
-        add((file_node, _HAS_CERTIFICATE, cert_node))
-        add((cert_node, _THUMBPRINT_ALGORITHM, _literal(cert.thumbprint_algorithm)))
+        add((cert_node, _TYPE_TOKEN, T["Certificate"]))
+        add((file_node, T["hasCertificate"], cert_node))
+        add((cert_node, T["thumbprintAlgorithm"], _literal(cert.thumbprint_algorithm)))
         if cert.serial_number:
-            add((cert_node, _CERT_SERIAL_NUMBER, _literal(cert.serial_number)))
+            add((cert_node, T["certSerialNumber"], _literal(cert.serial_number)))
         if cert.issuer:
-            add((cert_node, _CERT_ISSUER, _literal(cert.issuer)))
+            add((cert_node, T["certIssuer"], _literal(cert.issuer)))
 
     return rows
 
@@ -625,17 +594,27 @@ def _fetch_fixtures(
     return reports[: selector.limit]
 
 
+# get_recent answers with at most this many reports
+_LIVE_RECENT_MAX = 100
+
+
+def _live_form(selector: FetchSelector) -> dict[str, str]:
+    """The API form asking for the selector's reports; ValueError if the API cannot meet its limit."""
+    if selector.mode == "signature":
+        return {"query": "get_siginfo", "signature": selector.value, "limit": str(selector.limit)}
+    if selector.mode == "tag":
+        return {"query": "get_taginfo", "tag": selector.value, "limit": str(selector.limit)}
+    if selector.mode == "hash":
+        return {"query": "get_info", "hash": selector.value}
+    if selector.limit > _LIVE_RECENT_MAX:
+        raise ValueError(f"live recent limit out of range [1, {_LIVE_RECENT_MAX}]: {selector.limit}")
+    return {"query": "get_recent", "selector": str(_LIVE_RECENT_MAX)}
+
+
 def _fetch_live(
     selector: FetchSelector, endpoint: str, errors: Optional[list[tuple[str, str]]]
 ) -> list[MalwareReport]:
-    if selector.mode == "signature":
-        form = {"query": "get_siginfo", "signature": selector.value, "limit": str(selector.limit)}
-    elif selector.mode == "tag":
-        form = {"query": "get_taginfo", "tag": selector.value, "limit": str(selector.limit)}
-    elif selector.mode == "hash":
-        form = {"query": "get_info", "hash": selector.value}
-    else:
-        form = {"query": "get_recent", "selector": "100"}
+    form = _live_form(selector)
     # imported here, not at the top: only live fetches need it, and every
     # CLI command would otherwise pay for the import
     import requests
@@ -648,7 +627,7 @@ def _fetch_live(
         raise ApiError(f"HTTP {response.status_code}", status=str(response.status_code))
     try:
         payload = response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ApiError(f"non-JSON response: {exc}", status="bad-payload") from exc
     status = payload.get("query_status")
     if status != "ok":

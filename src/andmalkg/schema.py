@@ -3,9 +3,11 @@
 The registry is a fixed catalog: MalOnt2.0 contributes 15 base classes and
 the five classic hash types under Hash; AndMalOnt adds 14 classes (six more
 hash schemes, the HashDigestSize enumeration, and the File/report-metadata
-classes), 16 object properties, and 31 data properties.  HASH_KINDS is the
-one table of the hash kinds a report carries; record parsing, IRI minting,
-triple generation and validation all read it.
+classes), 16 object properties, and 31 data properties.  ingest takes
+the terms it writes from the registry, by their local names, and does not
+spell them again.  HASH_KINDS is the one table of the hash kinds a report
+carries, each with the format its values must have; record parsing, IRI
+minting, triple generation and validation all read it.
 
 validate_subjects checks subjects straight from the graph's SPO index, on
 term ids, reading IRIs and literals from their tokens (see rdf.py); ingest
@@ -21,16 +23,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import UnknownClassError
-from .ns import (
-    RDF_TYPE,
-    XSD_ANYURI,
-    XSD_DATETIME,
-    XSD_INTEGER,
-    XSD_STRING,
-    andmal,
-    malont,
-)
-from .rdf import _SCHEME_RE, Graph, IRI, _each, _literal_parts, term_to_ntriples
+from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
+from .rdf import _SCHEME_RE, _TYPE_TOKEN, Graph, _each, _literal_parts, term_to_ntriples
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ _MALONT_BASE = (
 
 _MALONT_HASHES = ("MD5", "SHA1", "SHA256", "SSDeep", "VHash")
 
-# (local name, parent local name or None, namespace)
+# (local name, parent local name or None)
 _ANDMAL_CLASSES = (
     ("IMPHASH", "Hash"),
     ("TLSH", "Hash"),
@@ -169,24 +163,27 @@ DIGEST_SIZES = (224, 256, 384, 512)
 class HashKind:
     name: str  # MalwareReport attribute, and the stem of the hash node's IRI
     record_key: str  # field of a MalwareBazaar record
-    cls: str  # hash class IRI; its format rules apply to the value
+    cls: str  # hash class IRI
     value_property: str  # data property carrying the digest
+    pattern: Optional[re.Pattern]  # the whole value matches it; None: any non-empty printable text
 
 
+_HEX = "[0-9a-fA-F]"
 # In record-parsing order: sha256 is required and read first; vhash may
 # also sit under vendor_intel, so it is read last.
 HASH_KINDS = (
-    HashKind("sha256", "sha256_hash", malont("SHA256"), andmal("sha256Value")),
-    HashKind("sha1", "sha1_hash", malont("SHA1"), andmal("sha1Value")),
-    HashKind("md5", "md5_hash", malont("MD5"), andmal("md5Value")),
-    HashKind("imphash", "imphash", andmal("IMPHASH"), andmal("imphashValue")),
-    HashKind("tlsh", "tlsh", andmal("TLSH"), andmal("tlshValue")),
-    HashKind("telfhash", "telfhash", andmal("TELFHASH"), andmal("telfhashValue")),
-    HashKind("gimphash", "gimphash", andmal("GIMPHASH"), andmal("gimphashValue")),
-    HashKind("ssdeep", "ssdeep", malont("SSDeep"), andmal("ssdeepValue")),
-    HashKind("vhash", "vhash", malont("VHash"), andmal("vhashValue")),
+    HashKind("sha256", "sha256_hash", malont("SHA256"), andmal("sha256Value"), re.compile(_HEX + "{64}")),
+    HashKind("sha1", "sha1_hash", malont("SHA1"), andmal("sha1Value"), re.compile(_HEX + "{40}")),
+    HashKind("md5", "md5_hash", malont("MD5"), andmal("md5Value"), re.compile("[0-9a-f]{32}")),
+    HashKind("imphash", "imphash", andmal("IMPHASH"), andmal("imphashValue"), re.compile(_HEX + "{32}")),
+    HashKind("tlsh", "tlsh", andmal("TLSH"), andmal("tlshValue"), re.compile("(?:T1)?" + _HEX + "{70}")),
+    HashKind("telfhash", "telfhash", andmal("TELFHASH"), andmal("telfhashValue"), re.compile(_HEX + "{70}")),
+    HashKind("gimphash", "gimphash", andmal("GIMPHASH"), andmal("gimphashValue"), re.compile(_HEX + "{64}")),
+    HashKind("ssdeep", "ssdeep", malont("SSDeep"), andmal("ssdeepValue"), None),
+    HashKind("vhash", "vhash", malont("VHash"), andmal("vhashValue"), None),
 )
 
+_HASH_KIND_BY_CLASS = {k.cls: k for k in HASH_KINDS}
 _HASH_CLASS_BY_VALUE_PROPERTY = {k.value_property: k.cls for k in HASH_KINDS}
 
 
@@ -271,22 +268,9 @@ def build_schema() -> SchemaRegistry:
     return SchemaRegistry(classes, object_properties, data_properties)
 
 
-_RDF_TYPE = IRI(RDF_TYPE)
-
-_HEX = "[0-9a-fA-F]"
-# local name of a hash class -> the pattern its whole value matches
-_HASH_FORMATS = {
-    "MD5": re.compile("[0-9a-f]{32}"),
-    "SHA1": re.compile(f"{_HEX}{{40}}"),
-    "SHA256": re.compile(f"{_HEX}{{64}}"),
-    "IMPHASH": re.compile(f"{_HEX}{{32}}"),
-    "TLSH": re.compile(f"(?:T1)?{_HEX}{{70}}"),
-    "TELFHASH": re.compile(f"{_HEX}{{70}}"),
-    "GIMPHASH": re.compile(f"{_HEX}{{64}}"),
-}
-_HEX_RE = re.compile(f"{_HEX}+")
-
+_SHA23 = (andmal("SHA2"), andmal("SHA3"))  # a hex digest of any of the four sizes
 _SHA23_LENGTHS = {bits // 4: bits for bits in DIGEST_SIZES}
+_HEX_RE = re.compile(_HEX + "+")
 
 
 def validate_hash_format(
@@ -298,27 +282,21 @@ def validate_hash_format(
     pins the expected hex length; without one, any of the four standard
     lengths is accepted.
     """
-    local = _local_name(registry, kind)
-    pattern = _HASH_FORMATS.get(local)
-    if pattern is not None:
-        return pattern.fullmatch(value) is not None
-    if local in ("SHA2", "SHA3"):
+    if kind not in registry.classes:
+        raise UnknownClassError(f"unregistered class: {kind}")
+    hash_kind = _HASH_KIND_BY_CLASS.get(kind)
+    if hash_kind is not None:
+        if hash_kind.pattern is None:
+            return bool(value) and value.isprintable()
+        return hash_kind.pattern.fullmatch(value) is not None
+    if kind in _SHA23:
         bits = _SHA23_LENGTHS.get(len(value))
         if bits is None or _HEX_RE.fullmatch(value) is None:
             return False
         return digest_bits is None or digest_bits == bits
-    if local in ("SSDeep", "VHash"):
-        return bool(value) and value.isprintable()
-    raise UnknownClassError(f"no hash format rules for class: {kind}")
-
-
-def _local_name(registry: SchemaRegistry, kind: str) -> str:
-    cls = registry.classes.get(kind)
-    if cls is None:
-        raise UnknownClassError(f"unregistered class: {kind}")
     if kind == malont("Hash") or malont("Hash") not in registry.ancestors[kind]:
         raise UnknownClassError(f"not a concrete hash class: {kind}")
-    return kind.rsplit("#", 1)[-1]
+    raise UnknownClassError(f"no hash format rules for class: {kind}")
 
 
 def _literal_value_ok(datatype: str, lexical: str) -> bool:
@@ -383,7 +361,7 @@ class _Checker:
         self.registry = registry
         self.tokens = graph._tokens
         self.spo = graph._spo
-        self.type_id = graph._id(_RDF_TYPE)
+        self.type_id = graph._ids.get(_TYPE_TOKEN)
         self.class_cache: dict[int, frozenset[str]] = {}
         # predicate id -> its IRI, sliced from the token once: the same str
         # object keeps its cached hash for the registry lookups

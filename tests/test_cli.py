@@ -564,17 +564,22 @@ def test_live_ingest_api_error(tmp_path, capsys, monkeypatch):
     assert "http_post_expected" in err
 
 
+SELECTOR_RANGE = "selector limit out of range [1, 1000]"
+
+
 @pytest.mark.parametrize(
-    "source, limit",
+    "source, limit, message",
     [
-        (["--fixtures", str(FIXTURES / "table1")], "0"),
-        (["--fixtures", str(FIXTURES / "table1")], "-1"),
-        (["--fixtures", str(FIXTURES / "table1")], "1001"),
-        (["--live"], "0"),
+        (["--fixtures", str(FIXTURES / "table1")], "0", SELECTOR_RANGE),
+        (["--fixtures", str(FIXTURES / "table1")], "-1", SELECTOR_RANGE),
+        (["--fixtures", str(FIXTURES / "table1")], "1001", SELECTOR_RANGE),
+        (["--live"], "0", SELECTOR_RANGE),
+        # get_recent answers with at most 100 reports
+        (["--live"], "101", "live recent limit out of range [1, 100]"),
     ],
-    ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0"],
+    ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0", "live-101"],
 )
-def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, limit):
+def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, limit, message):
     def no_post(*args, **kwargs):
         raise AssertionError("a request was sent")
 
@@ -586,9 +591,36 @@ def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatc
         rc, out, err = run(capsys, "--graph", str(graph), "ingest", *source, "--limit", limit)
         assert rc == 2
         assert out == ""
-        assert err == f"error: selector limit out of range [1, 1000]: {limit}\n"
+        assert err == f"error: {message}: {limit}\n"
     assert old.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nt"]
+
+
+def test_ingest_skips_each_malformed_report_and_ingests_the_rest(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    good = sorted((FIXTURES / "table1").glob("*.json"))[0]
+    (fixtures / good.name).write_bytes(good.read_bytes())
+    sha = "c" * 64
+    bad = {
+        "bad_date.json": json.dumps({"sha256_hash": sha, "file_name": "x", "first_seen": "0001-01-01 00:00:00+01:00"}),
+        "bad_size.json": json.dumps({"sha256_hash": sha, "file_name": "x", "file_size": "²"}),
+        "deep.json": "[" * 100000 + "]" * 100000,
+        "long_number.json": '{"sha256_hash": "%s", "file_name": "x", "file_size": %s}' % (sha, "9" * 5000),
+    }
+    for name, text in bad.items():
+        (fixtures / name).write_text(text, encoding="utf-8")
+    graph = tmp_path / "g.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(fixtures))
+    assert rc == 0
+    assert out.startswith("reports: 1\n")
+    assert [line.split(":")[:2] for line in err.splitlines()] == [["warning", f" {name}"] for name in sorted(bad)]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / good.name).write_bytes(good.read_bytes())
+    rc, _, _ = run(capsys, "--graph", str(tmp_path / "alone.nt"), "ingest", "--fixtures", str(alone))
+    assert rc == 0
+    assert graph.read_bytes() == (tmp_path / "alone.nt").read_bytes()
 
 
 # Snapshots: .NAME.snap beside the graph file, written by read commands.

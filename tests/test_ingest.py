@@ -97,6 +97,13 @@ def test_report_rows_have_exactly_the_minted_subjects(table1_reports, multifam_r
         assert objects <= minted
 
 
+def test_report_rows_name_every_registered_term_by_its_local_name(registry):
+    # the rows' vocabulary is keyed on local names, so no two terms may share one
+    terms = [*registry.classes, *registry.object_properties, *registry.data_properties]
+    assert len(ingest_mod._VOCABULARY) == len(terms) == 82
+    assert sorted(ingest_mod._VOCABULARY.values()) == sorted(f"<{iri}>" for iri in terms)
+
+
 def test_parse_report_rejects_bad_documents():
     with pytest.raises(ReportParseError):
         parse_report("{not json")
@@ -110,6 +117,10 @@ def test_parse_report_rejects_bad_documents():
     with pytest.raises(InvalidReportError) as err:
         parse_report(json.dumps({"sha256_hash": SHA_A}))
     assert err.value.field == "file_name"
+    with pytest.raises(ReportParseError):
+        parse_report("[" * 100000 + "]" * 100000)  # nested deeper than the decoder recurses
+    with pytest.raises(ReportParseError):
+        parse_report('{"sha256_hash": "%s", "file_name": "x.apk", "file_size": %s}' % (SHA_A, "9" * 5000))
 
 
 def test_parse_validates_every_present_hash():
@@ -187,6 +198,14 @@ def test_field_rules():
         ({"yara_rules": ["r", {"rule_name": "x"}]}, {"yara_rules": (YaraRuleInfo("x"),)}),
         ({"code_sign": {"serial_number": "01", "issuer": "CN=x"}}, {"certificate": None}),
         ({"origin_country": "n/a"}, {"origin_country": None}),
+        # in UTC these fall before year 1 or after year 9999
+        ({"first_seen": "0001-01-01 00:00:00+01:00"}, "first_seen"),
+        ({"last_seen": "9999-12-31 23:00:00-05:00"}, "last_seen"),
+        ({"vendor_intel": {"V": {"date": "0001-01-01 00:00:00+01:00"}}}, "vendor_intel"),
+        # "²" is a digit to isdigit() but no number to int(); "١٢" is 12 to both
+        ({"file_size": "²"}, "file_size"),
+        ({"file_size": "١٢"}, {"file_size": 12}),
+        ({"file_size": "9" * 5000}, "file_size"),
     ],
 )
 def test_record_shapes_rejected_or_accepted(overrides, outcome):
@@ -434,8 +453,8 @@ class FakeResponse:
         self.status_code = status_code
 
     def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
+        if isinstance(self._payload, str):  # a body, decoded as requests decodes it
+            return json.loads(self._payload)
         return self._payload
 
 
@@ -476,6 +495,70 @@ def test_live_mode_network_failure_raises(monkeypatch):
         fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
 
 
+@pytest.mark.parametrize(
+    "response, status",
+    [
+        (FakeResponse({"query_status": "ok", "data": []}, status_code=503), "503"),
+        (FakeResponse("<html>busy</html>"), "bad-payload"),
+        (FakeResponse("[" * 100000 + "]" * 100000), "bad-payload"),
+        (FakeResponse({"query_status": "ok"}), "bad-payload"),
+        (FakeResponse({"query_status": "ok", "data": {"sha256_hash": SHA_A}}), "bad-payload"),
+    ],
+    ids=["http-503", "not-json", "too-deep", "no-data", "data-not-a-list"],
+)
+def test_live_mode_bad_response_raises(monkeypatch, response, status):
+    monkeypatch.setattr(requests, "post", lambda url, data=None, timeout=None: response)
+    with pytest.raises(ApiError) as err:
+        fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
+    assert err.value.status == status
+
+
+@pytest.mark.parametrize(
+    "selector, form",
+    [
+        (FetchSelector.by_tag(" Banker ", 7), {"query": "get_taginfo", "tag": "banker", "limit": "7"}),
+        (FetchSelector.by_hash(SHA_A.upper()), {"query": "get_info", "hash": SHA_A}),
+        (FetchSelector.recent(100), {"query": "get_recent", "selector": "100"}),
+        (FetchSelector.recent(3), {"query": "get_recent", "selector": "100"}),
+        (FetchSelector.by_signature("Anubis", 500), {"query": "get_siginfo", "signature": "Anubis", "limit": "500"}),
+    ],
+    ids=["tag", "hash", "recent-100", "recent-3", "signature-500"],
+)
+def test_live_mode_form_per_selector(monkeypatch, selector, form):
+    records = [record(sha256_hash=f"{i:064x}") for i in range(120)]
+    calls = []
+
+    def fake_post(url, data=None, timeout=None):
+        calls.append(data)
+        return FakeResponse({"query_status": "ok", "data": records})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    reports = fetch_reports(selector, LiveSource("https://api.example.org/v1/"))
+    assert calls == [form]
+    assert len(reports) == min(selector.limit, len(records))
+
+
+def test_live_recent_beyond_what_the_api_returns_raises_before_sending(monkeypatch):
+    def no_post(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(requests, "post", no_post)
+    with pytest.raises(ValueError, match=r"^live recent limit out of range \[1, 100\]: 101$"):
+        fetch_reports(FetchSelector.recent(101), LiveSource("https://api.example.org/v1/"))
+
+
+def test_fetch_selection_rules(table1_reports):
+    from conftest import FIXTURES
+
+    reports = fetch_reports(FetchSelector.by_tag("Banker"), FixtureSource(FIXTURES / "table1"))
+    assert sorted(r.sha256 for r in reports) == sorted(r.sha256 for r in table1_reports if "banker" in r.tags)
+    assert len(reports) == 15
+    with pytest.raises(ValueError, match="bad selector mode: bogus"):
+        FetchSelector("bogus")
+    with pytest.raises(TypeError, match="unknown source"):
+        fetch_reports(FetchSelector.recent(), FIXTURES / "table1")
+
+
 def test_live_mode_skips_bad_records(monkeypatch):
     payload = {"query_status": "ok", "data": [record(), {"file_name": "nosha.apk"}]}
     monkeypatch.setattr(
@@ -485,6 +568,22 @@ def test_live_mode_skips_bad_records(monkeypatch):
     reports = fetch_reports(FetchSelector.recent(5), LiveSource("https://x.example/"), errors)
     assert len(reports) == 1
     assert len(errors) == 1
+
+
+def test_live_mode_skips_records_that_fail_past_the_json_decoder(monkeypatch):
+    bad = [
+        record(sha256_hash=SHA_B, first_seen="0001-01-01 00:00:00+01:00"),
+        record(sha256_hash=SHA_B, file_size="²"),
+        record(sha256_hash=SHA_B, file_size="9" * 5000),
+    ]
+    payload = {"query_status": "ok", "data": [*bad, record()]}
+    monkeypatch.setattr(
+        requests, "post", lambda url, data=None, timeout=None: FakeResponse(payload)
+    )
+    errors = []
+    reports = fetch_reports(FetchSelector.recent(5), LiveSource("https://x.example/"), errors)
+    assert [r.sha256 for r in reports] == [SHA_A]
+    assert [name for name, _ in errors] == ["record 0", "record 1", "record 2"]
 
 
 def test_empty_corpus_changes_nothing(registry):

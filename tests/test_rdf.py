@@ -54,6 +54,18 @@ def test_triple_position_rules():
     assert Triple(BlankNode("b"), p, Literal("ok")) is not None
 
 
+def test_non_triples_and_non_graphs():
+    g = Graph()
+    s = IRI("http://example.org/s")
+    with pytest.raises(MalformedTermError, match="not a triple"):
+        g.insert((s, s, s))
+    assert (s, s, s) not in g
+    assert (Graph() == 1) is False
+    with pytest.raises(MalformedTermError, match="object is not an RDF term"):
+        Triple(s, s, "o")
+    assert repr(Literal("chat", language="fr")) == "Literal('chat', lang='fr')"
+
+
 def test_insert_reports_novelty_and_len_counts_distinct():
     g = Graph()
     t = random_triple(random.Random(1))

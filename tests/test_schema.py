@@ -4,9 +4,11 @@ import pytest
 
 import andmalkg.rdf as rdf_mod
 from andmalkg import (
+    ClassDef,
     Graph,
     IRI,
     Literal,
+    SchemaRegistry,
     Triple,
     UnknownClassError,
     andmal,
@@ -218,6 +220,24 @@ def test_hash_format_rejects_non_hash_kinds(registry):
         validate_hash_format(registry, malont("Hash"), "x")
     with pytest.raises(UnknownClassError):
         validate_hash_format(registry, andmal("Missing"), "x")
+
+
+CLS_A, CLS_B = andmal("A"), andmal("B")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda r: validate_hash_format(r, andmal("HashDigestSize"), "256"), "no hash format rules for class: "),
+        (lambda r: SchemaRegistry({CLS_A: ClassDef(CLS_A, CLS_B, "andmal"), CLS_B: ClassDef(CLS_B, CLS_A, "andmal")}, {}, {}), "cycle in class hierarchy at "),
+        (lambda r: SchemaRegistry({CLS_A: ClassDef(CLS_A, CLS_B, "andmal")}, {}, {}), f"parent of {CLS_A} is unregistered: {CLS_B}"),
+    ],
+    ids=["hash-subclass-without-rules", "class-cycle", "unregistered-parent"],
+)
+def test_unknown_class_errors_name_their_cause(registry, build, message):
+    with pytest.raises(UnknownClassError) as err:
+        build(registry)
+    assert str(err.value).startswith(message)
 
 
 def typed(graph, iri, cls):
