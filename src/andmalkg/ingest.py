@@ -164,7 +164,8 @@ def _normalize_timestamp(raw: str, field_name: str) -> str:
             dt = dt.astimezone(timezone.utc)
     except (ValueError, OverflowError):  # OverflowError: in UTC, outside years 1-9999
         raise InvalidReportError(f"bad timestamp {raw!r}", field=field_name)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # %Y writes year 999 as "999"; xsd:dateTime needs at least four digits
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"
 
 
 def _opt_str(record: dict, key: str) -> Optional[str]:
@@ -629,6 +630,8 @@ def _fetch_live(
         payload = response.json()
     except (ValueError, RecursionError) as exc:
         raise ApiError(f"non-JSON response: {exc}", status="bad-payload") from exc
+    if not isinstance(payload, dict):
+        raise ApiError("response is not a JSON object", status="bad-payload")
     status = payload.get("query_status")
     if status != "ok":
         raise ApiError(f"query_status {status!r}", status=str(status))

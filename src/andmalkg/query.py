@@ -6,10 +6,13 @@ block of dot-separated triple patterns, GROUP BY, HAVING on a COUNT,
 ORDER BY ASC()/DESC(), and LIMIT.  No OPTIONAL, FILTER, UNION, DISTINCT,
 or property paths.
 
-Evaluation runs on the graph's term ids (see rdf.Graph): the join binds
-ids, reading the SPO and POS index leaves directly, grouping keys on id
-tuples, and rows sort by the ids' cached canonical tokens.  The result
-table carries those tokens, and format_results writes them as they are.
+Evaluation runs on the graph's term ids (see rdf.Graph), a column at a
+time: the join keeps one list of ids per variable, not one list per
+solution, and fills the columns from the SPO and POS indexes.  Grouping
+counts the tuples of the key columns' ids, and the projected columns,
+zipped, become rows of the ids' cached canonical tokens, sorted by those
+tokens.  The result table carries the tokens, and format_results writes
+them as they are.
 Terms are built only for the cells a query returns, when a caller first
 reads the table's rows, and they belong to the table.
 """
@@ -20,8 +23,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import MalformedTermError, QueryParseError, UnknownPrefixError
 from .ns import RDF_TYPE, XSD_INTEGER, XSD_STRING
@@ -420,110 +424,125 @@ def parse_query(text: str) -> QueryAST:
     return _Parser(text).parse()
 
 
-def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, int], list[list]]:
-    """Join the patterns over term ids.
+def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[int]], int]:
+    """Join the patterns over term ids, a column at a time.
 
-    Returns each variable's slot and the solutions, one list of ids per
-    solution indexed by slot.  Slot 0 always holds None and every constant
-    gets a slot of its own, so each pattern position reads its probe id
-    from the solution: an unbound variable reads the None in slot 0.  A
-    constant the graph does not hold leaves no solutions and is not
-    interned.  The next pattern is the one with the most bound positions,
-    then the most constants.
+    Returns the solutions as columns, one list of ids per variable, and
+    their count, the length of every column.  A constant is its id and
+    takes no column; one the graph does not hold leaves no solutions and
+    is not interned.  The next pattern is the one with the most bound
+    positions, then the most constants.
 
-    A pattern's access path is chosen once.  When the object or the
-    subject is its one free position, the index leaf that holds it
-    (_spo[s][p] or _pos[p][o]) is read inline for each solution; any other
-    pattern, a free predicate included, goes through Graph._rows.
+    Each step reads its pattern in one of three ways.  A leaf read, when
+    the object or the subject is the one free position, reads the index
+    leaf that holds it (_spo[s][p] or _pos[p][o]) for each solution.  A
+    predicate scan, for a constant predicate between two distinct free
+    variables before any column is bound, fills both columns from _pos[p].
+    Any other pattern, a free predicate included, goes through Graph._rows
+    for each solution.  A step lists the solution each new row extends and
+    gathers the older columns by that list, unless every solution got
+    exactly one id.
     """
-    slots: dict[str, int] = {}
-    for pat in patterns:
-        for part in (pat.s, pat.p, pat.o):
-            if isinstance(part, Var):
-                slots.setdefault(part.name, len(slots) + 1)
-    start: list[Optional[int]] = [None] * (len(slots) + 1)
-    remaining: list[list[int]] = []
-    for pat in patterns:
-        refs = []
-        for part in (pat.s, pat.p, pat.o):
-            if isinstance(part, Var):
-                refs.append(slots[part.name])
-            else:
-                i = graph._id(part)
-                if i is None:
-                    return slots, []
-                refs.append(len(start))
-                start.append(i)
-        remaining.append(refs)
+    names = [part.name for pat in patterns for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)]
+    # a variable is its name, a constant its id
+    remaining = [
+        [part.name if isinstance(part, Var) else graph._id(part) for part in (pat.s, pat.p, pat.o)]
+        for pat in patterns
+    ]
+    n = 0 if any(None in refs for refs in remaining) else 1
+    columns: dict[str, list[int]] = {}
 
-    consts = set(range(len(slots) + 1, len(start)))
-    bound = set(consts)
-
-    def score(k: int) -> tuple[int, int]:
-        refs = remaining[k]
-        return (sum(r in bound for r in refs), sum(r in consts for r in refs))
+    def score(refs: list) -> tuple[int, int]:
+        consts = sum(type(r) is int for r in refs)
+        return (consts + sum(r in columns for r in refs), consts)
 
     # a free position -> the index whose leaves hold it, and the positions
     # of that index's two keys
     leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2)}
-    solutions = [start]
-    while remaining and solutions:
-        refs = remaining.pop(max(range(len(remaining)), key=score))
-        free = [pos for pos, r in enumerate(refs) if r not in bound]
+    while remaining and n:
+        refs = max(remaining, key=score)  # a tie goes to the one written first
+        remaining.remove(refs)
+        free = [pos for pos, r in enumerate(refs) if type(r) is str and r not in columns]
+        if free == [0, 2] and not columns and refs[0] != refs[2]:
+            columns[refs[0]], columns[refs[2]] = _predicate_scan(graph._pos.get(refs[1], {}))
+            n = len(columns[refs[0]])
+            continue
+        keys = [columns[r] if r in columns else repeat(r if type(r) is int else None, n) for r in refs]
         if len(free) == 1 and free[0] in leaf_of:
             index, a, b = leaf_of[free[0]]
-            solutions = _extend(index, refs[a], refs[b], refs[free[0]], solutions)
+            column, at = _leaf_read(index, keys[a], keys[b], n)
+            new = {refs[free[0]]: column}
         else:
-            solutions = _scan(graph, refs, bound, solutions)
-        bound.update(refs)
-    return slots, solutions
+            new, at = _scan(graph._rows, refs, free, keys)
+        if at is not None:
+            columns = {name: list(map(column.__getitem__, at)) for name, column in columns.items()}
+            n = len(at)
+        columns.update(new)
+    return (columns, n) if n else (dict.fromkeys(names, ()), 0)
 
 
-def _extend(index: dict, a: int, b: int, c: int, solutions: list[list]) -> list[list]:
-    """Each solution extended, in slot c, by every id of its index leaf
-    index[sol[a]][sol[b]]."""
-    extended = []
-    add = extended.append
-    inner_of = index.get
-    for sol in solutions:
-        inner = inner_of(sol[a])
+def _predicate_scan(by_o: dict) -> tuple[list[int], list[int]]:
+    """The subject and object columns of every triple of one predicate,
+    from its POS entry."""
+    subjects: list[int] = []
+    objects: list[int] = []
+    for o, leaf in by_o.items():
+        if type(leaf) is int:
+            subjects.append(leaf)
+            objects.append(o)
+        else:
+            subjects.extend(leaf)
+            objects.extend(repeat(o, len(leaf)))
+    return subjects, objects
+
+
+def _leaf_read(
+    index: dict, a_keys: Iterable[int], b_keys: Iterable[int], n: int
+) -> tuple[list[int], Optional[list[int]]]:
+    """Each solution's ids in its index leaf index[a][b], and the solution
+    each id extends; None in place of that list when every solution got
+    exactly one id."""
+    new: list[int] = []
+    at: list[int] = []
+    many = False
+    for i, a, b in zip(range(n), a_keys, b_keys):
+        inner = index.get(a)
         if inner is None:
             continue
-        leaf = inner.get(sol[b])
+        leaf = inner.get(b)
         if leaf is None:
             continue
         if type(leaf) is int:  # a lone id, the common case
-            new = sol.copy()
-            new[c] = leaf
-            add(new)
-            continue
-        for i in leaf:
-            new = sol.copy()
-            new[c] = i
-            add(new)
-    return extended
+            new.append(leaf)
+            at.append(i)
+        else:
+            many = True
+            new.extend(leaf)
+            at.extend(repeat(i, len(leaf)))
+    return new, (at if many or len(at) != n else None)
 
 
-def _scan(graph: Graph, refs: list[int], bound: set[int], solutions: list[list]) -> list[list]:
-    """Each solution extended by every id triple Graph._rows gives for the
-    pattern refs."""
-    probe = itemgetter(*(r if r in bound else 0 for r in refs))
-    first: dict[int, int] = {}  # slot -> position, for each variable bound here
+def _scan(
+    rows_of, refs: list, free: list[int], keys: list[Iterable]
+) -> tuple[dict[str, list[int]], list[int]]:
+    """The id triples Graph._rows gives for each solution's probe keys: a
+    new column for each free variable, and the solution each row extends."""
+    first: dict[str, int] = {}  # variable -> the position it is read from
     same: list[tuple[int, int]] = []  # (position, first position) of a repeated one
-    for pos, r in enumerate(refs):
-        if r not in bound and first.setdefault(r, pos) != pos:
-            same.append((pos, first[r]))
-    rows_of = graph._rows
-    extended = []
-    for sol in solutions:
-        for row in rows_of(*probe(sol)):
+    for pos in free:
+        if first.setdefault(refs[pos], pos) != pos:
+            same.append((pos, first[refs[pos]]))
+    new = {name: [] for name in first}
+    reads = [(pos, new[name]) for name, pos in first.items()]
+    at: list[int] = []
+    for i, probe in enumerate(zip(*keys)):
+        for row in rows_of(*probe):
             if same and any(row[a] != row[b] for a, b in same):
                 continue
-            new = sol.copy()
-            for r, pos in first.items():
-                new[r] = row[pos]
-            extended.append(new)
-    return extended
+            for pos, column in reads:
+                column.append(row[pos])
+            at.append(i)
+    return new, at
 
 
 _OPS = {
@@ -549,12 +568,12 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
         for item in ast.select
     ]
     counted = [isinstance(item, CountAgg) for item in ast.select]
-    slots, solutions = _join(graph, ast.where)
+    columns, n = _join(graph, ast.where)
     tokens = graph._tokens
     if ast.group_by or any(counted):
         # ids are one-to-one with terms, so id tuples group like terms
-        key_slots = [slots[v.name] for v in ast.group_by]
-        groups = Counter(tuple([sol[k] for k in key_slots]) for sol in solutions)
+        keys = [columns[v.name] for v in ast.group_by]
+        groups = Counter(zip(*keys) if keys else repeat((), n))
         # a projected variable is grouped, so its id is in the group key
         at = {v.name: i for i, v in enumerate(ast.group_by)}
         picks = [None if c else at[item.name] for item, c in zip(ast.select, counted)]
@@ -565,8 +584,8 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
             if having is None or _OPS[having.op](count, having.value)
         ]
     else:
-        columns = [slots[item.name] for item in ast.select]
-        cells = [[tokens[sol[c]] for c in columns] for sol in solutions]
+        picked = (map(tokens.__getitem__, columns[item.name]) for item in ast.select)
+        cells = list(map(list, zip(*picked)))
 
     # a column holds only tokens or only counts, so rows compare cell by cell
     cells.sort()

@@ -201,6 +201,9 @@ def test_field_rules():
         # in UTC these fall before year 1 or after year 9999
         ({"first_seen": "0001-01-01 00:00:00+01:00"}, "first_seen"),
         ({"last_seen": "9999-12-31 23:00:00-05:00"}, "last_seen"),
+        # a year before 1000 keeps its four digits, as xsd:dateTime needs
+        ({"first_seen": "0999-05-01 00:00:00"}, {"first_seen": "0999-05-01T00:00:00Z"}),
+        ({"first_seen": "0001-01-01 00:00:00"}, {"first_seen": "0001-01-01T00:00:00Z"}),
         ({"vendor_intel": {"V": {"date": "0001-01-01 00:00:00+01:00"}}}, "vendor_intel"),
         # "²" is a digit to isdigit() but no number to int(); "١٢" is 12 to both
         ({"file_size": "²"}, "file_size"),
@@ -208,7 +211,7 @@ def test_field_rules():
         ({"file_size": "9" * 5000}, "file_size"),
     ],
 )
-def test_record_shapes_rejected_or_accepted(overrides, outcome):
+def test_record_shapes_rejected_or_accepted(registry, overrides, outcome):
     if isinstance(outcome, str):
         with pytest.raises(InvalidReportError) as err:
             report_from_record(record(**overrides))
@@ -216,6 +219,8 @@ def test_record_shapes_rejected_or_accepted(overrides, outcome):
     else:
         report = report_from_record(record(**overrides))
         assert {name: getattr(report, name) for name in outcome} == outcome
+        # an accepted report ingests a subgraph that validates
+        assert ingest_corpus([report], registry, Graph()).violations == []
 
 
 @pytest.mark.parametrize("code", ["ßa", "ÄÖ"])
@@ -503,8 +508,11 @@ def test_live_mode_network_failure_raises(monkeypatch):
         (FakeResponse("[" * 100000 + "]" * 100000), "bad-payload"),
         (FakeResponse({"query_status": "ok"}), "bad-payload"),
         (FakeResponse({"query_status": "ok", "data": {"sha256_hash": SHA_A}}), "bad-payload"),
+        (FakeResponse("[]"), "bad-payload"),
+        (FakeResponse("1"), "bad-payload"),
+        (FakeResponse("null"), "bad-payload"),
     ],
-    ids=["http-503", "not-json", "too-deep", "no-data", "data-not-a-list"],
+    ids=["http-503", "not-json", "too-deep", "no-data", "data-not-a-list", "array", "number", "null"],
 )
 def test_live_mode_bad_response_raises(monkeypatch, response, status):
     monkeypatch.setattr(requests, "post", lambda url, data=None, timeout=None: response)

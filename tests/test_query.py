@@ -352,15 +352,64 @@ def test_absent_constant_yields_header_only(pattern):
     assert len(g._tokens) == terms
 
 
-def test_repeated_variable_matches_reference():
+def hand_built_graph():
+    """n1 and n2 link to themselves and n1 to n2; file_1 contains m1, which
+    has no family, and file_2 contains m2, which has two."""
     g = Graph()
     n1, n2 = IRI(andmal("n1")), IRI(andmal("n2"))
     p = IRI(andmal("linksTo"))
     g.insert(Triple(n1, p, n1))
     g.insert(Triple(n1, p, n2))
     g.insert(Triple(n2, p, n2))
-    ast = parse_query(f"SELECT ?x WHERE {{ ?x <{andmal('linksTo')}> ?x . }}")
-    assert len(assert_matches_reference(g, ast).rows) == 2
+    contains, family = IRI(andmal("contains")), IRI(andmal("hasMalwareFamily"))
+    g.insert(Triple(IRI(andmal("file_1")), contains, IRI(andmal("m1"))))
+    g.insert(Triple(IRI(andmal("file_2")), contains, IRI(andmal("m2"))))
+    g.insert(Triple(IRI(andmal("m2")), family, IRI(andmal("family_a"))))
+    g.insert(Triple(IRI(andmal("m2")), family, IRI(andmal("family_b"))))
+    return g
+
+
+@pytest.mark.parametrize(
+    "query, rows",
+    [
+        ("SELECT ?x WHERE { ?x x:linksTo ?x }", 2),
+        # the second step reads no family for m1 and two for m2: as many
+        # solutions come out as go in, but m1's is gone and m2's doubled
+        ("SELECT ?f ?m ?fam WHERE { ?f x:contains ?m . ?m x:hasMalwareFamily ?fam }", 2),
+        ("SELECT ?f ?m ?fam WHERE { ?m x:hasMalwareFamily ?fam . ?f x:contains ?m }", 2),
+        # a pattern of constants only, then a whole predicate
+        ("SELECT ?m ?fam WHERE { x:file_1 x:contains x:m1 . ?m x:hasMalwareFamily ?fam }", 2),
+        ("SELECT ?m ?fam WHERE { x:file_1 x:contains x:m2 . ?m x:hasMalwareFamily ?fam }", 0),
+        # a whole predicate after a bound column: a cross product
+        ("SELECT ?m ?x ?fam WHERE { x:file_2 x:contains ?m . ?x x:hasMalwareFamily ?fam }", 2),
+        ("SELECT ?f ?x ?fam WHERE { ?f x:contains ?m . ?x x:hasMalwareFamily ?fam }", 4),
+        (
+            "SELECT ?f (COUNT(?fam) AS ?n)"
+            " WHERE { ?f x:contains ?m . ?m x:hasMalwareFamily ?fam } GROUP BY ?f",
+            1,
+        ),
+        # no solutions to group
+        (
+            "SELECT ?fam (COUNT(?m) AS ?n) WHERE { ?f x:contains ?m ."
+            " ?m x:hasMalwareFamily ?fam . ?fam x:contains ?y } GROUP BY ?fam",
+            0,
+        ),
+    ],
+    ids=[
+        "repeated-variable",
+        "leaf-missing-and-doubled",
+        "subject-leaf",
+        "constants-then-predicate",
+        "constants-fail-then-predicate",
+        "predicate-after-constant-keys",
+        "predicate-after-predicate",
+        "group",
+        "group-of-no-solutions",
+    ],
+)
+def test_hand_built_graph_matches_reference(query, rows):
+    ast = parse_query(f"PREFIX x: <{andmal('')}> {query}")
+    assert len(assert_matches_reference(hand_built_graph(), ast).rows) == rows
 
 
 def test_variable_shared_by_predicate_and_object_matches_reference():
