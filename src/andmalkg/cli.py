@@ -183,6 +183,7 @@ def _cmd_ingest(args) -> int:
         FetchSelector,
         FixtureSource,
         LiveSource,
+        _FETCH_MAX,
         _LIVE_RECENT_MAX,
         _ingest_rows,
         _live_form,
@@ -196,12 +197,9 @@ def _cmd_ingest(args) -> int:
         limit = args.limit if args.limit is not None else _LIVE_RECENT_MAX
     else:
         source = FixtureSource(Path(args.fixtures))
-        limit = args.limit if args.limit is not None else 1000
+        limit = args.limit if args.limit is not None else _FETCH_MAX
     try:
-        if args.signature:
-            selector = FetchSelector.by_signature(args.signature, limit)
-        else:
-            selector = FetchSelector.recent(limit)
+        selector = FetchSelector(args.signature or None, limit)
         if args.live:
             _live_form(selector)
     except ValueError as exc:  # a --limit outside FetchSelector's range, or the API's

@@ -38,11 +38,7 @@ class UnknownPrefixError(QueryParseError):
 
 
 class ReportParseError(AndMalKgError):
-    """A report document could not be decoded; names the offending field."""
-
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(message)
-        self.field = field
+    """A report document is not valid JSON, or its record is not a JSON object."""
 
 
 class InvalidReportError(AndMalKgError):

@@ -1,7 +1,10 @@
 """MalwareBazaar report pipeline: fetch or load reports, mint IRIs, emit triples.
 
 Reports arrive as JSON records (one per fixture file, or in the `data`
-array of a live API response; get_recent gives at most 100).  Parsing is
+array of a live API response; get_recent gives at most 100).  A
+FetchSelector asks for the reports of one family or for the newest
+reports, at most 1,000 of them; from fixtures, both take the newest by
+first_seen, as get_siginfo and get_recent answer.  Parsing is
 strict: every present hash is checked against its HASH_KINDS format,
 timestamps must be ordered and fall within years 1-9999 in UTC, and
 country codes must be two ASCII letters, so a parsed report is guaranteed
@@ -109,33 +112,30 @@ class MalwareReport:
     certificate: Optional[CertInfo] = None
 
 
+# the most reports one FetchSelector asks for
+_FETCH_MAX = 1000
+# get_recent answers with at most this many reports
+_LIVE_RECENT_MAX = 100
+
+
 @dataclass(frozen=True)
 class FetchSelector:
-    mode: str  # "signature" | "tag" | "hash" | "recent"
-    value: Optional[str] = None
+    """The newest reports of one malware family, or of all (signature None)."""
+
+    signature: Optional[str] = None
     limit: int = 100
 
     def __post_init__(self):
-        if self.mode not in ("signature", "tag", "hash", "recent"):
-            raise ValueError(f"bad selector mode: {self.mode}")
-        if not 1 <= self.limit <= 1000:
-            raise ValueError(f"selector limit out of range [1, 1000]: {self.limit}")
+        if not 1 <= self.limit <= _FETCH_MAX:
+            raise ValueError(f"selector limit out of range [1, {_FETCH_MAX}]: {self.limit}")
 
     @classmethod
     def by_signature(cls, name: str, limit: int = 100) -> "FetchSelector":
-        return cls("signature", name, limit)
-
-    @classmethod
-    def by_tag(cls, tag: str, limit: int = 100) -> "FetchSelector":
-        return cls("tag", tag.strip().lower(), limit)
-
-    @classmethod
-    def by_hash(cls, sha256: str) -> "FetchSelector":
-        return cls("hash", sha256.lower(), 1)
+        return cls(name, limit)
 
     @classmethod
     def recent(cls, limit: int = 100) -> "FetchSelector":
-        return cls("recent", None, limit)
+        return cls(None, limit)
 
 
 @dataclass(frozen=True)
@@ -547,16 +547,6 @@ def report_to_triples(report: MalwareReport) -> set[Triple]:
     }
 
 
-def _selector_matches(selector: FetchSelector, report: MalwareReport) -> bool:
-    if selector.mode == "signature":
-        return report.signature == selector.value
-    if selector.mode == "tag":
-        return selector.value in report.tags
-    if selector.mode == "hash":
-        return report.sha256 == selector.value
-    return True  # recent
-
-
 def fetch_reports(
     selector: FetchSelector,
     source,
@@ -588,25 +578,16 @@ def _fetch_fixtures(
             if errors is not None:
                 errors.append((fixture.name, str(exc)))
             continue
-        if _selector_matches(selector, report):
+        if selector.signature is None or report.signature == selector.signature:
             reports.append(report)
-    if selector.mode == "recent":
-        reports.sort(key=lambda r: (r.first_seen or "", r.sha256), reverse=True)
+    reports.sort(key=lambda r: (r.first_seen or "", r.sha256), reverse=True)
     return reports[: selector.limit]
-
-
-# get_recent answers with at most this many reports
-_LIVE_RECENT_MAX = 100
 
 
 def _live_form(selector: FetchSelector) -> dict[str, str]:
     """The API form asking for the selector's reports; ValueError if the API cannot meet its limit."""
-    if selector.mode == "signature":
-        return {"query": "get_siginfo", "signature": selector.value, "limit": str(selector.limit)}
-    if selector.mode == "tag":
-        return {"query": "get_taginfo", "tag": selector.value, "limit": str(selector.limit)}
-    if selector.mode == "hash":
-        return {"query": "get_info", "hash": selector.value}
+    if selector.signature is not None:
+        return {"query": "get_siginfo", "signature": selector.signature, "limit": str(selector.limit)}
     if selector.limit > _LIVE_RECENT_MAX:
         raise ValueError(f"live recent limit out of range [1, {_LIVE_RECENT_MAX}]: {selector.limit}")
     return {"query": "get_recent", "selector": str(_LIVE_RECENT_MAX)}

@@ -17,6 +17,7 @@ from andmalkg import (
     NetworkError,
     ReportParseError,
     Triple,
+    VendorVerdict,
     YaraRuleInfo,
     andmal,
     fetch_reports,
@@ -33,9 +34,9 @@ from andmalkg import (
 import andmalkg.ingest as ingest_mod
 from andmalkg.ns import RDF_TYPE, XSD_INTEGER
 
-UC3_SHA256 = "21d178e0688af591964ae00b71263d2e086706017ebc98d7488d57771144d337"
 SHA_A = "a" * 64
 SHA_B = "b" * 64
+SHA_C = "c" * 64
 
 
 def record(**overrides):
@@ -195,6 +196,10 @@ def test_field_rules():
         ({"tags": "a,b"}, "tags"),
         ({"tags": ["ok", 3]}, "tags"),
         ({"vendor_intel": {"vhash": " vh_da5db9481a "}}, {"vhash": "vh_da5db9481a", "vendor_intel": ()}),
+        # a vendor entry without a vendor name, or not an object, is dropped
+        ({"vendor_intel": {" ": {"verdict": "malicious"}}}, {"vendor_intel": ()}),
+        ({"vendor_intel": [{"verdict": "malicious"}]}, {"vendor_intel": ()}),
+        ({"vendor_intel": [1, "x", {"vendor": "V"}]}, {"vendor_intel": (VendorVerdict("V", "unknown"),)}),
         ({"yara_rules": ["r", {"rule_name": "x"}]}, {"yara_rules": (YaraRuleInfo("x"),)}),
         ({"code_sign": {"serial_number": "01", "issuer": "CN=x"}}, {"certificate": None}),
         ({"origin_country": "n/a"}, {"origin_country": None}),
@@ -406,12 +411,8 @@ def test_empty_fixture_dir_yields_no_reports(tmp_path):
 
 
 def test_selector_filters():
-    sig = FetchSelector.by_signature("AbereBot", 100)
-    tag = FetchSelector.by_tag("Banker", 100)
-    sha = FetchSelector.by_hash(UC3_SHA256.upper())
-    assert sig.value == "AbereBot"
-    assert tag.value == "banker"
-    assert sha.value == UC3_SHA256
+    assert FetchSelector.by_signature("AbereBot", 100) == FetchSelector("AbereBot", 100)
+    assert FetchSelector.recent(7) == FetchSelector(None, 7)
     with pytest.raises(ValueError):
         FetchSelector.recent(0)
     with pytest.raises(ValueError):
@@ -428,28 +429,22 @@ def test_fixture_selector_by_signature(manifest):
     assert all(r.signature == "AbereBot" for r in reports)
 
 
-def test_fixture_selector_by_hash(manifest):
-    from conftest import FIXTURES
-
-    reports = fetch_reports(
-        FetchSelector.by_hash(manifest["table1"]["uc3_sha256"]),
-        FixtureSource(FIXTURES / "table1"),
-    )
-    assert len(reports) == 1
-    assert reports[0].sha256 == manifest["table1"]["uc3_sha256"]
-
-
-def test_fixture_selector_recent_caps_and_orders(tmp_path):
-    for i, sha in enumerate([SHA_A, SHA_B]):
+@pytest.mark.parametrize(
+    "selector",
+    [FetchSelector.recent(2), FetchSelector.by_signature("X", 2)],
+    ids=["recent", "signature"],
+)
+def test_fixture_selector_recent_caps_and_orders(tmp_path, selector):
+    # file-name order is oldest first
+    for i, sha in enumerate([SHA_A, SHA_B, SHA_C]):
         (tmp_path / f"r{i}.json").write_text(
             json.dumps(
-                record(sha256_hash=sha, first_seen=f"2021-06-0{i + 1} 08:00:00")
+                record(sha256_hash=sha, signature="X", first_seen=f"2021-06-0{i + 1} 08:00:00")
             ),
             encoding="utf-8",
         )
-    reports = fetch_reports(FetchSelector.recent(1), FixtureSource(tmp_path))
-    assert len(reports) == 1
-    assert reports[0].sha256 == SHA_B  # newest first
+    reports = fetch_reports(selector, FixtureSource(tmp_path))
+    assert [r.sha256 for r in reports] == [SHA_C, SHA_B]  # newest first
 
 
 class FakeResponse:
@@ -524,13 +519,11 @@ def test_live_mode_bad_response_raises(monkeypatch, response, status):
 @pytest.mark.parametrize(
     "selector, form",
     [
-        (FetchSelector.by_tag(" Banker ", 7), {"query": "get_taginfo", "tag": "banker", "limit": "7"}),
-        (FetchSelector.by_hash(SHA_A.upper()), {"query": "get_info", "hash": SHA_A}),
         (FetchSelector.recent(100), {"query": "get_recent", "selector": "100"}),
         (FetchSelector.recent(3), {"query": "get_recent", "selector": "100"}),
         (FetchSelector.by_signature("Anubis", 500), {"query": "get_siginfo", "signature": "Anubis", "limit": "500"}),
     ],
-    ids=["tag", "hash", "recent-100", "recent-3", "signature-500"],
+    ids=["recent-100", "recent-3", "signature-500"],
 )
 def test_live_mode_form_per_selector(monkeypatch, selector, form):
     records = [record(sha256_hash=f"{i:064x}") for i in range(120)]
@@ -555,14 +548,9 @@ def test_live_recent_beyond_what_the_api_returns_raises_before_sending(monkeypat
         fetch_reports(FetchSelector.recent(101), LiveSource("https://api.example.org/v1/"))
 
 
-def test_fetch_selection_rules(table1_reports):
+def test_fetch_selection_rules():
     from conftest import FIXTURES
 
-    reports = fetch_reports(FetchSelector.by_tag("Banker"), FixtureSource(FIXTURES / "table1"))
-    assert sorted(r.sha256 for r in reports) == sorted(r.sha256 for r in table1_reports if "banker" in r.tags)
-    assert len(reports) == 15
-    with pytest.raises(ValueError, match="bad selector mode: bogus"):
-        FetchSelector("bogus")
     with pytest.raises(TypeError, match="unknown source"):
         fetch_reports(FetchSelector.recent(), FIXTURES / "table1")
 
