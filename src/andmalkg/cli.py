@@ -199,10 +199,10 @@ def _cmd_ingest(args) -> int:
         source = FixtureSource(Path(args.fixtures))
         limit = args.limit if args.limit is not None else _FETCH_MAX
     try:
-        selector = FetchSelector(args.signature or None, limit)
+        selector = FetchSelector(args.signature, limit)
         if args.live:
             _live_form(selector)
-    except ValueError as exc:  # a --limit outside FetchSelector's range, or the API's
+    except ValueError as exc:  # a blank --signature, or a --limit FetchSelector or the API rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = Path(args.graph)

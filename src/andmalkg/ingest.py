@@ -128,6 +128,8 @@ class FetchSelector:
     def __post_init__(self):
         if not 1 <= self.limit <= _FETCH_MAX:
             raise ValueError(f"selector limit out of range [1, {_FETCH_MAX}]: {self.limit}")
+        if self.signature is not None and not self.signature.strip():
+            raise ValueError(f"selector signature is blank: {self.signature!r}")
 
     @classmethod
     def by_signature(cls, name: str, limit: int = 100) -> "FetchSelector":

@@ -12,7 +12,7 @@ XSD_INTEGER = XSD + "integer"
 XSD_DATETIME = XSD + "dateTime"
 XSD_ANYURI = XSD + "anyURI"
 
-# Prefix table used for Turtle output and bound on every new Graph.
+# The Turtle prefix table: serialize_turtle writes these prefixes and no others.
 PREFIXES = {
     "android_malware_ontology": ANDMAL,
     "malont": MALONT,

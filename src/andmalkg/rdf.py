@@ -321,22 +321,20 @@ def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
 
 
 class Graph:
-    """A set of triples, held in SPO and POS indexes, plus a prefix table.
+    """A set of triples, held in SPO and POS indexes.
 
     Every distinct term is stored once, named by its canonical N-Triples
     token and numbered by an int id; the indexes hold ids only.  Two
     graphs compare equal when they hold the same triples, whatever ids
-    their terms got; prefixes are serialization state and do not take
-    part in equality.
+    their terms got.
     """
 
-    def __init__(self, prefixes: Optional[dict[str, str]] = None):
+    def __init__(self):
         self._tokens: list[str] = []  # id -> canonical N-Triples token
         self._ids: dict[str, int] = {}  # canonical token or another spelling -> id
         self._size = 0  # the number of triples
         self._spo: _Index = {}
         self._pos: _Index = {}
-        self.prefixes: dict[str, str] = dict(PREFIXES if prefixes is None else prefixes)
 
     def __len__(self) -> int:
         return self._size
@@ -359,9 +357,6 @@ class Graph:
         theirs = [other._ids.get(token) for token in self._tokens]
         spo = other._spo
         return all(theirs[o] in _leaf(spo, theirs[s], theirs[p]) for s, p, o in self._walk())
-
-    def bind(self, prefix: str, namespace: str) -> None:
-        self.prefixes[prefix] = namespace
 
     def _id(self, term: Term) -> Optional[int]:
         """The term's id, or None when no triple of this graph uses it (or
@@ -764,13 +759,13 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     return graph
 
 
-def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -> str:
+def _turtle_iri(value: str, predicate: bool = False) -> str:
     # 'a' is the rdf:type shorthand and is legal only as a predicate
     if predicate and value == RDF_TYPE:
         return "a"
     best = None
-    for prefix, namespace in prefixes.items():
-        if value.startswith(namespace) and (best is None or len(namespace) > len(prefixes[best])):
+    for prefix, namespace in PREFIXES.items():
+        if value.startswith(namespace) and (best is None or len(namespace) > len(PREFIXES[best])):
             local = value[len(namespace) :]
             # Turtle's PN_LOCAL, cut down to ASCII without ':' or escapes, has
             # the grammar of a blank node label: enough for every local name
@@ -778,13 +773,12 @@ def _turtle_iri(value: str, prefixes: dict[str, str], predicate: bool = False) -
             if _BLANK_LABEL_RE.fullmatch(local):
                 best = prefix
     if best is not None:
-        return f"{best}:{value[len(prefixes[best]):]}"
+        return f"{best}:{value[len(PREFIXES[best]):]}"
     return f"<{value}>"
 
 
 def serialize_turtle(graph: Graph) -> str:
     """Turtle output: @prefix header, then subject blocks with ';' grouping."""
-    prefixes = graph.prefixes
     tokens = graph._tokens
     by_token = tokens.__getitem__
     rendered: dict[tuple[int, bool], str] = {}
@@ -793,11 +787,11 @@ def serialize_turtle(graph: Graph) -> str:
         text = rendered.get((i, predicate))
         if text is None:
             token = tokens[i]
-            text = _turtle_iri(token[1:-1], prefixes, predicate) if token[0] == "<" else token
+            text = _turtle_iri(token[1:-1], predicate) if token[0] == "<" else token
             rendered[i, predicate] = text
         return text
 
-    out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
+    out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(PREFIXES.items())]
     body: list[str] = []
     for s in sorted(graph._spo, key=by_token):
         by_p = graph._spo[s]

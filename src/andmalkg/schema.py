@@ -322,7 +322,8 @@ def validate_individual(
     """All schema violations for one subject; empty means conformant.
 
     Checks: at least one type triple naming a registered class; only
-    registered properties; object-property domain/range against the class
+    registered properties; the domain of every registered property, object
+    and data alike, and each object property's range against the class
     hierarchy; data-property literals parse under their datatype tag; hash
     value properties satisfy the per-algorithm format rules.
     """
@@ -390,19 +391,20 @@ class _Checker:
         iris = self.iris
         by_token = tokens.__getitem__
         violations: list[Violation] = []
+
+        def report(rule: str, detail: str) -> None:
+            violations.append(Violation(subj_str, rule, detail))
+
         type_leaf = by_p.get(self.type_id)
         type_ids = () if type_leaf is None else sorted(_each(type_leaf), key=by_token)
-        subject_classes = []  # per registered type: it and its ancestors
+        subject_classes: frozenset[str] = frozenset()  # registered types and their ancestors
         for ti in type_ids:
             classes = self._classes(ti)
-            if classes:
-                subject_classes.append(classes)
-            else:
-                violations.append(
-                    Violation(subj_str, "unknown-class", f"type is not a registered class: {by_token(ti)}")
-                )
+            if not classes:
+                report("unknown-class", f"type is not a registered class: {by_token(ti)}")
+            subject_classes |= classes
         if not type_ids:
-            violations.append(Violation(subj_str, "missing-type", "no type triple"))
+            report("missing-type", "no type triple")
 
         for pi in sorted(by_p, key=by_token):
             if pi == self.type_id:
@@ -411,70 +413,34 @@ class _Checker:
             if pred is None:
                 pred = iris[pi] = tokens[pi][1:-1]
             objects = sorted(_each(by_p[pi]), key=by_token)
-            prop = registry.object_properties.get(pred)
-            if prop is not None:
+            prop = registry.object_properties.get(pred) or registry.data_properties.get(pred)
+            if prop is None:
                 for oi in objects:
-                    # each detail ends with the object, so two triples never print one line
-                    obj = tokens[oi]
-                    if subject_classes and not any(prop.domain in c for c in subject_classes):
-                        violations.append(
-                            Violation(
-                                subj_str,
-                                "domain-mismatch",
-                                f"{pred} requires a {prop.domain} subject (object {obj})",
-                            )
-                        )
+                    report("unknown-property", f"unregistered property {pred} (object {tokens[oi]})")
+                continue
+            # a subject with no registered type has no domain to miss
+            domain_ok = not subject_classes or prop.domain in subject_classes
+            hash_class = _HASH_CLASS_BY_VALUE_PROPERTY.get(pred)
+            for oi in objects:
+                # each detail ends with the object, so two triples never print one line
+                obj = tokens[oi]
+                if not domain_ok:
+                    report("domain-mismatch", f"{pred} requires a {prop.domain} subject (object {obj})")
+                if prop.kind == "object":
                     if obj[0] == '"':
-                        violations.append(
-                            Violation(
-                                subj_str, "range-mismatch", f"{pred} object is a literal (object {obj})"
-                            )
-                        )
+                        report("range-mismatch", f"{pred} object is a literal (object {obj})")
                     elif not self._has_class(oi, prop.range):
-                        violations.append(
-                            Violation(
-                                subj_str,
-                                "range-mismatch",
-                                f"{pred} requires a {prop.range} object (object {obj})",
-                            )
-                        )
-            elif pred in registry.data_properties:
-                hash_class = _HASH_CLASS_BY_VALUE_PROPERTY.get(pred)
-                for oi in objects:
-                    token = tokens[oi]
-                    if token[0] != '"':
-                        violations.append(
-                            Violation(
-                                subj_str, "datatype-mismatch", f"{pred} value is not a literal"
-                            )
-                        )
-                        continue
-                    if hash_class is None and token[-1] == '"':
-                        continue  # a plain xsd:string literal always parses
-                    lexical, datatype, language = _literal_parts(token)
+                        report("range-mismatch", f"{pred} requires a {prop.range} object (object {obj})")
+                elif obj[0] != '"':
+                    report("datatype-mismatch", f"{pred} value is not a literal")
+                elif hash_class is not None or obj[-1] != '"':  # plain xsd:string always parses
+                    lexical, datatype, language = _literal_parts(obj)
                     if language is None and not _literal_value_ok(datatype, lexical):
-                        violations.append(
-                            Violation(
-                                subj_str,
-                                "datatype-mismatch",
-                                f"{pred} value {lexical!r} does not parse as {datatype}",
-                            )
+                        report(
+                            "datatype-mismatch", f"{pred} value {lexical!r} does not parse as {datatype}"
                         )
                     elif hash_class is not None and not validate_hash_format(
                         registry, hash_class, lexical
                     ):
-                        violations.append(
-                            Violation(
-                                subj_str,
-                                "bad-hash-format",
-                                f"{pred} value {lexical!r} fails the format rules",
-                            )
-                        )
-            else:
-                violations.extend(
-                    Violation(
-                        subj_str, "unknown-property", f"unregistered property {pred} (object {tokens[oi]})"
-                    )
-                    for oi in objects
-                )
+                        report("bad-hash-format", f"{pred} value {lexical!r} fails the format rules")
         return violations

@@ -568,18 +568,20 @@ SELECTOR_RANGE = "selector limit out of range [1, 1000]"
 
 
 @pytest.mark.parametrize(
-    "source, limit, message",
+    "source, option, value, message",
     [
-        (["--fixtures", str(FIXTURES / "table1")], "0", SELECTOR_RANGE),
-        (["--fixtures", str(FIXTURES / "table1")], "-1", SELECTOR_RANGE),
-        (["--fixtures", str(FIXTURES / "table1")], "1001", SELECTOR_RANGE),
-        (["--live"], "0", SELECTOR_RANGE),
+        (["--fixtures", str(FIXTURES / "table1")], "--limit", "0", f"{SELECTOR_RANGE}: 0"),
+        (["--fixtures", str(FIXTURES / "table1")], "--limit", "-1", f"{SELECTOR_RANGE}: -1"),
+        (["--fixtures", str(FIXTURES / "table1")], "--limit", "1001", f"{SELECTOR_RANGE}: 1001"),
+        (["--live"], "--limit", "0", f"{SELECTOR_RANGE}: 0"),
         # get_recent answers with at most 100 reports
-        (["--live"], "101", "live recent limit out of range [1, 100]"),
+        (["--live"], "--limit", "101", "live recent limit out of range [1, 100]: 101"),
+        # an empty family name is no family, not every family
+        (["--fixtures", str(FIXTURES / "table1")], "--signature", "", "selector signature is blank: ''"),
     ],
-    ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0", "live-101"],
+    ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0", "live-101", "blank-signature"],
 )
-def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, limit, message):
+def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, option, value, message):
     def no_post(*args, **kwargs):
         raise AssertionError("a request was sent")
 
@@ -588,10 +590,10 @@ def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatc
     old.write_text(f"<{ANDMAL}a> <{ANDMAL}b> <{ANDMAL}c> .\n", encoding="utf-8")
     before = old.read_bytes()
     for graph in (old, tmp_path / "new.nt"):
-        rc, out, err = run(capsys, "--graph", str(graph), "ingest", *source, "--limit", limit)
+        rc, out, err = run(capsys, "--graph", str(graph), "ingest", *source, option, value)
         assert rc == 2
         assert out == ""
-        assert err == f"error: {message}: {limit}\n"
+        assert err == f"error: {message}\n"
     assert old.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nt"]
 

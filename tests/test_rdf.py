@@ -203,13 +203,6 @@ def test_typed_and_tagged_literals_roundtrip():
     assert Literal("hi", language="en") in objs
 
 
-def test_default_prefixes_and_bind():
-    g = Graph()
-    assert g.prefixes == {"android_malware_ontology": ANDMAL, "malont": MALONT}
-    g.bind("ex", "http://example.org/")
-    assert g.prefixes["ex"] == "http://example.org/"
-
-
 def test_turtle_empty_graph_is_header_only():
     text = serialize_turtle(Graph())
     lines = text.strip().splitlines()
@@ -234,15 +227,6 @@ def test_turtle_reparses_to_the_same_triples():
     for _ in range(15):
         g = random_graph(rng, max_triples=120)
         assert parse_turtle(serialize_turtle(g)) == ntriples_as_tuples(serialize_ntriples(g))
-
-
-def test_graph_equality_ignores_prefixes():
-    a = Graph()
-    b = Graph(prefixes={})
-    t = random_triple(random.Random(3))
-    a.insert(t)
-    b.insert(t)
-    assert a == b
 
 
 def test_match_by_object_and_by_subject_and_object():
@@ -688,7 +672,6 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
         assert loaded._ids == parsed._ids
         assert len(loaded) == len(parsed)
         assert (loaded._spo, loaded._pos) == (parsed._spo, parsed._pos)
-        assert loaded.prefixes == parsed.prefixes
         assert [loaded._term(i) for i in range(len(loaded._tokens))] == [
             parsed._term(i) for i in range(len(parsed._tokens))
         ]

@@ -419,6 +419,9 @@ SEEDED_NT = f"""\
 <{A}sha_v> <{A}sha256Value> "tooshort" .
 <{A}md5_v> {T} <{M}MD5> .
 <{A}md5_v> <{A}md5Value> "D41D8CD98F00B204E9800998ECF8427E" .
+<{A}tag_d> {T} <{A}Tag> .
+<{A}tag_d> <{A}hasFileSize> "big"^^<{X}integer> .
+<{A}tag_d> <{A}md5Value> "d41d8cd98f00b204e9800998ecf8427e" .
 <{A}vi_v> {T} <{A}VendorIntelligence> .
 <{A}vi_v> <{A}vendorLink> "not a uri"^^<{X}anyURI> .
 <{A}vi_v> <{A}analysisDate> "yesterday"^^<{X}dateTime> .
@@ -438,7 +441,8 @@ _:b2 <{A}hasFileName> "q" .
 # What validate_individual reported for each subject of SEEDED_NT, in
 # canonical order, before validation moved onto term ids; since then the
 # unknown-property, domain-mismatch and range-mismatch details also name
-# the object, so two triples never print the same line.
+# the object, so two triples never print the same line, and data
+# properties get the domain rule too (the <tag_d> rows).
 SEEDED_VIOLATIONS = [
     ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp (object "x")'),
     ('<{A}file_v>', 'unknown-property', 'unregistered property {A}bogusProp (object <{A}family_v>)'),
@@ -453,6 +457,9 @@ SEEDED_VIOLATIONS = [
     ('<{A}mystery>', 'missing-type', 'no type triple'),
     ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'tooshort' fails the format rules"),
     ('<{A}sha_v>', 'bad-hash-format', "{A}sha256Value value 'zz' fails the format rules"),
+    ('<{A}tag_d>', 'domain-mismatch', '{A}hasFileSize requires a {A}File subject (object "big"^^<{X}integer>)'),
+    ('<{A}tag_d>', 'datatype-mismatch', "{A}hasFileSize value 'big' does not parse as {X}integer"),
+    ('<{A}tag_d>', 'domain-mismatch', '{A}md5Value requires a {M}MD5 subject (object "d41d8cd98f00b204e9800998ecf8427e")'),
     ('<{A}thing2>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
     ('<{A}thing>', 'unknown-class', 'type is not a registered class: "File"'),
     ('<{A}thing>', 'unknown-class', 'type is not a registered class: <{A}Imaginary>'),
@@ -469,14 +476,17 @@ bad-hash-format (3):
   <{A}md5_v>: {A}md5Value value 'D41D8CD98F00B204E9800998ECF8427E' fails the format rules
   <{A}sha_v>: {A}sha256Value value 'tooshort' fails the format rules
   <{A}sha_v>: {A}sha256Value value 'zz' fails the format rules
-datatype-mismatch (5):
+datatype-mismatch (6):
   <{A}file_v>: {A}hasFileSize value 'big' does not parse as {X}integer
+  <{A}tag_d>: {A}hasFileSize value 'big' does not parse as {X}integer
   <{A}thing>: {A}tagLabel value is not a literal
   <{A}vi_v>: {A}analysisDate value 'yesterday' does not parse as {X}dateTime
   <{A}vi_v>: {A}vendorLink value 'not a uri' does not parse as {X}anyURI
   <{A}vi_v>: {A}verdict value 'x' does not parse as http://example.org/custom
-domain-mismatch (2):
+domain-mismatch (4):
   <{A}file_v>: {A}hasMalwareFamily requires a {M}Malware subject (object <{A}family_v>)
+  <{A}tag_d>: {A}hasFileSize requires a {A}File subject (object "big"^^<{X}integer>)
+  <{A}tag_d>: {A}md5Value requires a {M}MD5 subject (object "d41d8cd98f00b204e9800998ecf8427e")
   <{A}thing>: {A}contains requires a {A}File subject (object <{A}malware_v>)
 missing-type (2):
   <{A}mystery>: no type triple
@@ -494,7 +504,7 @@ unknown-class (3):
 unknown-property (2):
   <{A}file_v>: unregistered property {A}bogusProp (object "x")
   <{A}file_v>: unregistered property {A}bogusProp (object <{A}family_v>)
-violations: 22
+violations: 25
 """
 
 
