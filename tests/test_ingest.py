@@ -419,6 +419,12 @@ def test_selector_filters():
         FetchSelector.recent(1001)
 
 
+@pytest.mark.parametrize("signature", ["", " ", "\t\n"], ids=["empty", "space", "whitespace"])
+def test_selector_rejects_a_blank_signature(signature):
+    with pytest.raises(ValueError, match="selector signature is blank"):
+        FetchSelector.by_signature(signature)
+
+
 def test_fixture_selector_by_signature(manifest):
     from conftest import FIXTURES
 

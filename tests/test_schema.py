@@ -275,6 +275,27 @@ def test_validate_domain_mismatch(registry):
     assert rules == ["domain-mismatch"]
 
 
+def test_validate_data_property_domain_mismatch(registry):
+    # tagLabel requires a Tag subject; each object gets its own row
+    g = Graph()
+    vi = typed(g, andmal("vi_x"), andmal("VendorIntelligence"))
+    g.insert(Triple(vi, IRI(andmal("tagLabel")), Literal("a")))
+    g.insert(Triple(vi, IRI(andmal("tagLabel")), Literal("b")))
+    violations = validate_individual(registry, g, vi)
+    assert [v.rule for v in violations] == ["domain-mismatch", "domain-mismatch"]
+    assert all(v.detail.startswith(f"{andmal('tagLabel')} requires a {andmal('Tag')} subject") for v in violations)
+
+
+def test_validate_any_registered_type_satisfies_data_property_domain(registry):
+    # the domain is checked against all of the subject's types at once
+    g = Graph()
+    s = typed(g, andmal("vi_x"), andmal("VendorIntelligence"))
+    typed(g, andmal("vi_x"), andmal("Tag"))
+    g.insert(Triple(s, IRI(andmal("tagLabel")), Literal("a")))
+    g.insert(Triple(s, IRI(andmal("vendorName")), Literal("v")))
+    assert validate_individual(registry, g, s) == []
+
+
 def test_validate_range_mismatch_wrong_class(registry):
     g = Graph()
     m = typed(g, andmal("malware_x"), malont("Malware"))
