@@ -17,6 +17,17 @@ parsed whole and re-serialized first.  Either way the file it writes is
 byte for byte the one parsing, ingesting and serializing the whole graph
 writes, with the same summary.
 
+With two or more CPUs available and no other thread alive, ingest runs
+two pairs of stages at the same time (_beside): the canonical-line check
+of the old lines runs in a forked child beside the fetch and the
+building of the reports' rows, and the validation of the touched
+subjects beside the formatting, the merge and the write of the new
+lines.  Otherwise (no os.fork, one CPU, other threads) each job runs
+inline.  The outputs and exit codes are the same either way, and a
+graph file that does not parse still fails before a failed fetch is
+reported; only with --live may the request now go out before a
+malformed graph file is reported.
+
 A read command (query, stats, validate, emit) that has to parse the file
 leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
 read commands load instead while it matches the file's bytes (see
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import marshal
 import os
 import stat
 import sys
@@ -39,6 +51,7 @@ from .ns import RDF_TYPE, andmal, malont
 from .rdf import (
     Graph,
     _collector_paused,
+    _is_canonical,
     _ntriples_lines,
     canonical_lines,
     dump_snapshot,
@@ -177,6 +190,53 @@ def _merged(old: list[str], new: list[str]) -> list[str]:
     return lines
 
 
+def _beside(fn, *args):
+    """Start fn(*args) beside the caller; the function returned waits for
+    its result and returns it.  Call it always, or the child is never reaped.
+
+    With two or more CPUs available to the process and no other thread
+    alive, a forked child computes fn(*args), writes the result's marshal
+    bytes to a pipe and leaves by os._exit, so no stdio buffer is flushed
+    and no exit hook runs twice.  The waiter reads the pipe and reaps the
+    child; when the child did not exit 0, it runs fn(*args) itself, so a
+    failing job gives the same result or raises the same exception.
+    Otherwise (no os.fork, one CPU, other threads, or a failed fork) fn
+    runs at once, inline: there a fork costs more than the overlap saves,
+    or is not safe.
+    """
+    import threading  # loaded already: ingest imports logging
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if hasattr(os, "fork") and cpus > 1 and threading.active_count() == 1:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+        else:
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as f:
+                        f.write(marshal.dumps(fn(*args)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+
+            def wait():
+                with open(read, "rb") as f:
+                    data = f.read()
+                _, status = os.waitpid(pid, 0)
+                return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else fn(*args)
+
+            return wait
+    result = fn(*args)
+    return lambda: result
+
+
 def _cmd_ingest(args) -> int:
     from .ingest import (
         DEFAULT_ENDPOINT,
@@ -185,12 +245,12 @@ def _cmd_ingest(args) -> int:
         LiveSource,
         _FETCH_MAX,
         _LIVE_RECENT_MAX,
-        _ingest_rows,
+        _add_rows,
         _live_form,
         _report_rows,
         fetch_reports,
     )
-    from .schema import build_schema
+    from .schema import build_schema, validate_subjects
 
     if args.live:
         source = LiveSource(os.environ.get("AMKG_API_ENDPOINT", DEFAULT_ENDPOINT))
@@ -206,31 +266,53 @@ def _cmd_ingest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = Path(args.graph)
-    lines = canonical_lines(_read_lines(path))
-    registry = build_schema()
+    lines = _read_lines(path)
+    # The check that the old lines are canonical runs beside the fetch.  A
+    # file that is not is parsed after the fetch, even one that failed, so
+    # its parse error still comes first.
+    canonical = _beside(_is_canonical, lines)
     errors: list[tuple[str, str]] = []
-    reports = fetch_reports(selector, source, errors)
-    rows = [_report_rows(report) for report in reports]
+    try:
+        reports = fetch_reports(selector, source, errors)
+        rows = [_report_rows(report) for report in reports]
+    finally:
+        if not canonical():
+            lines = canonical_lines(lines)
     # The graph holds every old line of a row's subject, so each old triple
     # a row could repeat, and every triple and object type the validation
     # of the touched subjects reads: the count of new triples and the
     # violations are those of the whole graph.
     graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
     loaded = set(graph._walk())
-    summary = _ingest_rows(len(reports), rows, registry, graph)
+    summary, touched = _add_rows(len(reports), rows, graph)
     del rows
-    new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
+    registry = build_schema()
+    # The touched subjects are validated beside the write of the new lines.
+    found = _beside(
+        lambda: [(v.subject, v.rule, v.detail) for v in validate_subjects(registry, graph, touched)]
+    )
     try:
-        mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
-    except FileNotFoundError:
-        mode = None
-    _replace_file(path, _encoded(_merged(lines, new)), mode)
+        new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
+        try:
+            mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
+        except FileNotFoundError:
+            mode = None
+        _replace_file(path, _encoded(_merged(lines, new)), mode)
+    finally:
+        violations = found()
     for name, message in errors:
         print(f"warning: {name}: {message}", file=sys.stderr)
+    # every fixture file is either read into a report or named in errors
+    if not args.live and args.signature is not None and not reports:
+        if len(errors) < sum(1 for _ in Path(args.fixtures).glob("*.json")):
+            print(
+                f"warning: no report in {args.fixtures} has signature {args.signature!r} (signatures match exactly)",
+                file=sys.stderr,
+            )
     print(f"reports: {summary.reports}")
     print(f"triples added: {summary.triples_added}")
-    print(f"violations: {len(summary.violations)}")
-    return 0 if not summary.violations else 1
+    print(f"violations: {len(violations)}")
+    return 0 if not violations else 1
 
 
 _STATS_EDGES = {

@@ -636,13 +636,16 @@ def ingest_corpus(
     reports: list[MalwareReport], registry: SchemaRegistry, graph: Graph
 ) -> IngestSummary:
     """Insert every report's subgraph, then validate all touched subjects."""
-    return _ingest_rows(len(reports), map(_report_rows, reports), registry, graph)
+    summary, touched = _add_rows(len(reports), map(_report_rows, reports), graph)
+    summary.violations.extend(validate_subjects(registry, graph, touched))
+    return summary
 
 
-def _ingest_rows(
-    count: int, report_rows: Iterable[list[tuple]], registry: SchemaRegistry, graph: Graph
-) -> IngestSummary:
-    """ingest_corpus of count reports, given each report's _report_rows."""
+def _add_rows(
+    count: int, report_rows: Iterable[list[tuple]], graph: Graph
+) -> tuple[IngestSummary, set[int]]:
+    """The summary of adding each of count reports' _report_rows to graph,
+    its violations not yet filled in, and the ids of the subjects touched."""
     summary = IngestSummary(reports=count)
     intern = graph._intern_token
     add = graph._add
@@ -652,6 +655,4 @@ def _ingest_rows(
             si = intern(s)
             touched.add(si)
             summary.triples_added += add(si, intern(p), intern(o))
-    summary.violations.extend(validate_subjects(registry, graph, touched))
-    return summary
-
+    return summary, touched

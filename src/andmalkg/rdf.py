@@ -643,17 +643,22 @@ def canonical_lines(lines: list[str]) -> list[str]:
     lines spell, each ending in a newline.
 
     lines are a text split after each newline, the last without one when
-    the text does not end in one.  When
-    every line is strict (_STRICT_LINE_RE) and they strictly increase, they
-    are already the answer and are returned as they are, unparsed.  Any
+    the text does not end in one.  When _is_canonical says they are
+    already the answer, they are returned as they are, unparsed.  Any
     other text (comments, blank lines, escapes, blank nodes, language tags,
     aliases, duplicates, unsorted lines, no final newline) is parsed, so it
     raises the NTriplesParseError parse_ntriples raises, at the same line.
     """
-    strict = _STRICT_LINE_RE.fullmatch
-    if all(map(strict, lines)) and all(map(str.__lt__, lines, islice(lines, 1, None))):
+    if _is_canonical(lines):
         return lines
     return _ntriples_lines(parse_ntriples("".join(lines)))
+
+
+def _is_canonical(lines: list[str]) -> bool:
+    """Whether every line is strict (_STRICT_LINE_RE) and they strictly
+    increase: then the lines are those serialize_ntriples writes."""
+    strict = _STRICT_LINE_RE.fullmatch
+    return all(map(strict, lines)) and all(map(str.__lt__, lines, islice(lines, 1, None)))
 
 
 _TYPE_TOKEN = f"<{RDF_TYPE}>"

@@ -28,6 +28,7 @@ from andmalkg.cli import main
 import andmalkg.cli as cli_mod
 import andmalkg.ingest as ingest_mod
 import andmalkg.rdf as rdf_mod
+import andmalkg.schema as schema_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
 from randgraph import random_graph
@@ -96,6 +97,15 @@ def test_ingest_limit_and_signature(tmp_path, capsys, manifest):
     assert rc == 0
     assert f"reports: {manifest['table1']['families']['Anubis']}" in out
 
+    # the slug stats prints matches no signature: one warning, and the
+    # summary, exit code and graph file of an empty batch
+    table1 = FIXTURES / "table1"
+    graph3 = tmp_path / "g3.nt"
+    rc, out, err = run(capsys, "--graph", str(graph3), "ingest", "--fixtures", str(table1), "--signature", "anubis")
+    assert (rc, out) == (0, "reports: 0\ntriples added: 0\nviolations: 0\n")
+    assert err == f"warning: no report in {table1} has signature 'anubis' (signatures match exactly)\n"
+    assert graph3.read_bytes() == b""
+
 
 def test_ingest_warns_about_bad_fixture_files(tmp_path, capsys):
     corpus = tmp_path / "corpus"
@@ -110,6 +120,15 @@ def test_ingest_warns_about_bad_fixture_files(tmp_path, capsys):
     assert rc == 0
     assert "reports: 1" in out
     assert "warning: bad.json" in err
+
+    # no readable report at all: the skipped file is the one warning, even
+    # with a --signature that nothing matched
+    (corpus / "ok.json").unlink()
+    rc, out, err = run(
+        capsys, "--graph", str(tmp_path / "g.nt"), "ingest", "--fixtures", str(corpus), "--signature", "Anubis"
+    )
+    assert (rc, out) == (0, "reports: 0\ntriples added: 0\nviolations: 0\n")
+    assert err.startswith("warning: bad.json: ") and err.count("\n") == 1
 
 
 def test_ingest_warning_prints_once(tmp_path):
@@ -234,7 +253,8 @@ def test_ingest_never_imports_query(tmp_path):
     )
     assert code == 0 and out.startswith("reports: ")
     assert {"andmalkg.ingest", "andmalkg.schema"} <= modules
-    assert "andmalkg.query" not in modules
+    # nor does it import a process pool or pickle to run its side jobs
+    assert not {"andmalkg.query", "multiprocessing", "pickle"} & modules
 
 
 def test_cli_ingest_mints_each_report_once(tmp_path, capsys, multifam_graph, table1_reports):
@@ -288,8 +308,12 @@ def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failur
             return real_merged(old, new) + ["\ud800\n"]
 
     monkeypatch.setattr(cli_mod, "_merged", broken)
+    forks = _take_path(monkeypatch, "fork")
     with pytest.raises((RuntimeError, UnicodeEncodeError)):
         main(table1)
+    # the validation beside the write was waited for all the same
+    assert len(forks) == 2
+    _assert_no_child_left()
     assert graph.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
     if failure == "serialize":
@@ -999,6 +1023,34 @@ def _reference_ingest(text, corpus):
     return (1 if summary.violations else 0), out, "", serialize_ntriples(graph).encode("utf-8")
 
 
+def _take_path(monkeypatch, path):
+    """Make the CLI ingest run its side jobs in forked children ("fork"),
+    as on a host with two CPUs, or inline ("inline"), as where os.fork is
+    missing.  Returns the list of the children's pids forked from now on."""
+    forks = []
+    if path == "inline":
+        monkeypatch.delattr(os, "fork")
+        return forks
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
     """Ingest corpus into a graph file holding text, check it against the
     reference, and return how often the whole file was parsed."""
@@ -1015,6 +1067,7 @@ def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
     with monkeypatch.context() as m:
         m.setattr(rdf_mod, "parse_ntriples", parse)
         got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
+    _assert_no_child_left()
     expected = _reference_ingest(text or "", corpus)
     assert got + (graph.read_bytes(),) == expected
     return len(parses), got[0]
@@ -1031,14 +1084,43 @@ def _base_text(name, request):
     return serialize_ntriples(request.getfixturevalue(f"{name}_graph"))
 
 
+@pytest.mark.parametrize("path", ["fork", "inline"])
 @pytest.mark.parametrize("corpus", ["table1", "multifam"])
 @pytest.mark.parametrize("base", ["missing", "empty", "table1", "multifam", "randgraph-3", "randgraph-17"])
-def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypatch, request, base, corpus):
+def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypatch, request, base, corpus, path):
     text = _base_text(base, request)
+    forks = _take_path(monkeypatch, path)
     parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / corpus)
     assert rc == 0
     # a random graph has escapes, blank nodes and language tags, so it is parsed
     assert parses == (1 if base.startswith("randgraph") else 0)
+    # the canonical-line check beside the fetch, the validation beside the write
+    assert len(forks) == (2 if path == "fork" else 0)
+
+
+def test_a_failed_side_job_is_run_again_in_the_parent(tmp_path, capsys, monkeypatch, table1_graph, table1_reports):
+    # both side jobs fail in their forked child only; the parent then runs
+    # each itself, and the ingest answers as the whole-graph ingest does
+    ids, _ = _touched(table1_reports)
+    text = serialize_ntriples(table1_graph) + f'{ids["file"]} <{ANDMAL}bogusProp> "x" .\n'
+    text = serialize_ntriples(parse_ntriples(text))
+    parent = os.getpid()
+    ran = []
+
+    def failing_in_the_child(fn):
+        def job(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("side job failed")
+            ran.append(fn.__name__)
+            return fn(*args)
+        return job
+
+    monkeypatch.setattr(cli_mod, "_is_canonical", failing_in_the_child(rdf_mod._is_canonical))
+    monkeypatch.setattr(schema_mod, "validate_subjects", failing_in_the_child(schema_mod.validate_subjects))
+    forks = _take_path(monkeypatch, "fork")
+    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (0, 1)
+    assert len(forks) == 2
+    assert ran == ["_is_canonical", "validate_subjects"]
 
 
 def _touched(table1_reports):
@@ -1316,4 +1398,13 @@ def test_merged_ingest_of_a_malformed_file_fails_as_the_parse_does(tmp_path, cap
     text = "".join(lines[:7]) + broken + "".join(lines[7:])
     assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (1, 1)
     # the CLI printed this error, and the graph file is unchanged
-    assert "line 8" in _reference_ingest(text, FIXTURES / "table1")[2]
+    expected = _reference_ingest(text, FIXTURES / "table1")
+    assert "line 8" in expected[2]
+    # the parse error comes before a failed fetch, though the canonical-line
+    # check ran beside the fetch
+    for path in ("fork", "inline"):
+        with monkeypatch.context() as m:
+            _take_path(m, path)
+            got = run(capsys, "--graph", str(tmp_path / "graph.nt"), "ingest", "--fixtures", str(tmp_path / "nowhere"))
+        assert got == expected[:3]
+        _assert_no_child_left()
