@@ -9,7 +9,7 @@ UTF-8, CRLF and a lone CR as a newline (_decoded).  Exit codes: 0 success,
 network or usage failure.
 
 ingest reads the file's lines and, when they are already what
-serialize_ntriples writes (rdf.canonical_lines), loads into a graph only
+serialize_ntriples writes (rdf._is_canonical), loads into a graph only
 the lines of the subjects the batch mints and the type lines of their
 objects (rdf.load_subjects).  It ingests the batch into that graph, and
 merges the new lines, sorted, into the file's lines.  Any other file is
@@ -53,7 +53,6 @@ from .rdf import (
     _collector_paused,
     _is_canonical,
     _ntriples_lines,
-    canonical_lines,
     dump_snapshot,
     load_snapshot,
     load_subjects,
@@ -190,19 +189,18 @@ def _merged(old: list[str], new: list[str]) -> list[str]:
     return lines
 
 
-def _beside(fn, *args):
-    """Start fn(*args) beside the caller; the function returned waits for
-    its result and returns it.  Call it always, or the child is never reaped.
+def _beside(fn):
+    """Start fn() beside the caller; the function returned waits for its
+    result and returns it.  Call it always, or the child is never reaped.
 
     With two or more CPUs available to the process and no other thread
-    alive, a forked child computes fn(*args), writes the result's marshal
-    bytes to a pipe and leaves by os._exit, so no stdio buffer is flushed
-    and no exit hook runs twice.  The waiter reads the pipe and reaps the
-    child; when the child did not exit 0, it runs fn(*args) itself, so a
-    failing job gives the same result or raises the same exception.
-    Otherwise (no os.fork, one CPU, other threads, or a failed fork) fn
-    runs at once, inline: there a fork costs more than the overlap saves,
-    or is not safe.
+    alive, a forked child computes fn(), writes the result's marshal bytes
+    to a pipe and leaves by os._exit, so no stdio buffer is flushed and no
+    exit hook runs twice.  The waiter reads the pipe and reaps the child;
+    when the child did not exit 0, it runs fn() itself, so a failing job
+    gives the same result or raises the same exception.  Otherwise (no
+    os.fork, one CPU, other threads, or a failed fork) fn runs at once,
+    inline: there a fork costs more than the overlap saves, or is not safe.
     """
     import threading  # loaded already: ingest imports logging
 
@@ -220,7 +218,7 @@ def _beside(fn, *args):
                 try:
                     os.close(read)
                     with open(write, "wb") as f:
-                        f.write(marshal.dumps(fn(*args)))
+                        f.write(marshal.dumps(fn()))
                     code = 0
                 finally:
                     os._exit(code)
@@ -230,10 +228,10 @@ def _beside(fn, *args):
                 with open(read, "rb") as f:
                     data = f.read()
                 _, status = os.waitpid(pid, 0)
-                return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else fn(*args)
+                return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else fn()
 
             return wait
-    result = fn(*args)
+    result = fn()
     return lambda: result
 
 
@@ -268,29 +266,27 @@ def _cmd_ingest(args) -> int:
     path = Path(args.graph)
     lines = _read_lines(path)
     # The check that the old lines are canonical runs beside the fetch.  A
-    # file that is not is parsed after the fetch, even one that failed, so
-    # its parse error still comes first.
-    canonical = _beside(_is_canonical, lines)
+    # file that is not is parsed and re-serialized after the fetch, even one
+    # that failed, so its parse error still comes first.
+    canonical = _beside(lambda: _is_canonical(lines))
     errors: list[tuple[str, str]] = []
     try:
         reports = fetch_reports(selector, source, errors)
         rows = [_report_rows(report) for report in reports]
     finally:
         if not canonical():
-            lines = canonical_lines(lines)
+            lines = _ntriples_lines(parse_ntriples("".join(lines)))
     # The graph holds every old line of a row's subject, so each old triple
     # a row could repeat, and every triple and object type the validation
     # of the touched subjects reads: the count of new triples and the
     # violations are those of the whole graph.
     graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
     loaded = set(graph._walk())
-    summary, touched = _add_rows(len(reports), rows, graph)
+    added, touched = _add_rows(rows, graph)
     del rows
     registry = build_schema()
     # The touched subjects are validated beside the write of the new lines.
-    found = _beside(
-        lambda: [(v.subject, v.rule, v.detail) for v in validate_subjects(registry, graph, touched)]
-    )
+    found = _beside(lambda: len(validate_subjects(registry, graph, touched)))
     try:
         new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
         try:
@@ -309,9 +305,9 @@ def _cmd_ingest(args) -> int:
                 f"warning: no report in {args.fixtures} has signature {args.signature!r} (signatures match exactly)",
                 file=sys.stderr,
             )
-    print(f"reports: {summary.reports}")
-    print(f"triples added: {summary.triples_added}")
-    print(f"violations: {len(violations)}")
+    print(f"reports: {len(reports)}")
+    print(f"triples added: {added}")
+    print(f"violations: {violations}")
     return 0 if not violations else 1
 
 

@@ -575,7 +575,7 @@ def _fetch_fixtures(
     for fixture in sorted(path.glob("*.json")):
         try:
             report = parse_report(fixture.read_text(encoding="utf-8"))
-        except (ReportParseError, InvalidReportError, UnicodeDecodeError) as exc:
+        except (ReportParseError, InvalidReportError, UnicodeDecodeError, OSError) as exc:
             logger.warning("skipping %s: %s", fixture.name, exc)
             if errors is not None:
                 errors.append((fixture.name, str(exc)))
@@ -636,23 +636,20 @@ def ingest_corpus(
     reports: list[MalwareReport], registry: SchemaRegistry, graph: Graph
 ) -> IngestSummary:
     """Insert every report's subgraph, then validate all touched subjects."""
-    summary, touched = _add_rows(len(reports), map(_report_rows, reports), graph)
-    summary.violations.extend(validate_subjects(registry, graph, touched))
-    return summary
+    added, touched = _add_rows(map(_report_rows, reports), graph)
+    return IngestSummary(len(reports), added, validate_subjects(registry, graph, touched))
 
 
-def _add_rows(
-    count: int, report_rows: Iterable[list[tuple]], graph: Graph
-) -> tuple[IngestSummary, set[int]]:
-    """The summary of adding each of count reports' _report_rows to graph,
-    its violations not yet filled in, and the ids of the subjects touched."""
-    summary = IngestSummary(reports=count)
+def _add_rows(report_rows: Iterable[list[tuple]], graph: Graph) -> tuple[int, set[int]]:
+    """The number of new triples adding each report's _report_rows to graph
+    gives, and the ids of the subjects touched."""
     intern = graph._intern_token
     add = graph._add
+    added = 0
     touched: set[int] = set()
     for rows in report_rows:
         for s, p, o in rows:
             si = intern(s)
             touched.add(si)
-            summary.triples_added += add(si, intern(p), intern(o))
-    return summary, touched
+            added += add(si, intern(p), intern(o))
+    return added, touched

@@ -40,15 +40,15 @@ only acyclic containers, so a collection could free nothing.  The CLI
 keeps the collector suspended until it has frozen the loaded graph
 (gc.freeze), so no later collection walks it.
 
-canonical_lines and load_subjects let the CLI ingest grow a graph file
-without loading all of it.  canonical_lines checks that a file's lines are
+_is_canonical and load_subjects let the CLI ingest grow a graph file
+without loading all of it.  _is_canonical says whether a file's lines are
 already what serialize_ntriples writes: each line matches one strict
 regular expression (IRIs and plain or datatyped literals without escapes,
-single spaces, " ." and a newline) and the lines strictly increase.  Such
-lines are returned unparsed; any other text is parsed and re-serialized,
-so it raises the parse's error at the parse's line.  load_subjects finds,
-by bisection on "TOKEN ", the lines of some subjects and the rdf:type
-lines of their objects, and loads only those.
+single spaces, " ." and a newline) and the lines strictly increase.  The
+CLI parses and re-serializes any other text, so it raises the parse's
+error at the parse's line.  load_subjects finds, by bisection on
+"TOKEN ", the lines of some subjects and the rdf:type lines of their
+objects, and loads only those.
 
 dump_snapshot and load_snapshot own the snapshot format: the marshalled
 state parse_ntriples builds (_tokens, _ids with its aliases, the triple
@@ -638,22 +638,6 @@ def parse_ntriples(text: str) -> Graph:
         return graph
 
 
-def canonical_lines(lines: list[str]) -> list[str]:
-    """The lines serialize_ntriples writes for the graph the N-Triples
-    lines spell, each ending in a newline.
-
-    lines are a text split after each newline, the last without one when
-    the text does not end in one.  When _is_canonical says they are
-    already the answer, they are returned as they are, unparsed.  Any
-    other text (comments, blank lines, escapes, blank nodes, language tags,
-    aliases, duplicates, unsorted lines, no final newline) is parsed, so it
-    raises the NTriplesParseError parse_ntriples raises, at the same line.
-    """
-    if _is_canonical(lines):
-        return lines
-    return _ntriples_lines(parse_ntriples("".join(lines)))
-
-
 def _is_canonical(lines: list[str]) -> bool:
     """Whether every line is strict (_STRICT_LINE_RE) and they strictly
     increase: then the lines are those serialize_ntriples writes."""
@@ -669,10 +653,10 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
     plus the rdf:type lines of every IRI or blank-node object of those
     lines: all a validation of those subjects reads.
 
-    lines must be as canonical_lines returns them: sorted, and canonical,
-    so their tokens enter the graph unchecked.  All lines of one subject
-    start with its token and a space, so they are one run, found by
-    bisection; so are a subject's rdf:type lines.
+    lines must be canonical (_is_canonical), so sorted, and their tokens
+    enter the graph unchecked.  All lines of one subject start with its
+    token and a space, so they are one run, found by bisection; so are a
+    subject's rdf:type lines.
     """
     end = len(lines)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -299,17 +299,30 @@ def validate_hash_format(
     raise UnknownClassError(f"no hash format rules for class: {kind}")
 
 
+# The xsd:integer and xsd:dateTime lexical forms, in ASCII digits, so no
+# Python version's looser parser decides.  A dateTime's year has four
+# digits, as datetime's range does, and its timezone lies within +-14:00.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_DATETIME_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
+    r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+)
+
+
 def _literal_value_ok(datatype: str, lexical: str) -> bool:
     if datatype == XSD_STRING:
         return True
     if datatype == XSD_INTEGER:
-        return re.fullmatch(r"[+-]?\d+", lexical) is not None
+        return _INTEGER_RE.fullmatch(lexical) is not None
     if datatype == XSD_DATETIME:
+        m = _DATETIME_RE.fullmatch(lexical)
+        if m is None:
+            return False
         try:
-            datetime.fromisoformat(lexical.replace("Z", "+00:00"))
-            return True
+            date(*map(int, m.groups()))  # a day of the calendar; there is no year 0
         except ValueError:
             return False
+        return True
     if datatype == XSD_ANYURI:
         return _SCHEME_RE.match(lexical) is not None
     # unknown datatype tags cannot be checked, so they fail closed

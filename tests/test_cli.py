@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -7,6 +8,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,27 @@ def test_ingest_warns_about_bad_fixture_files(tmp_path, capsys):
     )
     assert (rc, out) == (0, "reports: 0\ntriples added: 0\nviolations: 0\n")
     assert err.startswith("warning: bad.json: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["directory", "dangling-symlink"])
+def test_ingest_skips_an_unreadable_fixture_entry(tmp_path, capsys, entry):
+    # an entry named *.json that cannot be read is skipped with a warning,
+    # as a malformed file is, and the rest of the batch goes in
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for fixture in (FIXTURES / "table1").glob("*.json"):
+        (corpus / fixture.name).write_bytes(fixture.read_bytes())
+    if entry == "directory":
+        (corpus / "zz_dir.json").mkdir()
+    else:
+        (corpus / "zz_dir.json").symlink_to(tmp_path / "nowhere.json")
+    reference = tmp_path / "reference.nt"
+    expected = run(capsys, "--graph", str(reference), "ingest", "--fixtures", str(FIXTURES / "table1"))
+    graph = tmp_path / "g.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
+    assert (rc, out) == expected[:2] and out.startswith("reports: 71\n")
+    assert err.startswith("warning: zz_dir.json: ") and err.count("\n") == 1
+    assert graph.read_bytes() == reference.read_bytes()
 
 
 def test_ingest_warning_prints_once(tmp_path):
@@ -1025,8 +1048,10 @@ def _reference_ingest(text, corpus):
 
 def _take_path(monkeypatch, path):
     """Make the CLI ingest run its side jobs in forked children ("fork"),
-    as on a host with two CPUs, or inline ("inline"), as where os.fork is
-    missing.  Returns the list of the children's pids forked from now on."""
+    as on a host with two CPUs, or inline: as where os.fork is missing
+    ("inline"), on a host with one CPU ("one-cpu"), or where each fork
+    fails ("fork-fails").  Returns the list of the children's pids forked
+    from now on."""
     forks = []
     if path == "inline":
         monkeypatch.delattr(os, "fork")
@@ -1034,15 +1059,18 @@ def _take_path(monkeypatch, path):
     real_fork = os.fork
 
     def fork():
+        if path == "fork-fails":
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         pid = real_fork()
         if pid:
             forks.append(pid)
         return pid
 
+    cpus = {0} if path == "one-cpu" else {0, 1}
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
     if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     return forks
 
 
@@ -1066,6 +1094,7 @@ def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
 
     with monkeypatch.context() as m:
         m.setattr(rdf_mod, "parse_ntriples", parse)
+        m.setattr(cli_mod, "parse_ntriples", parse)
         got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
     _assert_no_child_left()
     expected = _reference_ingest(text or "", corpus)
@@ -1121,6 +1150,52 @@ def test_a_failed_side_job_is_run_again_in_the_parent(tmp_path, capsys, monkeypa
     assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (0, 1)
     assert len(forks) == 2
     assert ran == ["_is_canonical", "validate_subjects"]
+
+
+def _open_fds():
+    """The names of this process's open file descriptors, where /proc lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("trigger", ["one-cpu", "thread", "fork-fails"])
+def test_side_jobs_run_inline_where_a_fork_would_not_pay(tmp_path, capsys, monkeypatch, multifam_graph, trigger):
+    # with one CPU, with a second thread alive, or when the fork fails, each
+    # side job runs inline: no child, no pipe left open, and the output of
+    # the whole-graph ingest
+    forks = _take_path(monkeypatch, "fork" if trigger == "thread" else trigger)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if trigger == "thread":
+        thread.start()
+    fds = _open_fds()
+    try:
+        result = _ingest_matches_reference(tmp_path, capsys, monkeypatch, serialize_ntriples(multifam_graph), FIXTURES / "table1")
+    finally:
+        stop.set()
+        if trigger == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert result == (0, 0)
+    assert forks == []
+    assert _open_fds() == fds
+
+
+def test_a_file_that_is_not_canonical_is_checked_and_parsed_once(tmp_path, capsys, monkeypatch, multifam_graph):
+    # inline, so every call runs in this process and is counted: one
+    # canonical-line check, through either binding, and one parse
+    text = "".join(reversed(serialize_ntriples(multifam_graph).splitlines(keepends=True)))
+    checks = []
+    real_check = rdf_mod._is_canonical
+
+    def check(lines):
+        checks.append(len(lines))
+        return real_check(lines)
+
+    monkeypatch.setattr(rdf_mod, "_is_canonical", check)
+    monkeypatch.setattr(cli_mod, "_is_canonical", check)
+    _take_path(monkeypatch, "inline")
+    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (1, 0)
+    assert len(checks) == 1
 
 
 def _touched(table1_reports):

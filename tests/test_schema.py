@@ -370,6 +370,50 @@ def test_validate_datetime_and_anyuri_lexicals(registry):
     assert rules == ["datatype-mismatch"]
 
 
+@pytest.mark.parametrize(
+    "prop, lexical, ok",
+    [
+        ("hasFileSize", "12", True),
+        ("hasFileSize", "+12", True),
+        ("hasFileSize", "-0", True),
+        ("hasFileSize", "\u0661\u0662", False),  # Arabic-Indic digits
+        ("hasFileSize", "\uff11\uff12", False),  # fullwidth digits
+        ("hasFileSize", "12.0", False),
+        ("hasFileSize", "", False),
+        ("firstSeen", "2021-06-01T08:00:00Z", True),
+        ("firstSeen", "2021-06-01T08:00:00", True),
+        ("firstSeen", "2021-06-01T08:00:00.5Z", True),
+        ("firstSeen", "2021-06-01T08:00:00.123456789Z", True),
+        ("firstSeen", "2021-06-01T08:00:00+05:30", True),
+        ("firstSeen", "2021-06-01T08:00:00-14:00", True),
+        ("firstSeen", "0999-01-01T00:00:00Z", True),  # as _normalize_timestamp writes year 999
+        ("firstSeen", "2024-02-29T00:00:00Z", True),
+        ("firstSeen", "2021-06-01", False),
+        ("firstSeen", "2021-06-01 00:00:00", False),
+        ("firstSeen", "20210601T000000", False),
+        ("firstSeen", "2021-W01-1T00:00:00", False),
+        ("firstSeen", "2021-06-01T08:00Z", False),
+        ("firstSeen", "2021-06-01T08:00:00.Z", False),
+        ("firstSeen", "2021-06-01T08:00:00+15:00", False),
+        ("firstSeen", "2021-06-01T08:00:00+0530", False),
+        ("firstSeen", "2021-02-29T00:00:00Z", False),
+        ("firstSeen", "2021-13-01T00:00:00Z", False),
+        ("firstSeen", "0000-01-01T00:00:00Z", False),
+        ("firstSeen", "999-01-01T00:00:00Z", False),
+        ("firstSeen", "\u0662\u0660\u0662\u0661-06-01T08:00:00Z", False),
+    ],
+)
+def test_integer_and_datetime_lexical_forms(registry, prop, lexical, ok):
+    # XSD's own forms in ASCII digits: the answer must not depend on the
+    # Python version's int or datetime.fromisoformat
+    g = Graph()
+    f = typed(g, andmal("file_x"), andmal("File"))
+    datatype = XSD_INTEGER if prop == "hasFileSize" else XSD_DATETIME
+    g.insert(Triple(f, IRI(andmal(prop)), Literal(lexical, datatype=datatype)))
+    rules = [v.rule for v in validate_individual(registry, g, f)]
+    assert rules == ([] if ok else ["datatype-mismatch"])
+
+
 def test_validate_bad_hash_value(registry):
     g = Graph()
     h = typed(g, andmal("sha256_x"), malont("SHA256"))
