@@ -1167,9 +1167,10 @@ def test_side_jobs_run_inline_where_a_fork_would_not_pay(tmp_path, capsys, monke
     thread = threading.Thread(target=stop.wait)
     if trigger == "thread":
         thread.start()
+    text = serialize_ntriples(multifam_graph)
     fds = _open_fds()
     try:
-        result = _ingest_matches_reference(tmp_path, capsys, monkeypatch, serialize_ntriples(multifam_graph), FIXTURES / "table1")
+        result = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1")
     finally:
         stop.set()
         if trigger == "thread":
