@@ -43,6 +43,7 @@ import marshal
 import os
 import stat
 import sys
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -137,11 +138,15 @@ def _read_owned(path: Path, owner: int) -> Optional[bytes]:
 def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None) -> None:
     """Replace the file at path with the chunks, written in turn,
     atomically: when a write fails or the process dies part-way, the old
-    file is left as it was.  The new file gets permission bits mode, or the
-    umask's default when mode is None, and is never more readable than that
-    while it is written.  The temporary file gets a random name and is
-    created afresh (O_EXCL), so a link planted under its name is never
-    followed, and one left by a killed process never blocks a later write."""
+    file is left as it was.  The new file gets permission bits mode; when
+    mode is None, those of the file it replaces, or the umask's default if
+    there is none.  It is never more readable than that while it is
+    written.  The temporary file gets a random name and is created afresh
+    (O_EXCL), so a link planted under its name is never followed, and one
+    left by a killed process never blocks a later write."""
+    if mode is None:
+        with suppress(FileNotFoundError):
+            mode = stat.S_IMODE(path.stat().st_mode)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
@@ -289,11 +294,7 @@ def _cmd_ingest(args) -> int:
     found = _beside(lambda: len(validate_subjects(registry, graph, touched)))
     try:
         new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
-        try:
-            mode: Optional[int] = stat.S_IMODE(path.stat().st_mode)
-        except FileNotFoundError:
-            mode = None
-        _replace_file(path, _encoded(_merged(lines, new)), mode)
+        _replace_file(path, _encoded(_merged(lines, new)))
     finally:
         violations = found()
     for name, message in errors:
@@ -366,12 +367,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_emit(args) -> int:
     graph = _load_graph(Path(args.graph))
-    if args.format == "turtle":
-        text = serialize_turtle(graph)
-    else:
-        text = serialize_ntriples(graph)
+    text = (serialize_turtle if args.format == "turtle" else serialize_ntriples)(graph)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _replace_file(Path(args.output), (text.encode("utf-8"),))
     else:
         sys.stdout.write(text)
     return 0

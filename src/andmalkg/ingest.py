@@ -6,11 +6,12 @@ FetchSelector asks for the reports of one family or for the newest
 reports, at most 1,000 of them; from fixtures, both take the newest by
 first_seen, as get_siginfo and get_recent answer.  Parsing is
 strict: every present hash is checked against its HASH_KINDS format,
-timestamps must be ordered and fall within years 1-9999 in UTC, and
-country codes must be two ASCII letters, so a parsed report is guaranteed
-to produce a schema-conformant subgraph.  A report that breaks a rule, or
-cannot be decoded at all, raises ReportParseError or InvalidReportError,
-and a fetch skips it.
+timestamps must follow one grammar, built from schema's xsd:dateTime
+fragments so that no Python version's parser decides, be ordered and
+fall within years 1-9999 in UTC, and country codes must be two ASCII
+letters, so a parsed report is guaranteed to produce a schema-conformant
+subgraph.  A report that breaks a rule, or cannot be decoded at all,
+raises ReportParseError or InvalidReportError, and a fetch skips it.
 
 A report's subgraph is built once, as rows of canonical N-Triples tokens,
 the names the store keeps terms under (see rdf.py), each class and
@@ -26,7 +27,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -35,6 +36,7 @@ from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
 from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term
 from .rdf import _literal_token as _literal
 from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
+from .schema import _DATE, _TIME, _ZONE
 
 logger = logging.getLogger(__name__)
 # A library logs; the application decides where records go.  Without a
@@ -157,17 +159,28 @@ class IngestSummary:
     violations: list = field(default_factory=list)
 
 
+# A report timestamp, built from schema's xsd:dateTime fragments: a date,
+# then optionally 'T' or one space and a time, then optionally a zone.
+_TIMESTAMP_RE = re.compile(f"{_DATE}(?:[T ]{_TIME}({_ZONE})?)?")
+
+
 def _normalize_timestamp(raw: str, field_name: str) -> str:
-    """Accept 'YYYY-MM-DD[ T]HH:MM:SS[Z|±HH:MM]' or a bare date; emit UTC ISO form."""
-    text = raw.strip().replace(" ", "T")
+    """The xsd:dateTime, in UTC, of a report timestamp.  A bare date is its
+    midnight, a time without a zone is UTC, and a fraction is dropped: the
+    graph keeps whole seconds."""
+    m = _TIMESTAMP_RE.fullmatch(raw.strip())
     try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if dt.tzinfo is not None:  # a naive time is read as UTC
-            dt = dt.astimezone(timezone.utc)
+        if m is None:
+            raise ValueError
+        year, month, day, hour, minute, second, zone = m.groups()
+        # checks that the day exists; there is no year 0
+        utc = datetime(int(year), int(month), int(day), int(hour or 0), int(minute or 0), int(second or 0))
+        if zone not in (None, "Z"):
+            offset = timedelta(hours=int(zone[1:3]), minutes=int(zone[4:]))
+            utc = utc - offset if zone[0] == "+" else utc + offset
     except (ValueError, OverflowError):  # OverflowError: in UTC, outside years 1-9999
         raise InvalidReportError(f"bad timestamp {raw!r}", field=field_name)
-    # %Y writes year 999 as "999"; xsd:dateTime needs at least four digits
-    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"
+    return utc.isoformat() + "Z"  # the year in four digits, as xsd:dateTime needs
 
 
 def _opt_str(record: dict, key: str) -> Optional[str]:
@@ -316,11 +329,9 @@ def report_from_record(record: dict) -> MalwareReport:
             raise InvalidReportError("file_size must be a non-negative integer", field="file_size")
 
     first_seen = _opt_str(record, "first_seen")
+    first_seen = first_seen and _normalize_timestamp(first_seen, "first_seen")
     last_seen = _opt_str(record, "last_seen")
-    if first_seen is not None:
-        first_seen = _normalize_timestamp(first_seen, "first_seen")
-    if last_seen is not None:
-        last_seen = _normalize_timestamp(last_seen, "last_seen")
+    last_seen = last_seen and _normalize_timestamp(last_seen, "last_seen")
     if first_seen is not None and last_seen is not None and first_seen > last_seen:
         raise InvalidReportError("first_seen is after last_seen", field="first_seen")
 

@@ -150,7 +150,9 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
-        if _SURROGATE_RE.search(self.lexical) or _SURROGATE_RE.search(self.datatype):
+        if self.datatype != XSD_STRING:
+            IRI(self.datatype)  # checked first, as a parse reads it; no IRI holds a surrogate
+        if _SURROGATE_RE.search(self.lexical):
             raise MalformedTermError(f"literal holds a lone surrogate: {self!r}")
         if self.language is not None:
             if not _LANG_TAG_RE.fullmatch(self.language):
@@ -278,8 +280,7 @@ def _checked_term(token: str) -> Term:
     constructor (a literal may use the escapes serialize_ntriples writes)."""
     if token[0] == "<":
         return IRI(token[1:-1])
-    lexical, datatype, language = _literal_parts(token)
-    return Literal(lexical, IRI(datatype).value, language)
+    return Literal(*_literal_parts(token))
 
 
 # An index maps id a -> id b -> the ids c completing (a, b).  Most (a, b)
@@ -553,7 +554,7 @@ def _scan_line(line: str, lineno: int) -> Triple:
             if iri is not None:
                 terms.append(IRI(iri))
             elif body is not None:
-                dt = XSD_STRING if datatype is None else IRI(datatype).value
+                dt = XSD_STRING if datatype is None else datatype
                 terms.append(Literal(_unescape(body), dt, language))
             elif label is not None:
                 terms.append(BlankNode(label))

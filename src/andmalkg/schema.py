@@ -7,7 +7,10 @@ classes), 16 object properties, and 31 data properties.  ingest takes
 the terms it writes from the registry, by their local names, and does not
 spell them again.  HASH_KINDS is the one table of the hash kinds a report
 carries, each with the format its values must have; record parsing, IRI
-minting, triple generation and validation all read it.
+minting, triple generation and validation all read it, and build_schema
+makes each kind's class and value property from its row.  The xsd:dateTime
+fragments _DATE, _TIME and _ZONE are spelled here once: the validator's
+dateTime check and ingest's report-timestamp grammar are built from them.
 
 validate_subjects checks subjects straight from the graph's SPO index, on
 term ids, reading IRIs and literals from their tokens (see rdf.py); ingest
@@ -23,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import UnknownClassError
-from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
+from .ns import MALONT, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
 from .rdf import _SCHEME_RE, _TYPE_TOKEN, Graph, _each, _literal_parts, term_to_ntriples
 
 
@@ -80,14 +83,8 @@ _MALONT_BASE = (
     "Vulnerability",
 )
 
-_MALONT_HASHES = ("MD5", "SHA1", "SHA256", "SSDeep", "VHash")
-
-# (local name, parent local name or None)
+# (local name, parent local name or None); hash kinds' classes: HASH_KINDS
 _ANDMAL_CLASSES = (
-    ("IMPHASH", "Hash"),
-    ("TLSH", "Hash"),
-    ("TELFHASH", "Hash"),
-    ("GIMPHASH", "Hash"),
     ("SHA2", "Hash"),
     ("SHA3", "Hash"),
     ("HashDigestSize", "Hash"),
@@ -121,7 +118,7 @@ _OBJECT_PROPERTIES = (
     ("hasFile", "Malware", "File", "andmal"),
 )
 
-# (name, domain local, datatype IRI)
+# (name, domain local, datatype IRI); hash value properties: HASH_KINDS
 _DATA_PROPERTIES = (
     ("hasFileName", "File", XSD_STRING),
     ("hasFileSize", "File", XSD_INTEGER),
@@ -129,15 +126,6 @@ _DATA_PROPERTIES = (
     ("hasFilePath", "File", XSD_STRING),
     ("firstSeen", "File", XSD_DATETIME),
     ("lastSeen", "File", XSD_DATETIME),
-    ("md5Value", "MD5", XSD_STRING),
-    ("sha1Value", "SHA1", XSD_STRING),
-    ("sha256Value", "SHA256", XSD_STRING),
-    ("ssdeepValue", "SSDeep", XSD_STRING),
-    ("vhashValue", "VHash", XSD_STRING),
-    ("imphashValue", "IMPHASH", XSD_STRING),
-    ("tlshValue", "TLSH", XSD_STRING),
-    ("telfhashValue", "TELFHASH", XSD_STRING),
-    ("gimphashValue", "GIMPHASH", XSD_STRING),
     ("digestBits", "HashDigestSize", XSD_INTEGER),
     ("tagLabel", "Tag", XSD_STRING),
     ("reporterAlias", "MalwareReporter", XSD_STRING),
@@ -184,7 +172,6 @@ HASH_KINDS = (
 )
 
 _HASH_KIND_BY_CLASS = {k.cls: k for k in HASH_KINDS}
-_HASH_CLASS_BY_VALUE_PROPERTY = {k.value_property: k.cls for k in HASH_KINDS}
 
 
 class SchemaRegistry:
@@ -237,11 +224,15 @@ class SchemaRegistry:
 def build_schema() -> SchemaRegistry:
     """Construct the fixed AndMalOnt + MalOnt2.0 registry."""
     classes: dict[str, ClassDef] = {}
+    data_properties: dict[str, PropertyDef] = {}
     for name in _MALONT_BASE:
         classes[malont(name)] = ClassDef(malont(name), None, "malont")
     classes[malont("Hash")] = ClassDef(malont("Hash"), malont("Indicator"), "malont")
-    for name in _MALONT_HASHES:
-        classes[malont(name)] = ClassDef(malont(name), malont("Hash"), "malont")
+    for kind in HASH_KINDS:
+        ns = "malont" if kind.cls.startswith(MALONT) else "andmal"
+        classes[kind.cls] = ClassDef(kind.cls, malont("Hash"), ns)
+        iri = kind.value_property
+        data_properties[iri] = PropertyDef(iri, kind.cls, XSD_STRING, "data", "andmal")
 
     def class_iri(local: str) -> str:
         candidate = malont(local)
@@ -256,15 +247,10 @@ def build_schema() -> SchemaRegistry:
     object_properties: dict[str, PropertyDef] = {}
     for name, domain, rng, ns in _OBJECT_PROPERTIES:
         iri = malont(name) if ns == "malont" else andmal(name)
-        object_properties[iri] = PropertyDef(
-            iri, class_iri(domain), class_iri(rng), "object", ns
-        )
-    data_properties: dict[str, PropertyDef] = {}
+        object_properties[iri] = PropertyDef(iri, class_iri(domain), class_iri(rng), "object", ns)
     for name, domain, datatype in _DATA_PROPERTIES:
         iri = andmal(name)
-        data_properties[iri] = PropertyDef(
-            iri, class_iri(domain), datatype, "data", "andmal"
-        )
+        data_properties[iri] = PropertyDef(iri, class_iri(domain), datatype, "data", "andmal")
     return SchemaRegistry(classes, object_properties, data_properties)
 
 
@@ -302,11 +288,12 @@ def validate_hash_format(
 # The xsd:integer and xsd:dateTime lexical forms, in ASCII digits, so no
 # Python version's looser parser decides.  A dateTime's year has four
 # digits, as datetime's range does, and its timezone lies within +-14:00.
+# The groups are the year, month, day, hour, minute and second.
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_DATETIME_RE = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
-    r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
-)
+_DATE = r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+_TIME = r"([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])(?:\.[0-9]+)?"
+_ZONE = r"Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00)"
+_DATETIME_RE = re.compile(f"{_DATE}T{_TIME}(?:{_ZONE})?")
 
 
 def _literal_value_ok(datatype: str, lexical: str) -> bool:
@@ -319,7 +306,7 @@ def _literal_value_ok(datatype: str, lexical: str) -> bool:
         if m is None:
             return False
         try:
-            date(*map(int, m.groups()))  # a day of the calendar; there is no year 0
+            date(*map(int, m.group(1, 2, 3)))  # a day of the calendar; there is no year 0
         except ValueError:
             return False
         return True
@@ -433,7 +420,7 @@ class _Checker:
                 continue
             # a subject with no registered type has no domain to miss
             domain_ok = not subject_classes or prop.domain in subject_classes
-            hash_class = _HASH_CLASS_BY_VALUE_PROPERTY.get(pred)
+            hashed = prop.domain in _HASH_KIND_BY_CLASS  # a hash kind's value property
             for oi in objects:
                 # each detail ends with the object, so two triples never print one line
                 obj = tokens[oi]
@@ -446,14 +433,12 @@ class _Checker:
                         report("range-mismatch", f"{pred} requires a {prop.range} object (object {obj})")
                 elif obj[0] != '"':
                     report("datatype-mismatch", f"{pred} value is not a literal")
-                elif hash_class is not None or obj[-1] != '"':  # plain xsd:string always parses
+                elif hashed or obj[-1] != '"':  # plain xsd:string always parses
                     lexical, datatype, language = _literal_parts(obj)
                     if language is None and not _literal_value_ok(datatype, lexical):
                         report(
                             "datatype-mismatch", f"{pred} value {lexical!r} does not parse as {datatype}"
                         )
-                    elif hash_class is not None and not validate_hash_format(
-                        registry, hash_class, lexical
-                    ):
+                    elif hashed and not validate_hash_format(registry, prop.domain, lexical):
                         report("bad-hash-format", f"{pred} value {lexical!r} fails the format rules")
         return violations

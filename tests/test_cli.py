@@ -525,6 +525,40 @@ def test_emit_ntriples_is_stable(table1_store, tmp_path, capsys):
     assert all(line.endswith(" .") for line in lines)
 
 
+def test_emit_output_is_replaced_whole_and_keeps_its_mode(table1_store, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.ttl"
+    out.write_bytes(b"old output\n")
+    out.chmod(0o604)
+
+    class DiskFills:
+        """A file opened for writing takes the first bytes, then fails."""
+
+        def __init__(self, file, mode="r"):
+            self.f = open(file, mode)
+
+        def __enter__(self):
+            return self if "w" in self.f.mode else self.f.__enter__()
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:100])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    # a write that fails part-way leaves the old output as it was
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "open", DiskFills, raising=False)
+        rc, _, err = run(capsys, "--graph", str(table1_store), "emit", "--format", "turtle", "-o", str(out))
+    assert rc == 2 and "No space left on device" in err
+    assert out.read_bytes() == b"old output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ttl"]
+    assert run(capsys, "--graph", str(table1_store), "emit", "--format", "turtle", "-o", str(out)) == (0, "", "")
+    assert out.read_bytes().startswith(b"@prefix ")
+    assert _mode(out) == 0o604
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ttl"]
+
+
 def test_emit_turtle_header(table1_store, capsys):
     rc, out, _ = run(
         capsys, "--graph", str(table1_store), "emit", "--format", "turtle"

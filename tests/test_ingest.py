@@ -243,6 +243,57 @@ def test_timestamps_normalized_to_utc_iso():
     assert report.first_seen == "2021-06-01T08:00:00Z"
 
 
+# A report timestamp and its normalized value, or None where it is
+# rejected.  The grammar is the package's own, so each answer is the same on
+# every Python version; datetime.fromisoformat on 3.11 accepts every
+# rejected spelling below but the last two.
+@pytest.mark.parametrize(
+    "raw, normalized",
+    [
+        ("2021-06-01", "2021-06-01T00:00:00Z"),
+        ("2021-06-01T08:00:00", "2021-06-01T08:00:00Z"),
+        ("2021-06-01 08:00:00", "2021-06-01T08:00:00Z"),
+        # the graph keeps whole seconds, so a fraction is dropped
+        ("2021-06-01T08:00:00.5", "2021-06-01T08:00:00Z"),
+        ("2021-06-01T08:00:00.1234Z", "2021-06-01T08:00:00Z"),
+        ("2021-06-01T08:00:00Z", "2021-06-01T08:00:00Z"),
+        ("2021-06-01T08:00:00+05:30", "2021-06-01T02:30:00Z"),
+        ("2021-06-01 08:00:00-14:00", "2021-06-01T22:00:00Z"),
+        ("0999-05-01T00:00:00", "0999-05-01T00:00:00Z"),
+        ("20210601T000000", None),
+        ("2021-W01-1T00:00:00", None),
+        ("2021-06-01T08:00", None),
+        ("2021-06-01T08Z", None),
+        ("2021-06-01 08:00:00 Z", None),
+        ("2021-06-01T08:00:00,5", None),
+        ("2021-06-01T08:00:00+0530", None),
+        ("2021-06-01T08:00:00+05:30:15", None),
+        ("2021-06-01T08:00:00+14:30", None),
+        ("2021-06-01t08:00:00", None),
+        ("2021-06-01T08:00:00z", None),
+        ("2021-02-29", None),
+    ],
+)
+def test_report_timestamp_grammar(registry, raw, normalized):
+    if normalized is None:
+        with pytest.raises(InvalidReportError) as err:
+            report_from_record(record(first_seen=raw))
+        assert err.value.field == "first_seen"
+    else:
+        report = report_from_record(record(first_seen=raw))
+        assert report.first_seen == normalized
+        # the validator's xsd:dateTime check accepts what ingest writes
+        assert ingest_corpus([report], registry, Graph()).violations == []
+
+
+def test_vendor_analysis_date_follows_the_report_timestamp_grammar():
+    report = report_from_record(record(vendor_intel={"V": {"analysis_date": "2021-06-01T08:00:00-01:30"}}))
+    assert report.vendor_intel[0].analysis_date == "2021-06-01T09:30:00Z"
+    with pytest.raises(InvalidReportError) as err:
+        report_from_record(record(vendor_intel={"V": {"analysis_date": "2021-06-01T08:00"}}))
+    assert err.value.field == "vendor_intel"
+
+
 def test_signature_na_means_absent():
     assert report_from_record(record(signature="n/a")).signature is None
     assert report_from_record(record(signature="N/A")).signature is None

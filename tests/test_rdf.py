@@ -551,6 +551,19 @@ def test_terms_reject_lone_surrogates():
         assert str(err.value) == f"line 1: {message}"
 
 
+def test_a_literal_datatype_must_be_an_iri():
+    # the store would write "x"^^<not an iri>, which no parse reads back
+    with pytest.raises(MalformedTermError) as err:
+        Graph().insert(Triple(IRI(S[1:-1]), IRI(P[1:-1]), Literal("x", datatype="not an iri")))
+    assert str(err.value) == "not an absolute IRI (missing scheme): 'not an iri'"
+    # a parse reports the datatype at its line, before a surrogate in the
+    # lexical form, on the canonical and the escaped path alike
+    for body in ("x", "\ud800", "a\\t\ud800"):
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(f'{S} {P} "ok" .\n{S} {P} "{body}"^^<not an iri> .\n')
+        assert str(err.value) == "line 2: not an absolute IRI (missing scheme): 'not an iri'"
+
+
 def test_one_rule_for_blank_node_labels_and_language_tags():
     # the constructors check with the scanner's grammar: a label may not end
     # in '.', and neither may carry a trailing newline
