@@ -1,5 +1,8 @@
 """Command-line surface: ingest, stats, query, emit, validate.
 
+run() is the entry point of the installed andmalkg script, of
+python -m andmalkg and of python -m andmalkg.cli.
+
 The knowledge graph lives in a flat N-Triples file (--graph PATH); every
 read command loads it whole, and ingest grows it.  Only ingest starts from
 an empty graph when the file does not exist; any other command then fails
@@ -15,7 +18,10 @@ objects (rdf.load_subjects).  It ingests the batch into that graph, and
 merges the new lines, sorted, into the file's lines.  Any other file is
 parsed whole and re-serialized first.  Either way the file it writes is
 byte for byte the one parsing, ingesting and serializing the whole graph
-writes, with the same summary.
+writes, with the same summary.  From before it reads the lines until
+after it has renamed the new file into place, ingest holds an exclusive
+lock on the sidecar file .NAME.lock (_locked), so a second ingest into
+the same file waits and then reads the first one's lines.
 
 With two or more CPUs available and no other thread alive, ingest runs
 two pairs of stages at the same time (_beside): the canonical-line check
@@ -43,7 +49,7 @@ import marshal
 import os
 import stat
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -162,6 +168,27 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
         raise
 
 
+@contextmanager
+def _locked(path: Path) -> Iterator[None]:
+    """Hold an exclusive lock for the graph file at path: an flock on the
+    sidecar file .NAME.lock beside it, created if missing and never
+    deleted.  The graph file is not locked itself, because each write
+    renames a new inode over it.  Where there is no fcntl (Windows), the
+    lock file is made but nothing is locked."""
+    try:
+        import fcntl
+    except ImportError:
+        fcntl = None
+    flags = os.O_RDONLY | os.O_CREAT | getattr(os, "O_NOFOLLOW", 0)
+    fd = os.open(path.with_name(f".{path.name}.lock"), flags, 0o666)
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # which releases the lock
+
+
 # lines per chunk of a graph file write: about 1 MB of N-Triples
 _CHUNK_LINES = 4096
 
@@ -269,34 +296,37 @@ def _cmd_ingest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = Path(args.graph)
-    lines = _read_lines(path)
-    # The check that the old lines are canonical runs beside the fetch.  A
-    # file that is not is parsed and re-serialized after the fetch, even one
-    # that failed, so its parse error still comes first.
-    canonical = _beside(lambda: _is_canonical(lines))
-    errors: list[tuple[str, str]] = []
-    try:
-        reports = fetch_reports(selector, source, errors)
-        rows = [_report_rows(report) for report in reports]
-    finally:
-        if not canonical():
-            lines = _ntriples_lines(parse_ntriples("".join(lines)))
-    # The graph holds every old line of a row's subject, so each old triple
-    # a row could repeat, and every triple and object type the validation
-    # of the touched subjects reads: the count of new triples and the
-    # violations are those of the whole graph.
-    graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
-    loaded = set(graph._walk())
-    added, touched = _add_rows(rows, graph)
-    del rows
-    registry = build_schema()
-    # The touched subjects are validated beside the write of the new lines.
-    found = _beside(lambda: len(validate_subjects(registry, graph, touched)))
-    try:
-        new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
-        _replace_file(path, _encoded(_merged(lines, new)))
-    finally:
-        violations = found()
+    # Another ingest into the same file waits here until this one has
+    # replaced the file, then reads the lines this one wrote.
+    with _locked(path):
+        lines = _read_lines(path)
+        # The check that the old lines are canonical runs beside the fetch.  A
+        # file that is not is parsed and re-serialized after the fetch, even one
+        # that failed, so its parse error still comes first.
+        canonical = _beside(lambda: _is_canonical(lines))
+        errors: list[tuple[str, str]] = []
+        try:
+            reports = fetch_reports(selector, source, errors)
+            rows = [_report_rows(report) for report in reports]
+        finally:
+            if not canonical():
+                lines = _ntriples_lines(parse_ntriples("".join(lines)))
+        # The graph holds every old line of a row's subject, so each old triple
+        # a row could repeat, and every triple and object type the validation
+        # of the touched subjects reads: the count of new triples and the
+        # violations are those of the whole graph.
+        graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
+        loaded = set(graph._walk())
+        added, touched = _add_rows(rows, graph)
+        del rows
+        registry = build_schema()
+        # The touched subjects are validated beside the write of the new lines.
+        found = _beside(lambda: len(validate_subjects(registry, graph, touched)))
+        try:
+            new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
+            _replace_file(path, _encoded(_merged(lines, new)))
+        finally:
+            violations = found()
     for name, message in errors:
         print(f"warning: {name}: {message}", file=sys.stderr)
     # every fixture file is either read into a report or named in errors
@@ -448,3 +478,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

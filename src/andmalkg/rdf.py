@@ -321,6 +321,18 @@ def _leaf(index: _Index, a: int, b: int) -> Iterable[int]:
     return () if leaf is None else _each(leaf)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k) on its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class Graph:
     """A set of triples, held in SPO and POS indexes.
 
@@ -770,27 +782,30 @@ def _turtle_iri(value: str, predicate: bool = False) -> str:
 def serialize_turtle(graph: Graph) -> str:
     """Turtle output: @prefix header, then subject blocks with ';' grouping."""
     tokens = graph._tokens
+    spo = graph._spo
     by_token = tokens.__getitem__
-    rendered: dict[tuple[int, bool], str] = {}
 
-    def render(i: int, predicate: bool = False) -> str:
-        text = rendered.get((i, predicate))
-        if text is None:
-            token = tokens[i]
-            text = _turtle_iri(token[1:-1], predicate) if token[0] == "<" else token
-            rendered[i, predicate] = text
-        return text
+    def term_text(i: int) -> str:
+        token = tokens[i]
+        return _turtle_iri(token[1:-1]) if token[0] == "<" else token
 
+    # each term's text, rendered once per role: as a subject or an object,
+    # and as a verb (a predicate is always an IRI)
+    term = _Memo(term_text)
+    verb = _Memo(lambda i: _turtle_iri(tokens[i][1:-1], predicate=True))
     out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(PREFIXES.items())]
     body: list[str] = []
-    for s in sorted(graph._spo, key=by_token):
-        by_p = graph._spo[s]
-        pairs = [
-            f"{render(p, predicate=True)} {render(o)}"
-            for p in sorted(by_p, key=by_token)
-            for o in sorted(_each(by_p[p]), key=by_token)
-        ]
-        body.append(f"{render(s)} " + " ;\n    ".join(pairs) + " .")
+    for s in sorted(spo, key=by_token):
+        by_p = spo[s]
+        pairs: list[str] = []
+        for p in by_p if len(by_p) == 1 else sorted(by_p, key=by_token):
+            text = verb[p]
+            leaf = by_p[p]
+            if type(leaf) is int:
+                pairs.append(f"{text} {term[leaf]}")
+            else:
+                pairs += [f"{text} {term[o]}" for o in sorted(leaf, key=by_token)]
+        body.append(f"{term[s]} " + " ;\n    ".join(pairs) + " .")
     text = "\n".join(out) + "\n"
     if body:
         text += "\n" + "\n\n".join(body) + "\n"

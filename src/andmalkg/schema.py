@@ -14,7 +14,11 @@ dateTime check and ingest's report-timestamp grammar are built from them.
 
 validate_subjects checks subjects straight from the graph's SPO index, on
 term ids, reading IRIs and literals from their tokens (see rdf.py); ingest
-and the validate command both use it.
+and the validate command both use it.  A subject's violations are listed
+in the order of their keys: (0, type token) for unknown-class, (1,) for
+missing-type, and (2, predicate token, object token, rank) for the rest,
+where a domain-mismatch has rank 0 and the other violation of the same
+triple rank 1.  No two violations of one subject share a key.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import UnknownClassError
 from .ns import MALONT, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING, andmal, malont
-from .rdf import _SCHEME_RE, _TYPE_TOKEN, Graph, _each, _literal_parts, term_to_ntriples
+from .rdf import _SCHEME_RE, _TYPE_TOKEN, Graph, _each, _literal_parts, _Memo, term_to_ntriples
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,7 @@ HASH_KINDS = (
 )
 
 _HASH_KIND_BY_CLASS = {k.cls: k for k in HASH_KINDS}
+_NO_CLASSES: frozenset[str] = frozenset()
 
 
 class SchemaRegistry:
@@ -325,7 +330,8 @@ def validate_individual(
     registered properties; the domain of every registered property, object
     and data alike, and each object property's range against the class
     hierarchy; data-property literals parse under their datatype tag; hash
-    value properties satisfy the per-algorithm format rules.
+    value properties satisfy the per-algorithm format rules.  The
+    violations come in the order the module docstring gives.
     """
     si = graph._id(subject)
     by_p = {} if si is None else graph._spo.get(si, {})
@@ -352,93 +358,108 @@ def validate_subjects(
 class _Checker:
     """Validates subjects of one graph on term ids.
 
-    A subject's SPO entry is walked predicate by predicate, then object by
-    object, each in token order: the order in which Graph.match lists the
-    subject's triples.  IRIs and literals are read from their tokens, so
-    no term is built.
+    A subject's SPO entry is walked once, in dict order, and each
+    violation is found with its order key (see the module docstring);
+    only a subject with two or more violations is sorted by it.  Each
+    class id's classes and each predicate id's registry entry are looked
+    up once per checker.  IRIs and literals are read from their tokens,
+    so no term is built.
     """
 
     def __init__(self, registry: SchemaRegistry, graph: Graph):
         self.registry = registry
-        self.tokens = graph._tokens
+        self.tokens = tokens = graph._tokens
         self.spo = graph._spo
         self.type_id = graph._ids.get(_TYPE_TOKEN)
-        self.class_cache: dict[int, frozenset[str]] = {}
-        # predicate id -> its IRI, sliced from the token once: the same str
-        # object keeps its cached hash for the registry lookups
-        self.iris: dict[int, str] = {}
 
-    def _classes(self, ti: int) -> frozenset[str]:
-        """The class term ti and its ancestors; empty unless it is registered."""
-        classes = self.class_cache.get(ti)
-        if classes is None:
-            token = self.tokens[ti]
-            classes = frozenset()
-            if token[0] == "<":
-                classes = self.registry.ancestors.get(token[1:-1], classes)
-            self.class_cache[ti] = classes
-        return classes
+        # The memo functions close over the tables they read, not over the
+        # checker: a cycle through it would keep the graph alive until the
+        # cyclic collector ran.
+        def classes(ti: int) -> frozenset[str]:
+            token = tokens[ti]
+            return registry.ancestors.get(token[1:-1], _NO_CLASSES) if token[0] == "<" else _NO_CLASSES
 
-    def _has_class(self, oi: int, cls: str) -> bool:
-        """Whether node oi has a registered type that is cls or below it."""
-        by_p = self.spo.get(oi)
-        leaf = None if by_p is None else by_p.get(self.type_id)
-        return leaf is not None and any(cls in self._classes(ti) for ti in _each(leaf))
+        def entry(pi: int) -> tuple[str, Optional[PropertyDef], bool]:
+            pred = tokens[pi][1:-1]
+            prop = registry.object_properties.get(pred) or registry.data_properties.get(pred)
+            return pred, prop, prop is not None and prop.domain in _HASH_KIND_BY_CLASS
+
+        # class id -> the class and its ancestors; empty unless it is registered
+        self.class_cache: dict[int, frozenset[str]] = _Memo(classes)
+        # predicate id -> (its IRI, its PropertyDef or None, whether a hash
+        # kind's value property): the same IRI str keeps its cached hash
+        self.properties: dict[int, tuple[str, Optional[PropertyDef], bool]] = _Memo(entry)
 
     def violations(self, subj_str: str, by_p: dict) -> list[Violation]:
         registry = self.registry
         tokens = self.tokens
-        iris = self.iris
-        by_token = tokens.__getitem__
-        violations: list[Violation] = []
+        spo = self.spo
+        type_id = self.type_id
+        class_cache = self.class_cache
+        properties = self.properties
+        found: list[tuple[tuple, str, str]] = []  # (order key, rule, detail)
 
-        def report(rule: str, detail: str) -> None:
-            violations.append(Violation(subj_str, rule, detail))
+        type_leaf = by_p.get(type_id)
+        if type_leaf is None:
+            subject_classes = _NO_CLASSES
+            found.append(((1,), "missing-type", "no type triple"))
+        else:
+            if type(type_leaf) is int:
+                subject_classes = class_cache[type_leaf]  # registered types and their ancestors
+            else:
+                subject_classes = frozenset().union(*map(class_cache.__getitem__, type_leaf))
+            for ti in _each(type_leaf):
+                if not class_cache[ti]:
+                    token = tokens[ti]
+                    found.append(((0, token), "unknown-class", f"type is not a registered class: {token}"))
 
-        type_leaf = by_p.get(self.type_id)
-        type_ids = () if type_leaf is None else sorted(_each(type_leaf), key=by_token)
-        subject_classes: frozenset[str] = frozenset()  # registered types and their ancestors
-        for ti in type_ids:
-            classes = self._classes(ti)
-            if not classes:
-                report("unknown-class", f"type is not a registered class: {by_token(ti)}")
-            subject_classes |= classes
-        if not type_ids:
-            report("missing-type", "no type triple")
-
-        for pi in sorted(by_p, key=by_token):
-            if pi == self.type_id:
+        for pi, leaf in by_p.items():
+            if pi == type_id:
                 continue
-            pred = iris.get(pi)
-            if pred is None:
-                pred = iris[pi] = tokens[pi][1:-1]
-            objects = sorted(_each(by_p[pi]), key=by_token)
-            prop = registry.object_properties.get(pred) or registry.data_properties.get(pred)
+            pred, prop, hashed = properties[pi]
+            objects = (leaf,) if type(leaf) is int else leaf
             if prop is None:
                 for oi in objects:
-                    report("unknown-property", f"unregistered property {pred} (object {tokens[oi]})")
+                    obj = tokens[oi]
+                    detail = f"unregistered property {pred} (object {obj})"
+                    found.append(((2, tokens[pi], obj, 1), "unknown-property", detail))
                 continue
             # a subject with no registered type has no domain to miss
             domain_ok = not subject_classes or prop.domain in subject_classes
-            hashed = prop.domain in _HASH_KIND_BY_CLASS  # a hash kind's value property
+            is_object = prop.kind == "object"
             for oi in objects:
                 # each detail ends with the object, so two triples never print one line
-                obj = tokens[oi]
                 if not domain_ok:
-                    report("domain-mismatch", f"{pred} requires a {prop.domain} subject (object {obj})")
-                if prop.kind == "object":
-                    if obj[0] == '"':
-                        report("range-mismatch", f"{pred} object is a literal (object {obj})")
-                    elif not self._has_class(oi, prop.range):
-                        report("range-mismatch", f"{pred} requires a {prop.range} object (object {obj})")
-                elif obj[0] != '"':
-                    report("datatype-mismatch", f"{pred} value is not a literal")
+                    obj = tokens[oi]
+                    detail = f"{pred} requires a {prop.domain} subject (object {obj})"
+                    found.append(((2, tokens[pi], obj, 0), "domain-mismatch", detail))
+                if is_object:
+                    # a literal is no subject, so it has no SPO entry and no type
+                    o_by_p = spo.get(oi)
+                    o_types = None if o_by_p is None else o_by_p.get(type_id)
+                    if o_types is None or not (
+                        prop.range in class_cache[o_types]
+                        if type(o_types) is int
+                        else any(prop.range in class_cache[ti] for ti in o_types)
+                    ):
+                        obj = tokens[oi]
+                        if obj[0] == '"':
+                            detail = f"{pred} object is a literal (object {obj})"
+                        else:
+                            detail = f"{pred} requires a {prop.range} object (object {obj})"
+                        found.append(((2, tokens[pi], obj, 1), "range-mismatch", detail))
+                    continue
+                obj = tokens[oi]
+                if obj[0] != '"':
+                    found.append(((2, tokens[pi], obj, 1), "datatype-mismatch", f"{pred} value is not a literal"))
                 elif hashed or obj[-1] != '"':  # plain xsd:string always parses
                     lexical, datatype, language = _literal_parts(obj)
                     if language is None and not _literal_value_ok(datatype, lexical):
-                        report(
-                            "datatype-mismatch", f"{pred} value {lexical!r} does not parse as {datatype}"
-                        )
+                        detail = f"{pred} value {lexical!r} does not parse as {datatype}"
+                        found.append(((2, tokens[pi], obj, 1), "datatype-mismatch", detail))
                     elif hashed and not validate_hash_format(registry, prop.domain, lexical):
-                        report("bad-hash-format", f"{pred} value {lexical!r} fails the format rules")
-        return violations
+                        detail = f"{pred} value {lexical!r} fails the format rules"
+                        found.append(((2, tokens[pi], obj, 1), "bad-hash-format", detail))
+        if len(found) > 1:
+            found.sort()  # the keys of one subject's violations differ
+        return [Violation(subj_str, rule, detail) for _, rule, detail in found]

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,28 @@ def test_cli_import_leaves_requests_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["andmalkg", "andmalkg.cli"])
+def test_python_m_runs_the_command(tmp_path, capsys, module):
+    # python -m runs cli.run(), as the installed andmalkg script does
+    graph = tmp_path / "g.nt"
+    assert main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"), "--signature", "Anubis"]) == 0
+    capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run_module(path):
+        return subprocess.run(
+            [sys.executable, "-m", module, "--graph", str(path), "stats", "--by", "family"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    proc = run_module(graph)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "anubis\t21\nTOTAL\t21\n", "")
+    proc = run_module(tmp_path / "missing.nt")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
     # hashlib loads OpenSSL, a few MB of resident memory that an ingest,
     # which never touches a snapshot, has no use for
@@ -338,7 +361,7 @@ def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failur
     assert len(forks) == 2
     _assert_no_child_left()
     assert graph.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.lock", "graph.nt"]
     if failure == "serialize":
         assert removed == {}
         return
@@ -946,7 +969,7 @@ def test_ingest_merges_without_a_parse_and_leaves_snapshots_alone(tmp_path, caps
     table1 = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1")]
     assert run(capsys, *multifam)[0] == 0
     assert run(capsys, *multifam)[0] == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.lock", "graph.nt"]
 
     assert run(capsys, "--graph", str(graph), "validate")[0] == 0
     written = snapshot.read_bytes()
@@ -971,7 +994,7 @@ def test_ingest_merges_without_a_parse_and_leaves_snapshots_alone(tmp_path, caps
     (fresh / "graph.nt").unlink()
     (fresh / ".graph.nt.snap").unlink()
     fresh.rmdir()
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.lock", ".graph.nt.snap", "graph.nt"]
 
 
 def test_read_command_run_by_another_user_writes_no_snapshot(tmp_path, capsys, monkeypatch, multifam_graph):
@@ -1012,7 +1035,7 @@ def test_leftover_temporary_file_blocks_no_write(tmp_path, capsys):
     for leftover in leftovers:
         assert leftover.read_bytes() == b"left behind"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [".graph.nt.snap", "graph.nt"] + [p.name for p in leftovers]
+        [".graph.nt.lock", ".graph.nt.snap", "graph.nt"] + [p.name for p in leftovers]
     )
 
 
@@ -1111,6 +1134,80 @@ def _take_path(monkeypatch, path):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _forked(job) -> int:
+    """Run job() in a forked child, which exits with its result; the pid."""
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            code = job()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _wait(pid, seconds):
+    """The exit code of the child pid, or None if it still runs after seconds."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_concurrent_ingests_into_one_file_keep_both(tmp_path, capsys):
+    # The first ingest stops right after reading the graph file's lines and
+    # waits until the second one has exited, or for at most WAIT seconds.
+    # Without a lock the second one reads the same old lines, and whichever
+    # replaces the file last drops the other's triples.  With it, the second
+    # waits for the first to write, then reads its lines: no timing decides.
+    WAIT = 1.0
+    graph = tmp_path / "graph.nt"
+    anubis = ["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"), "--signature", "Anubis"]
+    sharkbot = anubis[:-1] + ["SharkBot"]
+    ready_r, ready_w = os.pipe()
+    release_r, release_w = os.pipe()
+
+    def first():
+        os.close(ready_r)
+        os.close(release_w)
+        real_read_lines = cli_mod._read_lines
+
+        def paused(path):
+            lines = real_read_lines(path)
+            os.write(ready_w, b"r")
+            os.read(release_r, 1)
+            return lines
+
+        cli_mod._read_lines = paused
+        return main(anubis)
+
+    first_pid = _forked(first)
+    os.close(ready_w)
+    os.close(release_r)
+    try:
+        assert os.read(ready_r, 1) == b"r"  # the first one has read its lines
+        second_pid = _forked(lambda: main(sharkbot))
+        second = _wait(second_pid, WAIT)
+    finally:
+        os.write(release_w, b"g")
+        os.close(release_w)
+        os.close(ready_r)
+    assert _wait(first_pid, 60) == 0
+    assert (second if second is not None else _wait(second_pid, 60)) == 0
+    capsys.readouterr()
+    one_by_one = tmp_path / "sequential.nt"
+    for argv in (anubis, sharkbot):
+        assert main([argv[0], str(one_by_one)] + argv[2:]) == 0
+    capsys.readouterr()
+    assert graph.read_bytes() == one_by_one.read_bytes()
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "family")[1] == "sharkbot\t26\nanubis\t21\nTOTAL\t47\n"
 
 
 def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
@@ -1340,7 +1437,9 @@ def test_graph_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, li
     before = graph.read_bytes(), graph.stat().st_mtime_ns
     assert run(capsys, "--graph", str(graph), *command) == (1, "", f"error: {graph}: line 3: not UTF-8\n")
     assert (graph.read_bytes(), graph.stat().st_mtime_ns) == before
-    assert [p.name for p in tmp_path.iterdir()] == ["graph.nt"]
+    # only an ingest, a writer, leaves its lock file
+    locked = [".graph.nt.lock"] if command[0] == "ingest" else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == locked + ["graph.nt"]
 
 
 def test_query_file_that_is_not_utf8_fails_cleanly(table1_store, tmp_path, capsys):

@@ -229,6 +229,28 @@ def test_turtle_reparses_to_the_same_triples():
         assert parse_turtle(serialize_turtle(g)) == ntriples_as_tuples(serialize_ntriples(g))
 
 
+# The SHA-256 of the Turtle serialize_turtle writes for the fixture graph
+# (table1 and multifam) and three random graphs: a change to any byte of
+# it, in a term's spelling, the grouping or the order, shows here.
+TURTLE_DIGESTS = {
+    "table1+multifam": "c5c017ae516bf015042a0f301ea8b6949c58b2934a94d0ebfa53f34236d6ed6a",
+    "randgraph-23": "e8e81eb0c94b190298f82f60df181666500ad7f85d4486f4786dad5cbbed5c20",
+    "randgraph-26": "49524cf6cca6f08ef0b045d029643e2f8868a015198b8a7c8dd7da80340fab46",
+    "randgraph-20": "f6fa092ad8f7733ac76afe196740cfd1a58cf16d1843a59c3f4bc75fa864870c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TURTLE_DIGESTS))
+def test_turtle_bytes_are_pinned(name, table1_graph, multifam_graph):
+    if name == "table1+multifam":
+        g = Graph()
+        g.insert_all(table1_graph)
+        g.insert_all(multifam_graph)
+    else:
+        g = random_graph(random.Random(int(name.split("-")[1])), max_triples=400)
+    assert hashlib.sha256(serialize_turtle(g).encode("utf-8")).hexdigest() == TURTLE_DIGESTS[name]
+
+
 def test_match_by_object_and_by_subject_and_object():
     s, other = IRI("http://example.org/s"), IRI("http://example.org/other")
     p, q = IRI("http://example.org/p"), IRI("http://example.org/q")

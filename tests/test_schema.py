@@ -1,9 +1,12 @@
+import gc
 import random
+from collections import Counter
 
 import pytest
 
 import andmalkg.rdf as rdf_mod
 from andmalkg import (
+    BlankNode,
     ClassDef,
     Graph,
     IRI,
@@ -23,6 +26,8 @@ from andmalkg import (
 from andmalkg.cli import main
 from andmalkg.ns import ANDMAL, MALONT, RDF_TYPE, XSD, XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, XSD_STRING
 from andmalkg.schema import HASH_KINDS, VIOLATION_RULES, validate_subjects
+from randgraph import random_schema_graph
+from reference_validate import validate_reference, violations_reference
 
 UC3_SHA256 = "21d178e0688af591964ae00b71263d2e086706017ebc98d7488d57771144d337"
 
@@ -619,3 +624,38 @@ def test_validate_turtle_and_stats_build_no_term(registry, table1_graph, tmp_pat
     assert main(["--graph", str(path), "validate"]) == 1
     assert main(["--graph", str(path), "emit", "--format", "turtle"]) == 0
     capsys.readouterr()
+
+
+def test_validation_matches_the_reference_checker(registry):
+    rng = random.Random(2026)
+    rules = set()
+    seen = Counter()  # how often each case the order key must settle came up
+    for _ in range(250):
+        g = random_schema_graph(rng, registry)
+        want = validate_reference(registry, g)
+        assert validate_subjects(registry, g) == want
+        rules |= {v.rule for v in want}
+        for subject in {t.subject for t in g.match()}:
+            mine = violations_reference(registry, g, subject)
+            assert validate_individual(registry, g, subject) == mine
+            per_predicate = Counter(t.predicate for t in g.match(subject, None, None))
+            seen["blank subject"] += isinstance(subject, BlankNode)
+            seen["multi-typed"] += per_predicate[IRI(RDF_TYPE)] > 1
+            seen["multi-valued"] += max(per_predicate.values()) > 1
+            seen["sorted"] += len(mine) > 1
+            # a domain-mismatch, then the other violation of the same triple
+            seen["one triple"] += any(
+                a.rule == "domain-mismatch" != b.rule and b.detail.startswith(a.detail.split(" ", 1)[0] + " ")
+                for a, b in zip(mine, mine[1:])
+            )
+    assert rules == VIOLATION_RULES
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def test_validation_and_turtle_leave_no_reference_cycle(registry, table1_graph):
+    # the checker's and the serializer's memo tables are freed with them,
+    # not kept, with all they reference, until the cyclic collector runs
+    gc.collect()
+    assert validate_subjects(registry, table1_graph) == []
+    serialize_turtle(table1_graph)
+    assert gc.collect() == 0
