@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
-from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term
+from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term, _sha256
 from .rdf import _literal_token as _literal
 from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
 from .schema import _DATE, _TIME, _ZONE
@@ -60,9 +60,22 @@ _VERDICT_ALIASES = {
 }
 
 
+_NOT_SLUG_RE = re.compile(r"[^a-z0-9]+")
+
+
 def slug(text: str) -> str:
     """Lowercase, map runs of non-alphanumerics to a single underscore."""
-    return re.sub(r"[^a-z0-9]+", "_", text.lower())
+    return _NOT_SLUG_RE.sub("_", text.lower())
+
+
+def _label_key(label: str) -> str:
+    """The part of a minted local name that stands for a label: its slug
+    when the slug is the lowercased label, else the slug and the first 8
+    hex digits of the lowercased label's SHA-256.  So two labels share a
+    node only when they are equal but for case."""
+    lowered = label.lower()
+    key = slug(lowered)
+    return key if key == lowered else f"{key}_{_sha256(lowered.encode('utf-8'))[:4].hex()}"
 
 
 @dataclass(frozen=True)
@@ -416,30 +429,32 @@ def mint_iris(report: MalwareReport) -> dict[str, str]:
 
     Fixed roles: file, malware; optional roles: family, reporter, location,
     cert; collection members under 'tag:<tag>', 'hash:<algo>',
-    'yara:<name>', 'vendor:<vendorName>'.
+    'yara:<name>', 'vendor:<vendorName>'.  A family, reporter, tag, YARA
+    rule or vendor is named by its label's _label_key, so distinct labels
+    get distinct IRIs unless they differ only in case.
     """
     ids = {
         "file": andmal(f"file_{report.sha256}"),
         "malware": andmal(f"malware_{report.sha256}"),
     }
     if report.signature:
-        ids["family"] = andmal(f"family_{slug(report.signature)}")
+        ids["family"] = andmal(f"family_{_label_key(report.signature)}")
     if report.reporter:
-        ids["reporter"] = andmal(f"reporter_{slug(report.reporter)}")
+        ids["reporter"] = andmal(f"reporter_{_label_key(report.reporter)}")
     if report.origin_country:
         ids["location"] = andmal(f"loc_{report.origin_country}")
     if report.certificate:
         ids["cert"] = andmal(f"cert_{report.sha256}")
     for tag in report.tags:
-        ids[f"tag:{tag}"] = andmal(f"tag_{slug(tag)}")
+        ids[f"tag:{tag}"] = andmal(f"tag_{_label_key(tag)}")
     for kind in HASH_KINDS:
         if getattr(report, kind.name) is not None:
             ids[f"hash:{kind.name}"] = andmal(f"{kind.name}_{report.sha256}")
     for rule in report.yara_rules:
-        ids[f"yara:{rule.name}"] = andmal(f"yara_{slug(rule.name)}")
+        ids[f"yara:{rule.name}"] = andmal(f"yara_{_label_key(rule.name)}")
     for verdict in report.vendor_intel:
         ids[f"vendor:{verdict.vendor_name}"] = andmal(
-            f"vi_{report.sha256}_{slug(verdict.vendor_name)}"
+            f"vi_{report.sha256}_{_label_key(verdict.vendor_name)}"
         )
     return ids
 
@@ -654,13 +669,22 @@ def ingest_corpus(
 def _add_rows(report_rows: Iterable[list[tuple]], graph: Graph) -> tuple[int, set[int]]:
     """The number of new triples adding each report's _report_rows to graph
     gives, and the ids of the subjects touched."""
-    intern = graph._intern_token
+    ids = graph._ids
+    intern = graph._intern_token  # checks a token the graph has not seen
     add = graph._add
     added = 0
     touched: set[int] = set()
     for rows in report_rows:
         for s, p, o in rows:
-            si = intern(s)
+            si = ids.get(s)
+            if si is None:
+                si = intern(s)
+            pi = ids.get(p)
+            if pi is None:
+                pi = intern(p)
+            oi = ids.get(o)
+            if oi is None:
+                oi = intern(o)
             touched.add(si)
-            added += add(si, intern(p), intern(o))
+            added += add(si, pi, oi)
     return added, touched

@@ -8,11 +8,14 @@ or property paths.
 
 Evaluation runs on the graph's term ids (see rdf.Graph), a column at a
 time: the join keeps one list of ids per variable, not one list per
-solution, and fills the columns from the SPO and POS indexes.  Grouping
+solution, and fills the columns from the SPO and POS indexes by three
+access paths.  The leaf read looks up the index leaf of every solution at
+once, by map; the entry scan fills two columns from one POS or SPO entry;
+any other pattern goes through Graph._rows, once per solution.  Grouping
 counts the tuples of the key columns' ids, and the projected columns,
-zipped, become rows of the ids' cached canonical tokens, sorted by those
-tokens.  The result table carries the tokens, and format_results writes
-them as they are.
+zipped, become tuples of the ids' cached canonical tokens, sorted by
+those tokens.  The result table carries the tokens, and format_results
+writes them as they are.
 Terms are built only for the cells a query returns, when a caller first
 reads the table's rows, and they belong to the table.
 """
@@ -23,8 +26,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_not, itemgetter
+from types import NoneType
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import MalformedTermError, QueryParseError, UnknownPrefixError
@@ -87,7 +91,7 @@ class ResultTable:
     """A query's result: the header's names, and rows, one dict per row
     mapping each name to a Term or, for a count, an int.
 
-    A table holds its cells: each row a list of the terms' canonical
+    A table holds its cells: each row a sequence of the terms' canonical
     N-Triples tokens and the counts, in header order; ResultTable(header,
     rows) converts the rows it is given.  format_results writes the cells,
     so the rows are for reading: they are built from the cells on first
@@ -424,6 +428,9 @@ def parse_query(text: str) -> QueryAST:
     return _Parser(text).parse()
 
 
+_EMPTY: dict = {}  # the entry of a key an index lacks; never written
+
+
 def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[int]], int]:
     """Join the patterns over term ids, a column at a time.
 
@@ -433,15 +440,16 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     is not interned.  The next pattern is the one with the most bound
     positions, then the most constants.
 
-    Each step reads its pattern in one of three ways.  A leaf read, when
-    the object or the subject is the one free position, reads the index
-    leaf that holds it (_spo[s][p] or _pos[p][o]) for each solution.  A
-    predicate scan, for a constant predicate between two distinct free
-    variables before any column is bound, fills both columns from _pos[p].
-    Any other pattern, a free predicate included, goes through Graph._rows
-    for each solution.  A step lists the solution each new row extends and
-    gathers the older columns by that list, unless every solution got
-    exactly one id.
+    Each step reads its pattern by one of three access paths.  The leaf
+    read, when the object or the subject is the one free position, looks
+    up the index leaf that holds it (_spo[s][p] or _pos[p][o]) for every
+    solution at once, with map (_leaf_read).  The entry scan, for a first
+    pattern with two distinct free variables beside a constant predicate
+    or subject, fills both columns from one index entry, _pos[p] or
+    _spo[s] (_entry_scan).  Any other pattern, a free predicate included,
+    goes through Graph._rows for each solution (_scan).  A step lists the
+    solution each new row extends and gathers the older columns by that
+    list, unless every solution got exactly one id.
     """
     names = [part.name for pat in patterns for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)]
     # a variable is its name, a constant its id
@@ -459,13 +467,19 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     # a free position -> the index whose leaves hold it, and the positions
     # of that index's two keys
     leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2)}
+    # the first of two free positions, the other the object -> the index
+    # whose entry holds both, the position of the entry's key, and the
+    # positions its keys and its leaves' ids fill
+    entry_of = {0: (graph._pos, 1, 2, 0), 1: (graph._spo, 0, 1, 2)}
     while remaining and n:
         refs = max(remaining, key=score)  # a tie goes to the one written first
         remaining.remove(refs)
         free = [pos for pos, r in enumerate(refs) if type(r) is str and r not in columns]
-        if free == [0, 2] and not columns and refs[0] != refs[2]:
-            columns[refs[0]], columns[refs[2]] = _predicate_scan(graph._pos.get(refs[1], {}))
-            n = len(columns[refs[0]])
+        first = free[0] if not columns and len(free) == 2 and free[1] == 2 else None
+        if first in entry_of and refs[first] != refs[2]:
+            index, key, by_key, by_leaf = entry_of[first]
+            columns[refs[by_key]], columns[refs[by_leaf]] = _entry_scan(index.get(refs[key], _EMPTY))
+            n = len(columns[refs[2]])
             continue
         keys = [columns[r] if r in columns else repeat(r if type(r) is int else None, n) for r in refs]
         if len(free) == 1 and free[0] in leaf_of:
@@ -481,19 +495,23 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     return (columns, n) if n else (dict.fromkeys(names, ()), 0)
 
 
-def _predicate_scan(by_o: dict) -> tuple[list[int], list[int]]:
-    """The subject and object columns of every triple of one predicate,
-    from its POS entry."""
-    subjects: list[int] = []
-    objects: list[int] = []
-    for o, leaf in by_o.items():
+def _entry_scan(entry: dict) -> tuple[list[int], list[int]]:
+    """Two columns from one index entry: each key once per id of its leaf,
+    and those ids.  When every leaf is one id, they are the entry's keys and
+    values as they are."""
+    leaves = list(entry.values())
+    if set not in set(map(type, leaves)):
+        return list(entry), leaves
+    keys: list[int] = []
+    ids: list[int] = []
+    for key, leaf in zip(entry, leaves):
         if type(leaf) is int:
-            subjects.append(leaf)
-            objects.append(o)
+            keys.append(key)
+            ids.append(leaf)
         else:
-            subjects.extend(leaf)
-            objects.extend(repeat(o, len(leaf)))
-    return subjects, objects
+            keys.extend(repeat(key, len(leaf)))
+            ids.extend(leaf)
+    return keys, ids
 
 
 def _leaf_read(
@@ -501,25 +519,25 @@ def _leaf_read(
 ) -> tuple[list[int], Optional[list[int]]]:
     """Each solution's ids in its index leaf index[a][b], and the solution
     each id extends; None in place of that list when every solution got
-    exactly one id."""
+    exactly one id.  Every leaf is looked up at once, and only when some
+    leaf holds several ids are the leaves walked one by one."""
+    leaves = list(map(dict.get, map(index.get, a_keys, repeat(_EMPTY, n)), b_keys))
+    kinds = set(map(type, leaves))
+    if set not in kinds:
+        if NoneType not in kinds:  # one id each, the common case
+            return leaves, None
+        found = list(map(is_not, leaves, repeat(None)))
+        return list(compress(leaves, found)), list(compress(range(n), found))
     new: list[int] = []
     at: list[int] = []
-    many = False
-    for i, a, b in zip(range(n), a_keys, b_keys):
-        inner = index.get(a)
-        if inner is None:
-            continue
-        leaf = inner.get(b)
-        if leaf is None:
-            continue
-        if type(leaf) is int:  # a lone id, the common case
+    for i, leaf in enumerate(leaves):
+        if type(leaf) is int:
             new.append(leaf)
             at.append(i)
-        else:
-            many = True
+        elif leaf is not None:
             new.extend(leaf)
             at.extend(repeat(i, len(leaf)))
-    return new, (at if many or len(at) != n else None)
+    return new, at
 
 
 def _scan(
@@ -584,8 +602,8 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
             if having is None or _OPS[having.op](count, having.value)
         ]
     else:
-        picked = (map(tokens.__getitem__, columns[item.name]) for item in ast.select)
-        cells = list(map(list, zip(*picked)))
+        # rows of one type, tuples, so list.sort compares them in C
+        cells = list(zip(*(map(tokens.__getitem__, columns[item.name]) for item in ast.select)))
 
     # a column holds only tokens or only counts, so rows compare cell by cell
     cells.sort()

@@ -186,11 +186,14 @@ class BlankNode:
 Term = Union[IRI, Literal, BlankNode]
 
 _ESCAPES = str.maketrans({char: "\\" + code for code, char in _UNESCAPES.items()})
+# Any character _ESCAPES rewrites: most literals hold none, and a search is
+# several times cheaper than a translate that changes nothing.
+_ESCAPED_RE = re.compile(f"[{re.escape(''.join(_UNESCAPES.values()))}]")
 
 
 def _literal_token(lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> str:
     """The canonical N-Triples token of a literal."""
-    out = f'"{lexical.translate(_ESCAPES)}"'
+    out = f'"{lexical.translate(_ESCAPES) if _ESCAPED_RE.search(lexical) else lexical}"'
     if language:
         return f"{out}@{language}"
     if datatype != XSD_STRING:
@@ -710,7 +713,9 @@ _SNAPSHOT_SHAPE = (list, dict, int, dict, dict)
 
 def _sha256(data) -> bytes:
     # hashlib loads OpenSSL, about 4 MB of resident memory, so it is
-    # imported only when a snapshot is used: an ingest never pays for it
+    # imported only when a snapshot is used or a label is minted with a
+    # digest (ingest._label_key): an ingest of labels that are all their
+    # own slugs never pays for it
     import hashlib
 
     return hashlib.sha256(data).digest()
@@ -761,22 +766,24 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     return graph
 
 
-def _turtle_iri(value: str, predicate: bool = False) -> str:
-    # 'a' is the rdf:type shorthand and is legal only as a predicate
-    if predicate and value == RDF_TYPE:
-        return "a"
-    best = None
-    for prefix, namespace in PREFIXES.items():
-        if value.startswith(namespace) and (best is None or len(namespace) > len(PREFIXES[best])):
-            local = value[len(namespace) :]
-            # Turtle's PN_LOCAL, cut down to ASCII without ':' or escapes, has
-            # the grammar of a blank node label: enough for every local name
-            # this toolkit mints; anything else falls back to <...> form
-            if _BLANK_LABEL_RE.fullmatch(local):
-                best = prefix
-    if best is not None:
-        return f"{best}:{value[len(PREFIXES[best]):]}"
-    return f"<{value}>"
+def _turtle_name(prefixes: dict[str, str]):
+    """The function writing an IRI in Turtle: prefix:local under the longest
+    namespace of prefixes whose local part is a name, else <IRI>.  One regex
+    tries the namespaces, longest first, each followed by the name."""
+    first: dict[str, str] = {}  # namespace -> the first prefix naming it
+    for prefix, namespace in prefixes.items():
+        first.setdefault(namespace, prefix)
+    namespaces = "|".join(map(re.escape, sorted(first, key=len, reverse=True))) or "(?!)"
+    # Turtle's PN_LOCAL, cut down to ASCII without ':' or escapes, has the
+    # grammar of a blank node label: enough for every local name this
+    # toolkit mints; anything else falls back to <...> form
+    split = re.compile(f"({namespaces})({_BLANK_LABEL})").fullmatch
+
+    def name(value: str) -> str:
+        m = split(value)
+        return f"<{value}>" if m is None else f"{first[m[1]]}:{m[2]}"
+
+    return name
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -785,14 +792,17 @@ def serialize_turtle(graph: Graph) -> str:
     spo = graph._spo
     by_token = tokens.__getitem__
 
+    iri_text = _turtle_name(PREFIXES)
+
     def term_text(i: int) -> str:
         token = tokens[i]
-        return _turtle_iri(token[1:-1]) if token[0] == "<" else token
+        return iri_text(token[1:-1]) if token[0] == "<" else token
 
     # each term's text, rendered once per role: as a subject or an object,
-    # and as a verb (a predicate is always an IRI)
+    # and as a verb (a predicate is always an IRI, and 'a', the rdf:type
+    # shorthand, is legal only as a predicate)
     term = _Memo(term_text)
-    verb = _Memo(lambda i: _turtle_iri(tokens[i][1:-1], predicate=True))
+    verb = _Memo(lambda i: "a" if tokens[i] == _TYPE_TOKEN else iri_text(tokens[i][1:-1]))
     out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(PREFIXES.items())]
     body: list[str] = []
     for s in sorted(spo, key=by_token):

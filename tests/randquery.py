@@ -26,6 +26,18 @@ def query_graph(rng: random.Random, max_triples: int = 120) -> Graph:
     return graph
 
 
+def sparse_query_graph(rng: random.Random) -> Graph:
+    """A graph where each (subject, predicate) has at most one object and
+    some subjects lack a predicate, so most index leaves hold one id, and
+    some POS leaves none of a solution's keys."""
+    graph = Graph()
+    for s in _SUBJECTS:
+        for p in _PREDICATES:
+            if rng.random() < 0.6:
+                graph.insert(Triple(s, p, rng.choice(_OBJECTS)))
+    return graph
+
+
 def _position(rng, vars_used, constants):
     if rng.random() < 0.5:
         name = rng.choice(_VARS)

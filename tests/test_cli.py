@@ -1258,6 +1258,47 @@ def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypa
     assert len(forks) == (2 if path == "fork" else 0)
 
 
+def test_colliding_labels_ingest_into_an_existing_graph_as_distinct_nodes(tmp_path, capsys, monkeypatch, table1_graph):
+    # two reports whose labels slug() merges pairwise, ingested through the
+    # CLI into the table1 graph file: the file must be what the whole-graph
+    # ingest writes, and every label must keep its own node
+    corpus = tmp_path / "colliding"
+    corpus.mkdir()
+    base = json.loads((FIXTURES / "table1" / "report_000.json").read_text(encoding="utf-8"))
+    labels = [("anti-vm", "банкер", "x.y", "Foo.Bar", "x.y"), ("anti_vm", "木马", "x-y", "Foo Bar", "x y")]
+    for k, (tag, other_tag, rule, family, reporter) in enumerate(labels):
+        record = dict(
+            base,
+            sha256_hash=hashlib.sha256(f"colliding {k}".encode()).hexdigest(),
+            signature=family,
+            reporter=reporter,
+            tags=[tag, other_tag],
+            yara_rules=[{"rule_name": rule}],
+            vendor_intel={"Vendor.A": {"verdict": "malware"}, "Vendor-A": {"verdict": "clean"}},
+        )
+        (corpus / f"report_{k}.json").write_text(json.dumps(record), encoding="utf-8")
+    parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, serialize_ntriples(table1_graph), corpus)
+    assert (parses, rc) == (0, 0)
+    graph = tmp_path / "graph.nt"
+    for by, role in (("tag", "tag:"), ("family", "family"), ("reporter", "reporter")):
+        minted = {
+            iri
+            for record in sorted(corpus.iterdir())
+            for key, iri in mint_iris(ingest_mod.parse_report(record.read_text(encoding="utf-8"))).items()
+            if key.startswith(role)
+        }
+        assert len(minted) == (4 if by == "tag" else 2)
+        rows = stats_rows(run(capsys, "--graph", str(graph), "stats", "--by", by)[1])
+        # stats prints each node's local name without its role prefix
+        for iri in minted:
+            local = iri.rsplit("#", 1)[1]
+            assert rows[local[local.index("_") + 1:]] == 1
+    # Vendor.A and Vendor-A have a node each in each report
+    shas = [hashlib.sha256(f"colliding {k}".encode()).hexdigest() for k in range(2)]
+    typed = [line for line in graph.read_text(encoding="utf-8").splitlines() if line.endswith(f"{ANDMAL}VendorIntelligence> .")]
+    assert sorted(sum(f"vi_{sha}_" in line for line in typed) for sha in shas) == [2, 2]
+
+
 def test_a_failed_side_job_is_run_again_in_the_parent(tmp_path, capsys, monkeypatch, table1_graph, table1_reports):
     # both side jobs fail in their forked child only; the parent then runs
     # each itself, and the ingest answers as the whole-graph ingest does

@@ -80,6 +80,38 @@ def test_mint_is_deterministic_and_family_slugged():
     assert ids["tag:banker"].endswith("tag_banker")
 
 
+def _digest8(label):
+    return hashlib.sha256(label.lower().encode("utf-8")).hexdigest()[:8]
+
+
+def test_mint_names_a_label_by_its_slug_only_when_the_slug_loses_nothing():
+    def minted(**fields):
+        return mint_iris(report_from_record(record(**fields)))
+
+    ids = minted(
+        signature="Joker", reporter="abuse_ch", tags=["banker", "anti-vm", "anti_vm", "банкер", "木马"],
+        yara_rules=[{"rule_name": "x.y"}, {"rule_name": "x-y"}, {"rule_name": "x_y"}],
+        vendor_intel={"Vendor.A": {"verdict": "malware"}, "Vendor-A": {"verdict": "clean"}},
+    )
+    assert ids["family"] == andmal("family_joker")
+    assert ids["reporter"] == andmal("reporter_abuse_ch")
+    assert ids["tag:banker"] == andmal("tag_banker")
+    assert ids["tag:anti_vm"] == andmal("tag_anti_vm")
+    assert ids["tag:anti-vm"] == andmal(f"tag_anti_vm_{_digest8('anti-vm')}")
+    assert ids["tag:банкер"] == andmal(f"tag___{_digest8('банкер')}")
+    assert ids["tag:木马"] == andmal(f"tag___{_digest8('木马')}")
+    assert ids["yara:x_y"] == andmal("yara_x_y")
+    assert ids["yara:x.y"] == andmal(f"yara_x_y_{_digest8('x.y')}")
+    assert ids["vendor:Vendor.A"] == andmal(f"vi_{SHA_A}_vendor_a_{_digest8('Vendor.A')}")
+    # every label above is distinct, and so is every IRI
+    assert len(set(ids.values())) == len(ids)
+    # labels equal but for case share a node, lossy or not
+    assert minted(signature="JOKER")["family"] == ids["family"]
+    assert minted(signature="Foo.Bar")["family"] == minted(signature="foo.bar")["family"]
+    assert minted(signature="Foo.Bar")["family"] != minted(signature="Foo-Bar")["family"]
+    assert minted(reporter="x y")["reporter"] != minted(reporter="x.y")["reporter"]
+
+
 def test_absent_signature_mints_no_family():
     ids = mint_iris(report_from_record(record()))
     assert "family" not in ids
@@ -708,8 +740,13 @@ def test_escaped_and_non_ascii_text_round_trips(registry):
     assert '"asay \\"hi\\" \\\\ back\\nslash\\tü 漢字 \u2028.apk"' in text
     assert parse_ntriples(text) == g
     assert serialize_ntriples(parse_ntriples(text)) == text
-    # the file earlier releases wrote for this report
-    assert _sha256(text) == "439cb18a4c1f18530db5caa227778cd3a622ed937c5f3164c6cb41e26fead890"
+    assert _sha256(text) == "fe52f575d8a2b32cb5709aeb59d9ba640b50c4c22c9c695e4b021108ad79f064"
+    # 'Vend"or' is not its own slug, so its vendor node carries a digest;
+    # named as earlier releases named it, the file is the one they wrote
+    vendor = f"<{andmal('vi_' + 'c' * 64)}_vend_or"
+    assert text.count(f"{vendor}_3c0d0997>") == 5
+    earlier = sorted(line + "\n" for line in text.replace(f"{vendor}_3c0d0997>", f"{vendor}>").split("\n")[:-1])
+    assert _sha256("".join(earlier)) == "439cb18a4c1f18530db5caa227778cd3a622ed937c5f3164c6cb41e26fead890"
 
 
 def test_ingest_into_respelled_graph_adds_no_term(registry):

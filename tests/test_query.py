@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import andmalkg.query as query_mod
 from andmalkg import (
     CountAgg,
     Graph,
@@ -28,7 +29,7 @@ from andmalkg import (
 )
 from andmalkg.ns import RDF_TYPE, XSD_INTEGER
 
-from randquery import query_graph, random_ast
+from randquery import query_graph, random_ast, sparse_query_graph
 from reference_query import evaluate_reference, rows_as_text
 
 
@@ -512,6 +513,49 @@ def test_engine_matches_reference_on_random_cases():
         header, rows = evaluate_reference(g, ast)
         assert mine.header == header
         assert table_as_text(mine) == rows_as_text(header, rows)
+
+
+def test_every_access_path_matches_reference_on_dense_and_sparse_graphs(monkeypatch):
+    # the dense random graphs make most leaves sets; the sparse ones give
+    # each (subject, predicate) one object at most, so the leaf read and the
+    # entry scans take their one-id branches too.  Each branch must be met.
+    reached = set()
+    leaf_read, entry_scan = query_mod._leaf_read, query_mod._entry_scan
+    graph = None
+
+    def spy_leaf_read(index, a_keys, b_keys, n):
+        new, at = leaf_read(index, a_keys, b_keys, n)
+        reached.add("leaf: one id each" if at is None else "leaf: one id or none" if len(set(at)) == len(at) else "leaf: several")
+        return new, at
+
+    def spy_entry_scan(entry):
+        keys, ids = entry_scan(entry)
+        index = "spo" if any(entry is e for e in graph._spo.values()) else "pos"
+        reached.add(f"entry {index}: " + ("one id each" if len(set(keys)) == len(keys) else "mixed"))
+        return keys, ids
+
+    monkeypatch.setattr(query_mod, "_leaf_read", spy_leaf_read)
+    monkeypatch.setattr(query_mod, "_entry_scan", spy_entry_scan)
+    rng = random.Random(3131)
+    S, P, O, X = Var("s"), Var("p"), Var("o"), Var("x")
+    p0, p1 = IRI("http://example.org/p0"), IRI("http://example.org/p1")
+    for k in range(120):
+        g = sparse_query_graph(rng) if k % 2 else query_graph(rng)
+        s0 = rng.choice([t.subject for t in g] + [IRI("http://example.org/s0")])
+        asts = [
+            random_ast(rng),
+            QueryAST(select=[S, O, X], where=[TriplePattern(S, p0, O), TriplePattern(S, p1, X)]),
+            QueryAST(select=[O, X], where=[TriplePattern(S, p0, O), TriplePattern(O, p1, X)]),
+            QueryAST(select=[P, O], where=[TriplePattern(s0, P, O)]),
+            QueryAST(select=[P, X], where=[TriplePattern(s0, P, O), TriplePattern(X, p0, O)]),
+        ]
+        for graph in (g, parse_ntriples(serialize_ntriples(g))):
+            for ast in asts:
+                assert_matches_reference(graph, ast)
+    assert reached == {
+        "leaf: one id each", "leaf: one id or none", "leaf: several",
+        "entry pos: one id each", "entry pos: mixed", "entry spo: one id each", "entry spo: mixed",
+    }
 
 
 def _random_cases(seed: int, count: int):

@@ -251,6 +251,29 @@ def test_turtle_bytes_are_pinned(name, table1_graph, multifam_graph):
     assert hashlib.sha256(serialize_turtle(g).encode("utf-8")).hexdigest() == TURTLE_DIGESTS[name]
 
 
+def test_turtle_names_an_iri_under_its_longest_namespace_with_a_name():
+    name = rdf_mod._turtle_name({"a": "http://e.org/", "ab": "http://e.org/x-", "dup": "http://e.org/x-"})
+    assert name("http://e.org/x-local") == "ab:local"  # the longest, and its first prefix
+    assert name("http://e.org/x-.y") == "a:x-.y"  # a name cannot start with '.', so the shorter one
+    assert name("http://e.org/x-a/b") == "<http://e.org/x-a/b>"  # '/' fits under no namespace
+    assert name("http://e.org/") == "<http://e.org/>"  # an empty local name is not a name
+    assert name("http://other.org/y") == "<http://other.org/y>"
+    assert rdf_mod._turtle_name({})("http://e.org/x") == "<http://e.org/x>"
+
+
+def test_literal_token_escapes_exactly_what_translate_escapes():
+    # the token escapes only after a search finds something to escape; it
+    # must read as if every lexical went through translate
+    rng = random.Random(77)
+    alphabet = list(rdf_mod._UNESCAPES.values()) + list("ab .:#<>'") + ["ü", "漢", "\u2028", "\x00", "😀"]
+    for _ in range(2000):
+        lexical = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        body = '"' + lexical.translate(rdf_mod._ESCAPES) + '"'
+        assert rdf_mod._literal_token(lexical) == body
+        assert rdf_mod._literal_token(lexical, XSD_INTEGER) == f"{body}^^<{XSD_INTEGER}>"
+        assert rdf_mod._literal_token(lexical, language="en") == f"{body}@en"
+
+
 def test_match_by_object_and_by_subject_and_object():
     s, other = IRI("http://example.org/s"), IRI("http://example.org/other")
     p, q = IRI("http://example.org/p"), IRI("http://example.org/q")
