@@ -57,6 +57,7 @@ from .errors import AndMalKgError, ApiError, NetworkError
 from .ns import RDF_TYPE, andmal, malont
 from .rdf import (
     Graph,
+    IRI,
     _collector_paused,
     _is_canonical,
     _ntriples_lines,
@@ -91,20 +92,25 @@ def _load_graph(path: Path) -> Graph:
 
 
 def _load_keyed(path: Path, snapshot: Path) -> Graph:
-    """The graph at path from a matching snapshot, else parsed.  After a
-    parse the snapshot is written, best effort, when it could be loaded
-    later: a snapshot is loaded only when the graph file's owner owns it
-    too, so no one can plant one who could not also rewrite the graph."""
+    """The graph at path from a matching snapshot, else parsed.  The file
+    is hashed in chunks to check the snapshot's key and read whole only
+    for a parse, so a load never holds its bytes.  After a parse the
+    snapshot is written, best effort, when it could be loaded later: a
+    snapshot is loaded only when the graph file's owner owns it too, so
+    no one can plant one who could not also rewrite the graph."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
+        data = _read_owned(snapshot, info.st_uid)
+        if data is not None:
+            graph = load_snapshot(data, snapshot_key(f))
+            del data
+            if graph is not None:
+                return graph
+            f.seek(0)
         source = f.read()
+    # the key of the bytes that are parsed, whatever happened to the file
+    # since it was hashed
     key = snapshot_key(source)
-    data = _read_owned(snapshot, info.st_uid)
-    if data is not None:
-        graph = load_snapshot(data, key)
-        del data
-        if graph is not None:
-            return graph
     text = _decoded(path, source)
     del source
     graph = parse_ntriples(text)
@@ -389,7 +395,14 @@ def _cmd_query(args) -> int:
 
     # a missing or malformed query fails before the graph is loaded
     ast = parse_query(_decoded(Path(args.file), Path(args.file).read_bytes()))
-    table = evaluate(_load_graph(Path(args.graph)), ast)
+    graph = _load_graph(Path(args.graph))
+    # a constant no triple uses, such as a misspelt term, matches nothing:
+    # say so, since the answer is then only the header
+    constants = (part for pat in ast.where for part in (pat.s, pat.p, pat.o) if isinstance(part, IRI))
+    for iri in dict.fromkeys(constants):
+        if graph._id(iri) is None:
+            print(f"warning: <{iri.value}> occurs in no triple of the graph", file=sys.stderr)
+    table = evaluate(graph, ast)
     fmt = "aligned-table" if args.format == "table" else "tsv"
     sys.stdout.write(format_results(table, fmt))
     return 0

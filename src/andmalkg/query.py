@@ -8,14 +8,19 @@ or property paths.
 
 Evaluation runs on the graph's term ids (see rdf.Graph), a column at a
 time: the join keeps one list of ids per variable, not one list per
-solution, and fills the columns from the SPO and POS indexes by three
-access paths.  The leaf read looks up the index leaf of every solution at
-once, by map; the entry scan fills two columns from one POS or SPO entry;
-any other pattern goes through Graph._rows, once per solution.  Grouping
-counts the tuples of the key columns' ids, and the projected columns,
-zipped, become tuples of the ids' cached canonical tokens, sorted by
-those tokens.  The result table carries the tokens, and format_results
-writes them as they are.
+solution, and fills the columns from the SPO and POS indexes by four
+access paths.  The map read looks up every solution's leaf at once in one
+dict of a constant predicate p: _pos[p], keyed by object, or p's subject
+map, subject -> _spo[s][p].  A subject map is built, from _pos[p], only
+in a query whose first step scanned a whole _pos entry, and memoized for
+the graph until it grows or is freed (_subject_map).  The leaf read looks
+up the index leaf of every solution at once, by map, two levels deep;
+the entry scan fills two columns from one POS or SPO entry; any other
+pattern goes through Graph._rows, once per solution.  Grouping counts the
+tuples of the key columns' ids, HAVING filters the groups with compress,
+and the projected columns, zipped, become tuples of the ids' cached
+canonical tokens, sorted by those tokens.  The result table carries the
+tokens, and format_results writes them as they are.
 Terms are built only for the cells a query returns, when a caller first
 reads the table's rows, and they belong to the table.
 """
@@ -23,12 +28,12 @@ reads the table's rows, and they belong to the table.
 from __future__ import annotations
 
 import re
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from operator import is_not, itemgetter
-from types import NoneType
+from operator import eq, ge, gt, is_, itemgetter, le, lt, ne
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import MalformedTermError, QueryParseError, UnknownPrefixError
@@ -440,16 +445,23 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     is not interned.  The next pattern is the one with the most bound
     positions, then the most constants.
 
-    Each step reads its pattern by one of three access paths.  The leaf
-    read, when the object or the subject is the one free position, looks
-    up the index leaf that holds it (_spo[s][p] or _pos[p][o]) for every
-    solution at once, with map (_leaf_read).  The entry scan, for a first
-    pattern with two distinct free variables beside a constant predicate
-    or subject, fills both columns from one index entry, _pos[p] or
-    _spo[s] (_entry_scan).  Any other pattern, a free predicate included,
-    goes through Graph._rows for each solution (_scan).  A step lists the
-    solution each new row extends and gathers the older columns by that
-    list, unless every solution got exactly one id.
+    Each step reads its pattern by one of four access paths.  The map
+    read, when the object or the subject is the one free position and the
+    predicate p is a constant, looks up every solution's leaf at once in
+    one dict of p's (_map_read): _pos[p], keyed by object, when the
+    subject is free; when the object is free, p's subject map
+    (_subject_map), but only in a query whose first step scanned a whole
+    _pos entry, so a point query never pays the map's O(|p|) build.  The
+    leaf read, when the object or the subject is the one free position
+    otherwise, looks up the index leaf that holds it (_spo[s][p] or
+    _pos[p][o]) for every solution at once, with map (_leaf_read).  The
+    entry scan, for a first pattern with two distinct free variables
+    beside a constant predicate or subject, fills both columns from one
+    index entry, _pos[p] or _spo[s] (_entry_scan).  Any other pattern, a
+    free predicate included, goes through Graph._rows for each solution
+    (_scan).  A step lists the solution each new row extends and gathers
+    the older columns by that list, unless every solution got exactly one
+    id.
     """
     names = [part.name for pat in patterns for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)]
     # a variable is its name, a constant its id
@@ -459,6 +471,7 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     ]
     n = 0 if any(None in refs for refs in remaining) else 1
     columns: dict[str, list[int]] = {}
+    whole = False  # whether the first step scanned a whole _pos entry
 
     def score(refs: list) -> tuple[int, int]:
         consts = sum(type(r) is int for r in refs)
@@ -480,11 +493,18 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
             index, key, by_key, by_leaf = entry_of[first]
             columns[refs[by_key]], columns[refs[by_leaf]] = _entry_scan(index.get(refs[key], _EMPTY))
             n = len(columns[refs[2]])
+            whole = index is graph._pos
             continue
         keys = [columns[r] if r in columns else repeat(r if type(r) is int else None, n) for r in refs]
         if len(free) == 1 and free[0] in leaf_of:
-            index, a, b = leaf_of[free[0]]
-            column, at = _leaf_read(index, keys[a], keys[b], n)
+            p = refs[1]
+            if type(p) is int and free[0] == 0:
+                column, at = _map_read(graph._pos.get(p, _EMPTY), keys[2], n)
+            elif type(p) is int and whole:
+                column, at = _map_read(_subject_map(graph, p), keys[0], n)
+            else:
+                index, a, b = leaf_of[free[0]]
+                column, at = _leaf_read(index, keys[a], keys[b], n)
             new = {refs[free[0]]: column}
         else:
             new, at = _scan(graph._rows, refs, free, keys)
@@ -493,6 +513,53 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
             n = len(at)
         columns.update(new)
     return (columns, n) if n else (dict.fromkeys(names, ()), 0)
+
+
+# The subject maps of the last graph a whole-graph query ran on: a weak
+# reference to that graph, its size when the maps were built, and
+# predicate id -> that predicate's subject map.  None when there is none.
+_memo: Optional[tuple[weakref.ref, int, dict[int, dict]]] = None
+
+
+def _subject_map(graph: Graph, p: int) -> dict:
+    """Predicate p's subject -> leaf map: for each subject s, _spo[s][p].
+
+    Built from _pos[p] on first use (_build_subject_map) and memoized in
+    _memo.  The maps live while queries run on this graph at this size: a
+    query on another graph, or on this one after a triple was added (a
+    graph only grows, so its size tells), starts a new memo, and the memo
+    is dropped when its graph is freed.
+    """
+    global _memo
+    memo = _memo
+    if memo is None or memo[0]() is not graph or memo[1] != len(graph):
+        memo = _memo = (weakref.ref(graph, _forget), len(graph), {})
+    maps = memo[2]
+    found = maps.get(p)
+    if found is None:
+        found = maps[p] = _build_subject_map(graph._spo, p, graph._pos.get(p, _EMPTY))
+    return found
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo when the graph it was built for is freed."""
+    global _memo
+    if _memo is not None and _memo[0] is ref:
+        _memo = None
+
+
+def _build_subject_map(spo: dict, p: int, entry: dict) -> dict:
+    """Predicate p's subject -> leaf map, inverted from its POS entry: a
+    subject's one object as an int, and its SPO leaf, the set, where it
+    has several."""
+    objects, subjects = _entry_scan(entry)
+    found = dict(zip(subjects, objects))
+    if len(found) < len(subjects):
+        # a subject's first and last object differ exactly when it has several
+        firsts = dict(zip(reversed(subjects), reversed(objects)))
+        several = list(compress(found, map(ne, found.values(), map(firsts.__getitem__, found))))
+        found.update(zip(several, map(itemgetter(p), map(spo.__getitem__, several))))
+    return found
 
 
 def _entry_scan(entry: dict) -> tuple[list[int], list[int]]:
@@ -518,23 +585,30 @@ def _leaf_read(
     index: dict, a_keys: Iterable[int], b_keys: Iterable[int], n: int
 ) -> tuple[list[int], Optional[list[int]]]:
     """Each solution's ids in its index leaf index[a][b], and the solution
-    each id extends; None in place of that list when every solution got
-    exactly one id.  Every leaf is looked up at once, and only when some
-    leaf holds several ids are the leaves walked one by one."""
-    leaves = list(map(dict.get, map(index.get, a_keys, repeat(_EMPTY, n)), b_keys))
+    each id extends, as _gather gives them."""
+    return _gather(list(map(dict.get, map(index.get, a_keys, repeat(_EMPTY, n)), b_keys)), n)
+
+
+def _map_read(leaf_of: dict, keys: Iterable[int], n: int) -> tuple[list[int], Optional[list[int]]]:
+    """Each solution's ids in its leaf leaf_of[key], one predicate's map,
+    and the solution each id extends, as _gather gives them."""
+    return _gather(list(map(leaf_of.get, keys)), n)
+
+
+def _gather(leaves: list, n: int) -> tuple[list[int], Optional[list[int]]]:
+    """The ids of n solutions' leaves (an int, a set or None each), and the
+    solution each id extends; None in place of that list when every
+    solution got exactly one id.  The one-id leaves are taken at once, with
+    compress, and only the set leaves are walked one by one."""
     kinds = set(map(type, leaves))
-    if set not in kinds:
-        if NoneType not in kinds:  # one id each, the common case
-            return leaves, None
-        found = list(map(is_not, leaves, repeat(None)))
-        return list(compress(leaves, found)), list(compress(range(n), found))
-    new: list[int] = []
-    at: list[int] = []
-    for i, leaf in enumerate(leaves):
-        if type(leaf) is int:
-            new.append(leaf)
-            at.append(i)
-        elif leaf is not None:
+    if kinds == {int}:  # one id each, the common case
+        return leaves, None
+    types = list(map(type, leaves))
+    ones = list(map(is_, types, repeat(int)))
+    new = list(compress(leaves, ones))
+    at = list(compress(range(n), ones))
+    if set in kinds:
+        for i, leaf in compress(enumerate(leaves), map(is_, types, repeat(set))):
             new.extend(leaf)
             at.extend(repeat(i, len(leaf)))
     return new, at
@@ -563,13 +637,7 @@ def _scan(
     return new, at
 
 
-_OPS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-}
+_OPS = {">": gt, ">=": ge, "<": lt, "<=": le, "=": eq}
 
 
 def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
@@ -588,25 +656,33 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
     counted = [isinstance(item, CountAgg) for item in ast.select]
     columns, n = _join(graph, ast.where)
     tokens = graph._tokens
+    by_first = None  # the sort key, when the first cell alone orders the rows
     if ast.group_by or any(counted):
         # ids are one-to-one with terms, so id tuples group like terms
         keys = [columns[v.name] for v in ast.group_by]
         groups = Counter(zip(*keys) if keys else repeat((), n))
+        group_keys = list(groups)
+        counts = list(groups.values())
+        having = ast.having
+        if having is not None:
+            kept = list(map(_OPS[having.op], counts, repeat(having.value)))
+            group_keys = list(compress(group_keys, kept))
+            counts = list(compress(counts, kept))
         # a projected variable is grouped, so its id is in the group key
         at = {v.name: i for i, v in enumerate(ast.group_by)}
-        picks = [None if c else at[item.name] for item, c in zip(ast.select, counted)]
-        having = ast.having
-        cells = [
-            [count if i is None else tokens[key[i]] for i in picks]
-            for key, count in groups.items()
-            if having is None or _OPS[having.op](count, having.value)
-        ]
+        cells = list(zip(*(
+            counts if c else map(tokens.__getitem__, map(itemgetter(at[item.name]), group_keys))
+            for item, c in zip(ast.select, counted)
+        )))
     else:
         # rows of one type, tuples, so list.sort compares them in C
         cells = list(zip(*(map(tokens.__getitem__, columns[item.name]) for item in ast.select)))
+        if len(set(columns[ast.select[0].name])) == n:
+            # ids are one-to-one with tokens: no two rows tie on the first cell
+            by_first = itemgetter(0)
 
     # a column holds only tokens or only counts, so rows compare cell by cell
-    cells.sort()
+    cells.sort(key=by_first)
     if ast.order_by is not None:
         name, direction = ast.order_by
         # stable sort, so rows tying on the key keep canonical order

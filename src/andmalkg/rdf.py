@@ -71,8 +71,9 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .errors import MalformedTermError, NTriplesParseError
 from .ns import PREFIXES, RDF_TYPE, XSD_STRING
@@ -721,10 +722,19 @@ def _sha256(data) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def snapshot_key(source: bytes) -> bytes:
+def snapshot_key(source: Union[bytes, BinaryIO]) -> bytes:
     """The key under which a graph parsed from the N-Triples bytes source
-    is snapshotted: the SHA-256 of those bytes."""
-    return _sha256(source)
+    is snapshotted: the SHA-256 of those bytes.  source may also be a
+    binary file, read from where it stands to its end in 1 MB chunks, so
+    the key of a file costs no copy of it."""
+    if isinstance(source, bytes):
+        return _sha256(source)
+    import hashlib  # imported here for the reason _sha256 gives
+
+    digest = hashlib.sha256()
+    for chunk in iter(partial(source.read, 1 << 20), b""):
+        digest.update(chunk)
+    return digest.digest()
 
 
 def _snapshot_prefix(key: bytes) -> bytes:

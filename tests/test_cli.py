@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -525,6 +526,49 @@ def test_query_file_is_read_and_parsed_before_the_graph_is_loaded(table1_store, 
     graph.write_text("<http://a> <http://b> missing-dot\n", encoding="utf-8")
     assert run(capsys, "--graph", str(graph), "query", str(qfile)) == malformed
     assert run(capsys, "--graph", str(tmp_path / "absent.nt"), "query", str(qfile)) == malformed
+
+
+@pytest.mark.parametrize(("spelt", "misspelt"), [
+    ("hasMalwareFamily", "hasMalwareFamly"),
+    ("family_aberebot", "family_AbereBot"),  # the signature's spelling, not the slug
+])
+def test_query_warns_of_a_constant_no_triple_uses(table1_store, tmp_path, capsys, spelt, misspelt):
+    text = (QUERIES / "use_case_1.rq").read_text(encoding="utf-8")
+    assert text.count(f":{spelt} ") + text.count(f":{spelt}\n") == 1
+    qfile = tmp_path / "typo.rq"
+    qfile.write_text(text.replace(f":{spelt}", f":{misspelt}"), encoding="utf-8")
+    rc, out, err = run(capsys, "--graph", str(table1_store), "query", str(qfile))
+    # stdout and the exit code are what they were before the warning
+    assert (rc, out) == (0, "?malware\n")
+    assert err == f"warning: <{ANDMAL}{misspelt}> occurs in no triple of the graph\n"
+    assert run(capsys, "--graph", str(table1_store), "query", str(QUERIES / "use_case_1.rq"))[2] == ""
+
+
+def test_a_snapshot_load_holds_no_copy_of_the_graph_file(tmp_path, monkeypatch):
+    # long subject IRIs, each on many lines: the file is far larger than the
+    # graph and its snapshot, so a load that read the file whole would show
+    text = "".join(
+        f'<{ANDMAL}file_{"x" * 1000}{i}> <{ANDMAL}p{j}> "v{j % 7}" .\n' for i in range(100) for j in range(40)
+    )
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(serialize_ntriples(parse_ntriples(text)).encode("utf-8"))
+    snapshot = cli_mod._snapshot_path(graph)
+    parsed = cli_mod._load_keyed(graph, snapshot)  # parses, and writes the snapshot
+    size = graph.stat().st_size
+    assert snapshot.stat().st_size * 10 < size
+
+    def no_parse(text):
+        raise AssertionError("parsed instead of loading the snapshot")
+
+    monkeypatch.setattr(cli_mod, "parse_ntriples", no_parse)
+    tracemalloc.start()
+    try:
+        loaded = cli_mod._load_keyed(graph, snapshot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == parsed
+    assert peak < size
 
 
 def test_undeclared_prefix_fails(table1_store, tmp_path, capsys):

@@ -517,15 +517,25 @@ def test_engine_matches_reference_on_random_cases():
 
 def test_every_access_path_matches_reference_on_dense_and_sparse_graphs(monkeypatch):
     # the dense random graphs make most leaves sets; the sparse ones give
-    # each (subject, predicate) one object at most, so the leaf read and the
-    # entry scans take their one-id branches too.  Each branch must be met.
+    # each (subject, predicate) one object at most, so the leaf read, the
+    # map read (of a _pos entry or of a subject map) and the entry scans
+    # take their one-id branches too.  Each branch must be met.
     reached = set()
-    leaf_read, entry_scan = query_mod._leaf_read, query_mod._entry_scan
+    leaf_read, map_read, entry_scan = query_mod._leaf_read, query_mod._map_read, query_mod._entry_scan
     graph = None
+
+    def branch(at):
+        return "one id each" if at is None else "one id or none" if len(set(at)) == len(at) else "several"
 
     def spy_leaf_read(index, a_keys, b_keys, n):
         new, at = leaf_read(index, a_keys, b_keys, n)
-        reached.add("leaf: one id each" if at is None else "leaf: one id or none" if len(set(at)) == len(at) else "leaf: several")
+        reached.add("leaf: " + branch(at))
+        return new, at
+
+    def spy_map_read(leaf_of, keys, n):
+        new, at = map_read(leaf_of, keys, n)
+        index = "pos" if any(leaf_of is e for e in graph._pos.values()) else "subject"
+        reached.add(f"map {index}: " + branch(at))
         return new, at
 
     def spy_entry_scan(entry):
@@ -535,6 +545,7 @@ def test_every_access_path_matches_reference_on_dense_and_sparse_graphs(monkeypa
         return keys, ids
 
     monkeypatch.setattr(query_mod, "_leaf_read", spy_leaf_read)
+    monkeypatch.setattr(query_mod, "_map_read", spy_map_read)
     monkeypatch.setattr(query_mod, "_entry_scan", spy_entry_scan)
     rng = random.Random(3131)
     S, P, O, X = Var("s"), Var("p"), Var("o"), Var("x")
@@ -554,8 +565,82 @@ def test_every_access_path_matches_reference_on_dense_and_sparse_graphs(monkeypa
                 assert_matches_reference(graph, ast)
     assert reached == {
         "leaf: one id each", "leaf: one id or none", "leaf: several",
+        "map pos: one id each", "map pos: one id or none", "map pos: several",
+        "map subject: one id each", "map subject: one id or none", "map subject: several",
         "entry pos: one id each", "entry pos: mixed", "entry spo: one id each", "entry spo: mixed",
     }
+
+
+@pytest.fixture
+def map_builds(monkeypatch):
+    """The predicate of each subject map built, in order, from a clean memo."""
+    built = []
+    build = query_mod._build_subject_map
+
+    def counted(spo, p, entry):
+        built.append(p)
+        return build(spo, p, entry)
+
+    monkeypatch.setattr(query_mod, "_memo", None)
+    monkeypatch.setattr(query_mod, "_build_subject_map", counted)
+    return built
+
+
+def fresh_graph(*graphs: Graph) -> Graph:
+    """A new graph holding the triples of graphs, no memo yet built for it."""
+    return parse_ntriples("".join(map(serialize_ntriples, graphs)))
+
+
+def test_whole_graph_queries_build_each_subject_map_once(table1_graph, multifam_graph, map_builds, query_text):
+    graph = fresh_graph(table1_graph, multifam_graph)
+    first = {k: table_as_text(run_query(graph, query_text(f"use_case_{k}"))) for k in (4, 5, 6)}
+    assert len(map_builds) == 3
+    # uc4 maps hasMalwareFamily and hasFileName, uc5 hasReporter as well,
+    # and uc6 reads uc5's hasReporter map
+    assert sorted(graph._tokens[p] for p in map_builds) == sorted(
+        f"<{iri}>" for iri in (andmal("hasFileName"), andmal("hasMalwareFamily"), malont("hasReporter"))
+    )
+    for k in (4, 5, 6):
+        assert table_as_text(run_query(graph, query_text(f"use_case_{k}"))) == first[k]
+        header, rows = evaluate_reference(graph, parse_query(query_text(f"use_case_{k}")))
+        assert first[k] == rows_as_text(header, rows)
+    assert len(map_builds) == 3
+
+
+def test_point_queries_build_no_subject_map(table1_graph, multifam_graph, map_builds, query_text):
+    graph = fresh_graph(table1_graph, multifam_graph)
+    for k in (1, 2, 3):
+        assert run_query(graph, query_text(f"use_case_{k}")).rows
+    assert map_builds == []
+    assert query_mod._memo is None
+
+
+def test_an_added_triple_rebuilds_the_subject_maps(table1_graph, multifam_graph, map_builds, query_text):
+    graph = fresh_graph(table1_graph, multifam_graph)
+    ast = parse_query(query_text("use_case_5"))
+    before = table_as_text(evaluate(graph, ast))
+    assert len(map_builds) == 2
+    # a second reporter for one file: that file's hasReporter leaf becomes a set
+    has_reporter = IRI(malont("hasReporter"))
+    file = next(t.subject for t in graph.match(None, has_reporter, None))
+    assert graph.insert(Triple(file, has_reporter, IRI(andmal("reporter_second"))))
+    after = table_as_text(evaluate(graph, ast))
+    header, rows = evaluate_reference(graph, ast)
+    assert after == rows_as_text(header, rows)
+    assert len(after) > len(before)
+    assert len(map_builds) == 4
+    assert table_as_text(evaluate(graph, ast)) == after
+    assert len(map_builds) == 4
+
+
+def test_dropping_the_graph_frees_its_subject_maps(multifam_graph, map_builds, query_text):
+    graph = fresh_graph(multifam_graph)
+    run_query(graph, query_text("use_case_5"))
+    ref, size, maps = query_mod._memo
+    assert (ref() is graph, size, len(maps)) == (True, len(graph), 2)
+    del ref, maps
+    del graph
+    assert query_mod._memo is None
 
 
 def _random_cases(seed: int, count: int):

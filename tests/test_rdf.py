@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import io
 import marshal
 import random
 import string
@@ -702,9 +703,19 @@ def test_parse_runs_without_the_cyclic_collector():
 # Snapshots: a graph parsed from N-Triples bytes, saved beside them.
 
 SOURCE = rdf_mod.snapshot_key(b"the graph file")
+
 # a raw tab and an explicit ^^xsd:string are aliases in _ids; a \u escape takes
 # the strict scanner and leaves none
 ALIASED = f'{S} {P} "a\tb" .\n{S} {P} "c"^^<{XSD_STRING}> .\n{S} {P} "\\u0041" .\n'
+
+
+def test_snapshot_key_of_a_file_is_the_key_of_its_bytes():
+    data = bytes(range(256)) * 9000  # 2.3 MB: two whole 1 MB chunks and a part
+    source = io.BytesIO(data)
+    assert rdf_mod.snapshot_key(source) == rdf_mod.snapshot_key(data) == hashlib.sha256(data).digest()
+    assert source.tell() == len(data)
+    source.seek(len(data) - 10)  # read from where the file stands
+    assert rdf_mod.snapshot_key(source) == hashlib.sha256(data[-10:]).digest()
 
 
 def _snapshot_texts():
