@@ -147,7 +147,7 @@ def _read_owned(path: Path, owner: int) -> Optional[bytes]:
         return None
 
 
-def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None) -> None:
+def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None, durable: bool = False) -> None:
     """Replace the file at path with the chunks, written in turn,
     atomically: when a write fails or the process dies part-way, the old
     file is left as it was.  The new file gets permission bits mode; when
@@ -155,7 +155,9 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
     there is none.  It is never more readable than that while it is
     written.  The temporary file gets a random name and is created afresh
     (O_EXCL), so a link planted under its name is never followed, and one
-    left by a killed process never blocks a later write."""
+    left by a killed process never blocks a later write.  A durable
+    replace also survives a power loss: the new bytes reach the disk
+    (fsync) before the rename, and the rename before the call returns."""
     if mode is None:
         with suppress(FileNotFoundError):
             mode = stat.S_IMODE(path.stat().st_mode)
@@ -166,12 +168,30 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
         with open(fd, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
+            if durable:
+                f.flush()
+                os.fsync(fd)
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if durable:
+        _sync_directory(path.parent)
+
+
+def _sync_directory(path: Path) -> None:
+    """Flush the directory at path, so a rename in it survives a power
+    loss; skipped where a directory cannot be opened (Windows)."""
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -330,7 +350,7 @@ def _cmd_ingest(args) -> int:
         found = _beside(lambda: len(validate_subjects(registry, graph, touched)))
         try:
             new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
-            _replace_file(path, _encoded(_merged(lines, new)))
+            _replace_file(path, _encoded(_merged(lines, new)), durable=True)
         finally:
             violations = found()
     for name, message in errors:

@@ -6,6 +6,12 @@ block of dot-separated triple patterns, GROUP BY, HAVING on a COUNT,
 ORDER BY ASC()/DESC(), and LIMIT.  No OPTIONAL, FILTER, UNION, DISTINCT,
 or property paths.
 
+The front end reads a query in two passes.  One regular expression cuts
+the text into plain (kind, value, offset) tuples, each kind a named group
+that holds the value without its delimiters; a well-formed ASCII IRI is
+built there, with no second check.  The parser reads the tokens by index,
+each checked where the grammar expects it.
+
 Evaluation runs on the graph's term ids (see rdf.Graph), a column at a
 time: the join keeps one list of ids per variable, not one list per
 solution, and fills the columns from the SPO and POS indexes by four
@@ -32,13 +38,13 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, ge, gt, is_, itemgetter, le, lt, ne
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import MalformedTermError, QueryParseError, UnknownPrefixError
 from .ns import RDF_TYPE, XSD_INTEGER, XSD_STRING
-from .rdf import _LANG, _UNESCAPES, Graph, IRI, Literal, Term, _build_term, _unescape, term_to_ntriples
+from .rdf import _LANG, _SCHEME, _UNESCAPES, Graph, IRI, Literal, Term, _build_term, _unescape, term_to_ntriples
 
 _KEYWORDS = {
     "select",
@@ -141,30 +147,37 @@ class ResultTable:
         return f"ResultTable(header={self.header!r}, rows={self.rows!r})"
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: object
-    pos: int
-
-
 # A string's body: no newline, and only the escapes of _UNESCAPES.
 _STRING_BODY = r'[^"\\\n]*(?:\\[' + re.escape("".join(_UNESCAPES)) + r'][^"\\\n]*)*'
-# One token, after any whitespace; each kind is one named group.  '<' opens
-# an IRI only when '>' comes before any whitespace; else it is an operator.
-# "bad" takes any other character, so the matches cover the text, and the
-# last one, at the end, is empty.
+# One token, then any whitespace; each kind is one named group, which holds
+# the token's text without its delimiters.  '<' opens an IRI only when '>'
+# comes before any whitespace, else it is an operator.  The IRI is "iri"
+# when it is ASCII and well formed, its characters a class sre reads by one
+# table lookup each, else "raw_iri", for its constructor to check.  A
+# "name" is a keyword, 'a', or with a colon a prefixed name.  "bad" takes
+# any other character, so from the first token on the matches cover the
+# text.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<iri><[^>\s]*>)"
-    r"|(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)"
-    f'|(?P<string>"{_STRING_BODY}")'
-    r"|(?P<int>\d+)"
+    rf"(?:<(?P<iri>{_SCHEME}[!#-;=?-\[\]_a-z~\x7f]*)>"
+    r"|<(?P<raw_iri>[^>\s]*)>"
+    r"|\?(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*(?::(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)?)"
     r"|(?P<op>[{}().;=]|[<>]=?|\^\^)"
-    f"|(?P<lang>@{_LANG})"
-    r"|(?P<pname>[A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*)"
-    r"|(?P<bad>.))?",
+    f'|"(?P<string>{_STRING_BODY})"'
+    r"|(?P<int>\d+)"
+    f"|@(?P<lang>{_LANG})"
+    r"|(?P<bad>.))\s*",
     re.S,
 )
+_RDF_TYPE = IRI(RDF_TYPE)
+
+
+def _iri_of(value: str) -> IRI:
+    """The IRI value spells, known to be well formed: built without the
+    constructor's checks, as rdf._build_term builds one."""
+    iri = object.__new__(IRI)
+    iri.__dict__["value"] = value
+    return iri
 
 
 def _bad_token(text: str, start: int) -> str:
@@ -185,232 +198,151 @@ def _bad_token(text: str, start: int) -> str:
     return f"unknown escape '\\{escape}'" if escape else "unterminated escape"
 
 
-def _tokens(text: str) -> list[_Token]:
-    """The tokens of a query, the last of kind "eof"; a bad one raises
-    QueryParseError at its start (an unknown identifier, at its end)."""
+def _rare_token(text: str, kind: str, value: str, start: int) -> tuple[str, object]:
+    """The kind and value of a malformed IRI, a string or an integer token
+    at text[start]; any other token raises QueryParseError there."""
+    if kind == "raw_iri":
+        return "iri", value
+    if kind == "string":
+        return kind, _unescape(value)
+    if kind == "int":
+        return kind, int(value)
+    raise QueryParseError(_bad_token(text, start), start)
+
+
+def _tokens(text: str) -> list[tuple]:
+    """The tokens of a query as (kind, value, offset), the last of kind
+    "eof"; a bad one raises QueryParseError at its start (an unknown
+    identifier, at its end).  An operator's, a keyword's (lower-cased) and
+    'a''s kind is the word itself.  An IRI is of kind "iri", its value the
+    IRI when the token is known well formed, else the text between its
+    brackets, for _iri to check."""
     out = []
-    for m in _TOKEN_RE.finditer(text):
+    append = out.append
+    for m in _TOKEN_RE.finditer(text, len(text) - len(text.lstrip())):
         kind = m.lastgroup
-        if kind is None:  # the empty match at the end
-            break
-        word = m[kind]
-        start = m.start(kind)
-        if kind == "op" or word == "a":  # 'a' is rdf:type, a token of its own
-            out.append(_Token(word, word, start))
-        elif kind == "var" or kind == "lang":
-            out.append(_Token(kind, word[1:], start))
+        value = m[kind]
+        if kind == "name":
+            if ":" in value:
+                kind, value = "pname", value.split(":")
+            elif value == "a":
+                kind = value
+            else:
+                kind = value.lower()
+                if kind not in _KEYWORDS:
+                    raise QueryParseError(f"unexpected identifier {value!r}", m.end("name"))
+        elif kind == "op":
+            kind = value
         elif kind == "iri":
-            out.append(_Token(kind, word[1:-1], start))
-        elif kind == "string":
-            out.append(_Token(kind, _unescape(word[1:-1]), start))
-        elif kind == "int":
-            out.append(_Token(kind, int(word), start))
-        elif kind == "pname":
-            out.append(_Token(kind, tuple(word.split(":")), start))
-        elif kind == "bad":
-            raise QueryParseError(_bad_token(text, start), start)
-        elif word.lower() in _KEYWORDS:
-            out.append(_Token("keyword", word.lower(), start))
-        else:
-            raise QueryParseError(f"unexpected identifier {word!r}", m.end())
-    out.append(_Token("eof", None, len(text)))
+            value = _iri_of(value)
+        elif kind != "var" and kind != "lang":
+            kind, value = _rare_token(text, kind, value, m.start())
+        append((kind, value, m.start()))
+    append(("eof", None, len(text)))
     return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokens(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def take(self) -> _Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, tok: Optional[_Token] = None):
-        pos = (tok or self.peek()).pos
-        raise QueryParseError(message, pos)
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "keyword" or tok.value != word:
-            self.error(f"expected {word.upper()}", tok)
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            self.error(f"expected {kind!r}", tok)
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == word
-
-    def parse(self) -> QueryAST:
-        ast = QueryAST()
-        while self.at_keyword("prefix"):
-            self.take()
-            tok = self.take()
-            if tok.kind != "pname" or tok.value[1] != "":
-                self.error("expected a 'name:' prefix declaration", tok)
-            ast.prefixes[tok.value[0]] = self._iri(self.expect("iri")).value
-        self.expect_keyword("select")
-        while not self.at_keyword("where"):
-            tok = self.peek()
-            if tok.kind == "var":
-                self.take()
-                ast.select.append(Var(tok.value))
-            elif tok.kind == "(":
-                ast.select.append(self._aggregate())
-            else:
-                self.error("expected a variable, an aggregate, or WHERE", tok)
-        self.take()  # where
-        self.expect("{")
-        while self.peek().kind != "}":
-            s = self._term(ast, position="subject")
-            p = self._term(ast, position="predicate")
-            o = self._term(ast, position="object")
-            ast.where.append(TriplePattern(s, p, o))
-            if self.peek().kind == ".":
-                self.take()
-        self.take()  # }
-        if self.at_keyword("group"):
-            self.take()
-            self.expect_keyword("by")
-            while self.peek().kind == "var":
-                ast.group_by.append(Var(self.take().value))
-            if not ast.group_by:
-                self.error("GROUP BY needs at least one variable")
-        if self.at_keyword("having"):
-            self.take()
-            ast.having = self._having()
-        if self.at_keyword("order"):
-            self.take()
-            self.expect_keyword("by")
-            tok = self.take()
-            if tok.kind != "keyword" or tok.value not in ("asc", "desc"):
-                self.error("expected ASC(...) or DESC(...)", tok)
-            direction = tok.value.upper()
-            self.expect("(")
-            var = self.expect("var")
-            self.expect(")")
-            ast.order_by = (var.value, direction)
-        if self.at_keyword("limit"):
-            self.take()
-            ast.limit = self.expect("int").value
-        if self.peek().kind != "eof":
-            self.error("unexpected trailing content")
-        _check(ast)
-        return ast
-
-    def _count(self) -> Var:
-        """The variable of an opening '( COUNT ( ?v )'."""
-        self.expect("(")
-        self.expect_keyword("count")
-        self.expect("(")
-        var = self.expect("var")
-        self.expect(")")
-        return Var(var.value)
-
-    def _aggregate(self) -> CountAgg:
-        var = self._count()
-        self.expect_keyword("as")
-        alias = self.expect("var")
-        self.expect(")")
-        return CountAgg(var, alias.value)
-
-    def _having(self) -> Having:
-        var = self._count()
-        op_tok = self.take()
-        if op_tok.kind not in (">", ">=", "<", "<=", "="):
-            self.error("expected a comparison operator", op_tok)
-        value = self.expect("int")
-        self.expect(")")
-        return Having(var, op_tok.kind, value.value)
-
-    def _iri(self, tok: _Token) -> IRI:
-        """The IRI an iri token spells; a malformed one raises at the token."""
-        try:
-            return IRI(tok.value)
-        except MalformedTermError as exc:
-            self.error(str(exc), tok)
-
-    def _expand(self, prefix: str, local: str, ast: QueryAST, pos: int) -> IRI:
-        if prefix not in ast.prefixes:
-            raise UnknownPrefixError(prefix, pos)
-        # the namespace was checked where it was declared, and a local name
-        # adds no character an IRI forbids
-        return IRI(ast.prefixes[prefix] + local)
-
-    def _term(self, ast: QueryAST, position: str):
-        tok = self.take()
-        if tok.kind == "var":
-            return Var(tok.value)
-        if tok.kind == "iri":
-            return self._iri(tok)
-        if tok.kind == "pname":
-            return self._expand(tok.value[0], tok.value[1], ast, tok.pos)
-        if tok.kind == "a" and position == "predicate":
-            return IRI(RDF_TYPE)
-        if position in ("subject", "predicate"):
-            self.error(f"expected an IRI or variable in {position} position", tok)
-        if tok.kind == "string":
-            datatype, language = XSD_STRING, None
-            nxt = self.peek()
-            if nxt.kind == "^^":
-                self.take()
-                dt = self.take()
-                if dt.kind == "iri":
-                    datatype = self._iri(dt).value
-                elif dt.kind == "pname":
-                    datatype = self._expand(dt.value[0], dt.value[1], ast, dt.pos).value
-                else:
-                    self.error("expected a datatype IRI after '^^'", dt)
-            elif nxt.kind == "lang":
-                self.take()
-                language = nxt.value
-            try:
-                return Literal(tok.value, datatype, language)
-            except MalformedTermError as exc:  # a lone surrogate
-                self.error(str(exc), tok)
-        if tok.kind == "int":
-            return Literal(str(tok.value), datatype=XSD_INTEGER)
-        self.error("expected a term in object position", tok)
+def _fail(message: str, tok: tuple):
+    raise QueryParseError(message, tok[2])
 
 
-def _pattern_vars(ast: QueryAST) -> set[str]:
-    names = set()
-    for pat in ast.where:
-        for part in (pat.s, pat.p, pat.o):
-            if isinstance(part, Var):
-                names.add(part.name)
-    return names
+def _expect(toks: list[tuple], i: int, *kinds) -> int:
+    """The index after toks[i:], checked to be of the kinds given in turn."""
+    for kind in kinds:
+        if toks[i][0] != kind:
+            _fail(f"expected {kind.upper() if kind in _KEYWORDS else repr(kind)}", toks[i])
+        i += 1
+    return i
+
+
+def _iri(tok: tuple) -> IRI:
+    """The IRI of an iri token; a malformed one raises at the token."""
+    if type(tok[1]) is IRI:
+        return tok[1]
+    try:
+        return IRI(tok[1])
+    except MalformedTermError as exc:
+        _fail(str(exc), tok)
+
+
+def _expand(tok: tuple, prefixes: dict[str, str]) -> IRI:
+    prefix, local = tok[1]
+    if prefix not in prefixes:
+        raise UnknownPrefixError(prefix, tok[2])
+    # the namespace was checked where it was declared, and a local name
+    # adds no character an IRI forbids
+    return _iri_of(prefixes[prefix] + local)
+
+
+def _term(toks: list[tuple], i: int, prefixes: dict[str, str], position: str):
+    """The term of a pattern's position that starts at toks[i], and the
+    index after it."""
+    kind, value, _ = tok = toks[i]
+    if kind == "var":
+        return Var(value), i + 1
+    if kind == "iri":
+        return _iri(tok), i + 1
+    if kind == "pname":
+        return _expand(tok, prefixes), i + 1
+    if kind == "a" and position == "predicate":
+        return _RDF_TYPE, i + 1
+    if position != "object":
+        _fail(f"expected an IRI or variable in {position} position", tok)
+    if kind == "int":
+        return Literal(str(value), datatype=XSD_INTEGER), i + 1
+    if kind != "string":
+        _fail("expected a term in object position", tok)
+    datatype, language = XSD_STRING, None
+    nxt = toks[i + 1]
+    if nxt[0] == "^^":
+        i += 2
+        dt = toks[i]
+        if dt[0] == "iri":
+            datatype = _iri(dt).value
+        elif dt[0] == "pname":
+            datatype = _expand(dt, prefixes).value
+        else:
+            _fail("expected a datatype IRI after '^^'", dt)
+    elif nxt[0] == "lang":
+        i += 1
+        language = nxt[1]
+    try:
+        return Literal(value, datatype, language), i + 1
+    except MalformedTermError as exc:  # a lone surrogate
+        _fail(str(exc), tok)
+
+
+def _count(toks: list[tuple], i: int, *after) -> int:
+    """The index after an opening '( COUNT ( ?v )' that starts at toks[i],
+    and the kinds given after it."""
+    return _expect(toks, i, "(", "count", "(", "var", ")", *after)
 
 
 def _check(ast: QueryAST) -> None:
+    """The checks of a whole query; the first that fails raises at offset 0."""
+
     def fail(message: str):
         raise QueryParseError(message, 0)
 
-    if not ast.select:
+    select = ast.select
+    if not select:
         fail("SELECT needs at least one item")
     if not ast.where:
         fail("WHERE needs at least one pattern")
-    in_patterns = _pattern_vars(ast)
-    group_names = {v.name for v in ast.group_by}
-    plain = [item for item in ast.select if isinstance(item, Var)]
-    aggs = [item for item in ast.select if isinstance(item, CountAgg)]
-    projected = {v.name for v in plain} | {a.alias for a in aggs}
-    if len(projected) != len(ast.select):
+    in_patterns = {part.name for pat in ast.where for part in (pat.s, pat.p, pat.o) if type(part) is Var}
+    plain = [item.name for item in select if type(item) is Var]
+    aggs = [item for item in select if type(item) is CountAgg] if len(plain) < len(select) else ()
+    projected = set(plain)
+    if aggs:
+        projected.update([a.alias for a in aggs])
+    if len(projected) != len(select):
         fail("duplicate name in SELECT")
-    for v in plain:
-        if v.name not in in_patterns:
-            fail(f"projected variable ?{v.name} never appears in WHERE")
-        if ast.group_by and v.name not in group_names:
-            fail(f"projected variable ?{v.name} is not grouped")
+    grouped = {v.name for v in ast.group_by} if ast.group_by else ()
+    for name in plain:
+        if name not in in_patterns:
+            fail(f"projected variable ?{name} never appears in WHERE")
+        if grouped and name not in grouped:
+            fail(f"projected variable ?{name} is not grouped")
     if aggs and not ast.group_by and plain:
         fail("aggregates without GROUP BY allow no plain variables")
     for a in aggs:
@@ -429,8 +361,67 @@ def _check(ast: QueryAST) -> None:
 
 
 def parse_query(text: str) -> QueryAST:
-    """Parse a query; raises QueryParseError (with offset) on any defect."""
-    return _Parser(text).parse()
+    """Parse a query; raises QueryParseError (with offset) on any defect.
+
+    The tokens are read by index, each checked where the grammar expects it."""
+    toks = _tokens(text)
+    ast = QueryAST()
+    prefixes = ast.prefixes
+    i = 0
+    while toks[i][0] == "prefix":
+        tok = toks[i + 1]
+        if tok[0] != "pname" or tok[1][1]:
+            _fail("expected a 'name:' prefix declaration", tok)
+        i = _expect(toks, i + 2, "iri")
+        prefixes[tok[1][0]] = _iri(toks[i - 1]).value
+    i = _expect(toks, i, "select")
+    select = ast.select
+    while toks[i][0] != "where":
+        kind, value, _ = tok = toks[i]
+        if kind == "var":
+            select.append(Var(value))
+            i += 1
+        elif kind == "(":
+            i = _count(toks, i, "as", "var", ")")
+            select.append(CountAgg(Var(toks[i - 5][1]), toks[i - 2][1]))  # ( COUNT ( ?v ) AS ?a )
+        else:
+            _fail("expected a variable, an aggregate, or WHERE", tok)
+    i = _expect(toks, i + 1, "{")
+    where = ast.where
+    while toks[i][0] != "}":
+        s, i = _term(toks, i, prefixes, "subject")
+        p, i = _term(toks, i, prefixes, "predicate")
+        o, i = _term(toks, i, prefixes, "object")
+        where.append(TriplePattern(s, p, o))
+        if toks[i][0] == ".":
+            i += 1
+    i += 1
+    if toks[i][0] == "group":
+        i = _expect(toks, i + 1, "by")
+        while toks[i][0] == "var":
+            ast.group_by.append(Var(toks[i][1]))
+            i += 1
+        if not ast.group_by:
+            _fail("GROUP BY needs at least one variable", toks[i])
+    if toks[i][0] == "having":
+        i = _count(toks, i + 1)
+        if toks[i][0] not in _OPS:
+            _fail("expected a comparison operator", toks[i])
+        i = _expect(toks, i + 1, "int", ")")
+        ast.having = Having(Var(toks[i - 5][1]), toks[i - 3][0], toks[i - 2][1])  # ( COUNT ( ?v ) op n )
+    if toks[i][0] == "order":
+        i = _expect(toks, i + 1, "by")
+        if toks[i][0] not in ("asc", "desc"):
+            _fail("expected ASC(...) or DESC(...)", toks[i])
+        i = _expect(toks, i + 1, "(", "var", ")")
+        ast.order_by = (toks[i - 2][1], toks[i - 4][0].upper())  # ASC|DESC ( ?v )
+    if toks[i][0] == "limit":
+        i = _expect(toks, i + 1, "int")
+        ast.limit = toks[i - 1][1]
+    if toks[i][0] != "eof":
+        _fail("unexpected trailing content", toks[i])
+    _check(ast)
+    return ast
 
 
 _EMPTY: dict = {}  # the entry of a key an index lacks; never written
@@ -463,48 +454,32 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     the older columns by that list, unless every solution got exactly one
     id.
     """
-    names = [part.name for pat in patterns for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)]
     # a variable is its name, a constant its id
-    remaining = [
-        [part.name if isinstance(part, Var) else graph._id(part) for part in (pat.s, pat.p, pat.o)]
-        for pat in patterns
-    ]
-    n = 0 if any(None in refs for refs in remaining) else 1
+    ids = graph._id
+    remaining = [[part.name if type(part) is Var else ids(part) for part in (pat.s, pat.p, pat.o)] for pat in patterns]
+    n = 0 if None in chain.from_iterable(remaining) else 1
     columns: dict[str, list[int]] = {}
     whole = False  # whether the first step scanned a whole _pos entry
-
-    def score(refs: list) -> tuple[int, int]:
-        consts = sum(type(r) is int for r in refs)
-        return (consts + sum(r in columns for r in refs), consts)
-
-    # a free position -> the index whose leaves hold it, and the positions
-    # of that index's two keys
-    leaf_of = {2: (graph._spo, 0, 1), 0: (graph._pos, 1, 2)}
-    # the first of two free positions, the other the object -> the index
-    # whose entry holds both, the position of the entry's key, and the
-    # positions its keys and its leaves' ids fill
-    entry_of = {0: (graph._pos, 1, 2, 0), 1: (graph._spo, 0, 1, 2)}
     while remaining and n:
-        refs = max(remaining, key=score)  # a tie goes to the one written first
-        remaining.remove(refs)
+        refs = remaining.pop() if len(remaining) == 1 else _next_pattern(remaining, columns)
         free = [pos for pos, r in enumerate(refs) if type(r) is str and r not in columns]
-        first = free[0] if not columns and len(free) == 2 and free[1] == 2 else None
-        if first in entry_of and refs[first] != refs[2]:
-            index, key, by_key, by_leaf = entry_of[first]
-            columns[refs[by_key]], columns[refs[by_leaf]] = _entry_scan(index.get(refs[key], _EMPTY))
+        first = free[0] if not columns and len(free) == 2 and free[1] == 2 else 2
+        if first < 2 and refs[first] != refs[2]:
+            index, key, by_key, by_leaf = _ENTRY_OF[first]
+            columns[refs[by_key]], columns[refs[by_leaf]] = _entry_scan(getattr(graph, index).get(refs[key], _EMPTY))
             n = len(columns[refs[2]])
-            whole = index is graph._pos
+            whole = index == "_pos"
             continue
         keys = [columns[r] if r in columns else repeat(r if type(r) is int else None, n) for r in refs]
-        if len(free) == 1 and free[0] in leaf_of:
+        if len(free) == 1 and free[0] != 1:
             p = refs[1]
             if type(p) is int and free[0] == 0:
                 column, at = _map_read(graph._pos.get(p, _EMPTY), keys[2], n)
             elif type(p) is int and whole:
                 column, at = _map_read(_subject_map(graph, p), keys[0], n)
             else:
-                index, a, b = leaf_of[free[0]]
-                column, at = _leaf_read(index, keys[a], keys[b], n)
+                index, a, b = _LEAF_OF[free[0]]
+                column, at = _leaf_read(getattr(graph, index), keys[a], keys[b], n)
             new = {refs[free[0]]: column}
         else:
             new, at = _scan(graph._rows, refs, free, keys)
@@ -512,7 +487,31 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
             columns = {name: list(map(column.__getitem__, at)) for name, column in columns.items()}
             n = len(at)
         columns.update(new)
-    return (columns, n) if n else (dict.fromkeys(names, ()), 0)
+    if n:
+        return columns, n
+    return {part.name: () for pat in patterns for part in (pat.s, pat.p, pat.o) if type(part) is Var}, 0
+
+
+# a free position -> the index whose leaves hold it, and the positions of
+# that index's two keys
+_LEAF_OF = {2: ("_spo", 0, 1), 0: ("_pos", 1, 2)}
+# the first of two free positions, the other the object -> the index whose
+# entry holds both, the position of the entry's key, and the positions its
+# keys and its leaves' ids fill
+_ENTRY_OF = {0: ("_pos", 1, 2, 0), 1: ("_spo", 0, 1, 2)}
+
+
+def _next_pattern(remaining: list[list], columns: dict) -> list:
+    """Remove and return the pattern with the most bound positions, then
+    the most constants; a tie goes to the one written first."""
+
+    def score(refs: list) -> tuple[int, int]:
+        consts = sum(type(r) is int for r in refs)
+        return (consts + sum(r in columns for r in refs), consts)
+
+    refs = max(remaining, key=score)
+    remaining.remove(refs)
+    return refs
 
 
 # The subject maps of the last graph a whole-graph query ran on: a weak
@@ -637,6 +636,7 @@ def _scan(
     return new, at
 
 
+_FIRST = itemgetter(0)
 _OPS = {">": gt, ">=": ge, "<": lt, "<=": le, "=": eq}
 
 
@@ -649,15 +649,13 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
     row's tokens and counts; Terms are built only for the cells a query
     returns, when its rows are first read.
     """
-    header = [
-        f"?{item.name}" if isinstance(item, Var) else f"?{item.alias}"
-        for item in ast.select
-    ]
-    counted = [isinstance(item, CountAgg) for item in ast.select]
+    select = ast.select
+    header = [f"?{item.name}" if type(item) is Var else f"?{item.alias}" for item in select]
+    counted = [type(item) is CountAgg for item in select]
     columns, n = _join(graph, ast.where)
     tokens = graph._tokens
     by_first = None  # the sort key, when the first cell alone orders the rows
-    if ast.group_by or any(counted):
+    if ast.group_by or True in counted:
         # ids are one-to-one with terms, so id tuples group like terms
         keys = [columns[v.name] for v in ast.group_by]
         groups = Counter(zip(*keys) if keys else repeat((), n))
@@ -672,14 +670,14 @@ def evaluate(graph: Graph, ast: QueryAST) -> ResultTable:
         at = {v.name: i for i, v in enumerate(ast.group_by)}
         cells = list(zip(*(
             counts if c else map(tokens.__getitem__, map(itemgetter(at[item.name]), group_keys))
-            for item, c in zip(ast.select, counted)
+            for item, c in zip(select, counted)
         )))
     else:
         # rows of one type, tuples, so list.sort compares them in C
-        cells = list(zip(*(map(tokens.__getitem__, columns[item.name]) for item in ast.select)))
-        if len(set(columns[ast.select[0].name])) == n:
+        cells = list(zip(*[map(tokens.__getitem__, columns[item.name]) for item in select]))
+        if len(set(columns[select[0].name])) == n:
             # ids are one-to-one with tokens: no two rows tie on the first cell
-            by_first = itemgetter(0)
+            by_first = _FIRST
 
     # a column holds only tokens or only counts, so rows compare cell by cell
     cells.sort(key=by_first)

@@ -1125,6 +1125,63 @@ def test_snapshot_is_no_more_readable_than_its_graph(tmp_path, capsys, monkeypat
     assert _mode(tmp_path / ".graph.nt.snap") == mode
 
 
+def _record_syncs(monkeypatch):
+    """Record each os.fsync, as the size of the file synced or "directory",
+    and each os.replace, as the name it writes, in the order they run."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else info.st_size))
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def test_ingest_syncs_the_graph_file_before_the_rename_and_the_directory_after(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.nt"
+    events = _record_syncs(monkeypatch)
+    for corpus in ("multifam", "table1"):
+        assert run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / corpus))[0] == 0
+        # the temporary file is synced whole, then renamed, then the rename synced
+        assert events == [("fsync", graph.stat().st_size), ("replace", "g.nt"), ("fsync", "directory")]
+        events.clear()
+
+
+def test_ingest_skips_the_directory_sync_where_a_directory_cannot_be_opened(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.nt"
+    events = _record_syncs(monkeypatch)
+    real_open = os.open
+
+    def no_directories(path, flags, *args):
+        if os.path.isdir(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", no_directories)
+    assert run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"))[0] == 0
+    assert events == [("fsync", graph.stat().st_size), ("replace", "g.nt")]
+
+
+def test_snapshots_and_emit_output_are_written_without_a_sync(table1_store, tmp_path, capsys, monkeypatch):
+    # a snapshot's payload digest rejects a torn write, and emit -o output
+    # can be written again
+    graph = tmp_path / "g.nt"
+    graph.write_bytes(table1_store.read_bytes())
+    events = _record_syncs(monkeypatch)
+    assert run(capsys, "--graph", str(graph), "stats", "--by", "family")[0] == 0
+    assert run(capsys, "--graph", str(graph), "emit", "--format", "ntriples", "-o", str(tmp_path / "out.nt"))[0] == 0
+    assert events == [("replace", ".g.nt.snap"), ("replace", "out.nt")]
+    assert (tmp_path / "out.nt").read_bytes() == graph.read_bytes()
+
+
 # Ingest merges the batch's new lines into the graph file's sorted lines.
 # Whatever the old file, the result must be what parsing it whole,
 # ingesting and serializing gives: the same file, stdout and exit code.

@@ -607,6 +607,20 @@ def test_whole_graph_queries_build_each_subject_map_once(table1_graph, multifam_
     assert len(map_builds) == 3
 
 
+@pytest.mark.parametrize("name", USE_CASES)
+def test_a_query_parsed_once_evaluates_many_times(table1_graph, multifam_graph, map_builds, name, query_text):
+    # the first run of use cases 4 to 6 builds their subject maps and the
+    # second reads them; the AST is left as a fresh parse gives it
+    graph = fresh_graph(table1_graph, multifam_graph)
+    ast = parse_query(query_text(name))
+    first = evaluate(graph, ast)
+    assert ast == parse_query(query_text(name))
+    second = evaluate(graph, ast)
+    assert ast == parse_query(query_text(name))
+    assert first == second and first.rows
+    assert format_results(first, "tsv") == format_results(second, "tsv")
+
+
 def test_point_queries_build_no_subject_map(table1_graph, multifam_graph, map_builds, query_text):
     graph = fresh_graph(table1_graph, multifam_graph)
     for k in (1, 2, 3):
