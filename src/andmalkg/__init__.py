@@ -34,6 +34,7 @@ _HOMES = {
         "YaraRuleInfo",
         "fetch_reports",
         "ingest_corpus",
+        "ingest_file",
         "mint_iris",
         "parse_report",
         "report_from_record",

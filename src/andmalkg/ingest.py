@@ -19,23 +19,48 @@ property named by its local name in the schema registry.  ingest_corpus
 interns the tokens straight into the graph and validates the subjects it
 touched from the graph's SPO index; report_to_triples turns the same rows
 into Triples.
+
+ingest_file, the CLI's ingest, grows an N-Triples graph file.  When its
+lines are what serialize_ntriples writes (rdf._is_canonical), it loads
+only the lines of the subjects the batch mints and the type lines of
+their objects (rdf.load_subjects), adds the batch's rows to that graph
+(_add_rows, as ingest_corpus does), and merges the new lines, sorted,
+into the file's.  Any other file is parsed whole and re-serialized first.
+Either way it writes, and answers, what ingest_corpus on the whole parsed
+graph and serialize_ntriples would.  From before it reads the lines until
+after it has renamed the new file into place, it holds an exclusive lock
+on the sidecar file .NAME.lock (_locked), so a second ingest into the
+same file waits and then reads the first one's lines.
+
+Where _beside can fork a child, ingest_file runs two pairs of stages at
+the same time: the canonical-line check of the old lines beside the
+fetch and the building of the reports' rows, and the validation of the
+touched subjects beside the formatting, the merge and the write of the
+new lines.  The outputs are the same either way, and a graph file that
+does not parse still fails before a failed fetch is reported; only from
+a LiveSource may the request go out before a malformed graph file is
+reported.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import marshal
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError
 from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
 from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term, _sha256
+from .rdf import _decoded, _is_canonical, _ntriples_lines, _replace_file, load_subjects, parse_ntriples
 from .rdf import _literal_token as _literal
-from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
+from .schema import HASH_KINDS, SchemaRegistry, Violation, build_schema, validate_hash_format, validate_subjects
 from .schema import _DATE, _TIME, _ZONE
 
 logger = logging.getLogger(__name__)
@@ -688,3 +713,151 @@ def _add_rows(report_rows: Iterable[list[tuple]], graph: Graph) -> tuple[int, se
             touched.add(si)
             added += add(si, pi, oi)
     return added, touched
+
+
+def ingest_file(
+    path: Union[str, Path],
+    source,
+    signature: Optional[str] = None,
+    limit: Optional[int] = None,
+    errors: Optional[list[tuple[str, str]]] = None,
+) -> IngestSummary:
+    """Ingest the reports FetchSelector(signature, limit) picks from source
+    into the graph file at path (see the module docstring); limit None is
+    the most one request gives, 1,000 from fixtures and 100 live.  A
+    selector FetchSelector or the API rejects raises ValueError before the
+    file or its lock is touched.  errors gets what fetch_reports skips."""
+    live = isinstance(source, LiveSource)
+    selector = FetchSelector(signature, (_LIVE_RECENT_MAX if live else _FETCH_MAX) if limit is None else limit)
+    if live:
+        _live_form(selector)
+    path = Path(path)
+    with _locked(path):
+        lines = _read_lines(path)
+        # The check that the old lines are canonical runs beside the fetch.  A
+        # file that is not is parsed and re-serialized after the fetch, even one
+        # that failed, so its parse error still comes first.
+        canonical = _beside(lambda: _is_canonical(lines))
+        try:
+            reports = fetch_reports(selector, source, errors)
+            rows = [_report_rows(report) for report in reports]
+        finally:
+            if not canonical():
+                lines = _ntriples_lines(parse_ntriples("".join(lines)))
+        # The graph holds every old line of a row's subject, so each old triple
+        # a row could repeat, and every triple and object type the validation
+        # of the touched subjects reads: the count of new triples and the
+        # violations are those of the whole graph.
+        graph = load_subjects(lines, {s for report_rows in rows for s, _, _ in report_rows})
+        loaded = set(graph._walk())
+        added, touched = _add_rows(rows, graph)
+        del rows
+        registry = build_schema()
+        # The touched subjects are validated beside the write of the new
+        # lines; a forked child sends the violations back as tuples.
+        found = _beside(lambda: [(v.subject, v.rule, v.detail) for v in validate_subjects(registry, graph, touched)])
+        try:
+            new = _ntriples_lines(graph, (t for t in graph._walk() if t not in loaded))
+            _replace_file(path, _encoded(_merged(lines, new)), durable=True)
+        finally:
+            violations = [Violation(*v) for v in found()]
+    return IngestSummary(len(reports), added, violations)
+
+
+@contextmanager
+def _locked(path: Path) -> Iterator[None]:
+    """Hold an exclusive lock for the graph file at path: an flock on the
+    sidecar file .NAME.lock beside it, created if missing and never
+    deleted.  The graph file is not locked itself, because each write
+    renames a new inode over it.  Where there is no fcntl (Windows), the
+    lock file is made but nothing is locked."""
+    try:
+        import fcntl
+    except ImportError:
+        fcntl = None
+    flags = os.O_RDONLY | os.O_CREAT | getattr(os, "O_NOFOLLOW", 0)
+    fd = os.open(path.with_name(f".{path.name}.lock"), flags, 0o666)
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # which releases the lock
+
+
+# lines per chunk of a graph file write: about 1 MB of N-Triples
+_CHUNK_LINES = 4096
+
+
+def _encoded(lines: list[str]) -> Iterator[bytes]:
+    """The lines as UTF-8, in chunks of _CHUNK_LINES lines, so the whole
+    file is never held as one str or bytes object."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        yield "".join(lines[start : start + _CHUNK_LINES]).encode("utf-8")
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of the file at path, read as rdf._decoded reads its bytes
+    (a missing file has none)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except FileNotFoundError:
+        return []
+    except UnicodeDecodeError:
+        _decoded(path, path.read_bytes())  # raises, naming the line
+        raise
+
+
+def _merged(old: list[str], new: list[str]) -> list[str]:
+    """One sorted list of two sorted runs of lines.  The sort finds the two
+    runs and merges them in one pass."""
+    lines = old + new
+    lines.sort()
+    return lines
+
+
+def _beside(fn):
+    """Start fn() beside the caller; the function returned waits for its
+    result and returns it.  Call it always, or the child is never reaped.
+
+    With two or more CPUs available to the process and no other thread
+    alive, a forked child computes fn(), writes the result's marshal bytes
+    to a pipe and leaves by os._exit, so no stdio buffer is flushed and no
+    exit hook runs twice.  The waiter reads the pipe and reaps the child;
+    when the child did not exit 0, it runs fn() itself, so a failing job
+    gives the same result or raises the same exception.  Otherwise (no
+    os.fork, one CPU, other threads, or a failed fork) fn runs at once,
+    inline: there a fork costs more than the overlap saves, or is not safe.
+    """
+    import threading  # loaded already: this module imports logging
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if hasattr(os, "fork") and cpus > 1 and threading.active_count() == 1:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+        else:
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as f:
+                        f.write(marshal.dumps(fn()))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+
+            def wait():
+                with open(read, "rb") as f:
+                    data = f.read()
+                _, status = os.waitpid(pid, 0)
+                return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else fn()
+
+            return wait
+    result = fn()
+    return lambda: result

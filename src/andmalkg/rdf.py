@@ -22,9 +22,9 @@ The id interface is Graph._id (term -> id), Graph._intern_token (token
 Graph._walk (every id triple), Graph._spo, Graph._tokens (id -> token),
 Graph._term (id -> term) and _literal_parts (a literal token's fields).
 Four modules use it: query (the join), ingest (report rows go in as
-tokens), schema (the validator walks a subject's SPO entry, reading
-leaves with _each) and cli (stats, and ingest's new lines: Graph._walk
-and _ntriples_lines).  No other module uses ids.
+tokens, and ingest_file writes a graph file's new lines with Graph._walk
+and _ntriples_lines), schema (the validator walks a subject's SPO entry,
+reading leaves with _each) and cli (stats).  No other module uses ids.
 
 parse_ntriples reads lines in the canonical form the serializer writes
 with one regular expression each, mapping tokens it has seen straight to
@@ -40,13 +40,13 @@ only acyclic containers, so a collection could free nothing.  The CLI
 keeps the collector suspended until it has frozen the loaded graph
 (gc.freeze), so no later collection walks it.
 
-_is_canonical and load_subjects let the CLI ingest grow a graph file
+_is_canonical and load_subjects let ingest.ingest_file grow a graph file
 without loading all of it.  _is_canonical says whether a file's lines are
 already what serialize_ntriples writes: each line matches one strict
 regular expression (IRIs and plain or datatyped literals without escapes,
-single spaces, " ." and a newline) and the lines strictly increase.  The
-CLI parses and re-serializes any other text, so it raises the parse's
-error at the parse's line.  load_subjects finds, by bisection on
+single spaces, " ." and a newline) and the lines strictly increase.
+ingest_file parses and re-serializes any other text, so it raises the
+parse's error at the parse's line.  load_subjects finds, by bisection on
 "TOKEN ", the lines of some subjects and the rdf:type lines of their
 objects, and loads only those.
 
@@ -59,6 +59,9 @@ parse and yields an equal graph with the same ids; a snapshot that does
 not match its key, its payload digest or its shape loads nothing, and the
 caller parses instead.  Where a snapshot file lives is the CLI's concern.
 
+_decoded and _replace_file, which read and write every command's files,
+live here because read commands import neither ingest nor schema.
+
 A Graph supports one writer or many concurrent readers, never both;
 serialization and matching are read-only.
 """
@@ -67,15 +70,19 @@ from __future__ import annotations
 
 import gc
 import marshal
+import os
 import re
+import stat
 import sys
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
-from .errors import MalformedTermError, NTriplesParseError
+from .errors import AndMalKgError, MalformedTermError, NTriplesParseError
 from .ns import PREFIXES, RDF_TYPE, XSD_STRING
 
 # The term grammar, spelled once: every term check, token regex and
@@ -775,6 +782,60 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     graph._tokens, graph._ids, graph._size, graph._spo, graph._pos = state
     return graph
 
+
+
+def _decoded(path, source: bytes) -> str:
+    """The UTF-8 text of the file at path's bytes, CRLF and a lone CR read as
+    a newline (universal newlines); bytes not UTF-8 raise, naming their line."""
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _decoded(path, source[: exc.start]).count("\n") + 1
+        raise AndMalKgError(f"{path}: line {line}: not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None, durable: bool = False) -> None:
+    """Replace the file at path with the chunks, written in turn,
+    atomically: when a write fails or the process dies part-way, the old
+    file is left as it was.  The new file gets permission bits mode; when
+    mode is None, those of the file it replaces, or the umask's default if
+    there is none.  It is never more readable than that while it is
+    written.  The temporary file gets a random name and is created afresh
+    (O_EXCL), so a link planted under its name is never followed, and one
+    left by a killed process never blocks a later write.  A durable
+    replace also survives a power loss: the new bytes reach the disk
+    (fsync) before the rename, and the directory is flushed after it,
+    except where a directory cannot be opened (Windows)."""
+    if mode is None:
+        with suppress(FileNotFoundError):
+            mode = stat.S_IMODE(path.stat().st_mode)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
+    try:
+        with open(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            if durable:
+                f.flush()
+                os.fsync(fd)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if not durable:
+        return
+    try:
+        fd = os.open(path.parent, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 def _turtle_name(prefixes: dict[str, str]):
     """The function writing an IRI in Turtle: prefix:local under the longest

@@ -1,5 +1,6 @@
 """The package's public names: each is bound from its submodule on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -19,8 +20,8 @@ PUBLIC = {
     ],
     "ingest": [
         "CertInfo", "FetchSelector", "FixtureSource", "IngestSummary", "LiveSource", "MalwareReport",
-        "VendorVerdict", "YaraRuleInfo", "fetch_reports", "ingest_corpus", "mint_iris", "parse_report",
-        "report_from_record", "report_to_triples", "slug",
+        "VendorVerdict", "YaraRuleInfo", "fetch_reports", "ingest_corpus", "ingest_file", "mint_iris",
+        "parse_report", "report_from_record", "report_to_triples", "slug",
     ],
     "ns": ["ANDMAL", "MALONT", "PREFIXES", "RDF_TYPE", "andmal", "malont"],
     "query": [
@@ -102,6 +103,21 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         from andmalkg import no_such_name  # noqa: F401
     assert not hasattr(andmalkg, "_private_name")
+
+
+def test_cli_imports_no_ingest_internals():
+    # the CLI ingest is one call of ingest_file: cli.py knows no private
+    # name of ingest, and none of the names rdf keeps for growing a file
+    tree = ast.parse((ROOT / "src" / "andmalkg" / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert {module for module, _ in imported} >= {"ingest", "rdf"}
+    assert not [name for module, name in imported if module == "ingest" and name.startswith("_")]
+    assert not {("rdf", name) for name in ("_is_canonical", "_ntriples_lines", "load_subjects")} & imported
 
 
 def test_an_ingest_warning_is_printed_once_and_only_where_logging_is_configured(tmp_path):

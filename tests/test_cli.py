@@ -23,6 +23,7 @@ from andmalkg import (
     build_schema,
     fetch_reports,
     ingest_corpus,
+    ingest_file,
     mint_iris,
     parse_ntriples,
     serialize_ntriples,
@@ -341,7 +342,7 @@ def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failur
         real_unlink(self, missing_ok=missing_ok)
 
     monkeypatch.setattr(Path, "unlink", unlink)
-    real_merged = cli_mod._merged
+    real_merged = ingest_mod._merged
     if failure == "serialize":
         # the merge of old and new lines fails before anything is written
         def broken(old, new):
@@ -349,12 +350,12 @@ def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failur
     else:
         # the last chunk holds a lone surrogate, which cannot be encoded,
         # so the write stops after the chunks before it are on disk
-        monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 100)
+        monkeypatch.setattr(ingest_mod, "_CHUNK_LINES", 100)
 
         def broken(old, new):
             return real_merged(old, new) + ["\ud800\n"]
 
-    monkeypatch.setattr(cli_mod, "_merged", broken)
+    monkeypatch.setattr(ingest_mod, "_merged", broken)
     forks = _take_path(monkeypatch, "fork")
     with pytest.raises((RuntimeError, UnicodeEncodeError)):
         main(table1)
@@ -615,7 +616,7 @@ def test_emit_output_is_replaced_whole_and_keeps_its_mode(table1_store, tmp_path
 
     # a write that fails part-way leaves the old output as it was
     with monkeypatch.context() as m:
-        m.setattr(cli_mod, "open", DiskFills, raising=False)
+        m.setattr(rdf_mod, "open", DiskFills, raising=False)
         rc, _, err = run(capsys, "--graph", str(table1_store), "emit", "--format", "turtle", "-o", str(out))
     assert rc == 2 and "No space left on device" in err
     assert out.read_bytes() == b"old output\n"
@@ -1020,6 +1021,7 @@ def test_ingest_merges_without_a_parse_and_leaves_snapshots_alone(tmp_path, caps
     # a canonical graph file is neither parsed whole nor serialized
     parses = ParseCounter(monkeypatch)
     monkeypatch.setattr(rdf_mod, "parse_ntriples", _no_whole_file_parse)
+    monkeypatch.setattr(ingest_mod, "parse_ntriples", _no_whole_file_parse)
     monkeypatch.setattr(rdf_mod, "serialize_ntriples", _no_whole_file_parse)
     monkeypatch.setattr(cli_mod, "serialize_ntriples", _no_whole_file_parse)
     rc, out, _ = run(capsys, *table1)
@@ -1189,19 +1191,33 @@ def test_snapshots_and_emit_output_are_written_without_a_sync(table1_store, tmp_
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
 
-def _reference_ingest(text, corpus):
-    """(exit code, stdout, stderr, graph bytes) of the whole-graph ingest."""
+def _whole_graph_ingest(text, corpus):
+    """(summary, graph bytes) of parsing text whole, ingest_corpus and
+    serialize_ntriples; (the parse error, text's bytes) where the parse fails."""
     try:
         graph = parse_ntriples(text)
     except NTriplesParseError as exc:
-        return 1, "", f"error: {exc}\n", text.encode("utf-8")
+        return exc, text.encode("utf-8")
     reports = fetch_reports(FetchSelector.recent(1000), FixtureSource(corpus))
     summary = ingest_corpus(reports, build_schema(), graph)
+    return summary, serialize_ntriples(graph).encode("utf-8")
+
+
+def _cli_answer(summary, data):
+    """(exit code, stdout, stderr, graph bytes) of the CLI ingest whose
+    whole-graph ingest gives summary and data."""
+    if isinstance(summary, NTriplesParseError):
+        return 1, "", f"error: {summary}\n", data
     out = (
         f"reports: {summary.reports}\ntriples added: {summary.triples_added}\n"
         f"violations: {len(summary.violations)}\n"
     )
-    return (1 if summary.violations else 0), out, "", serialize_ntriples(graph).encode("utf-8")
+    return (1 if summary.violations else 0), out, "", data
+
+
+def _reference_ingest(text, corpus):
+    """(exit code, stdout, stderr, graph bytes) of the whole-graph ingest."""
+    return _cli_answer(*_whole_graph_ingest(text, corpus))
 
 
 def _take_path(monkeypatch, path):
@@ -1278,7 +1294,7 @@ def test_concurrent_ingests_into_one_file_keep_both(tmp_path, capsys):
     def first():
         os.close(ready_r)
         os.close(release_w)
-        real_read_lines = cli_mod._read_lines
+        real_read_lines = ingest_mod._read_lines
 
         def paused(path):
             lines = real_read_lines(path)
@@ -1286,7 +1302,7 @@ def test_concurrent_ingests_into_one_file_keep_both(tmp_path, capsys):
             os.read(release_r, 1)
             return lines
 
-        cli_mod._read_lines = paused
+        ingest_mod._read_lines = paused
         return main(anubis)
 
     first_pid = _forked(first)
@@ -1312,11 +1328,16 @@ def test_concurrent_ingests_into_one_file_keep_both(tmp_path, capsys):
 
 
 def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
-    """Ingest corpus into a graph file holding text, check it against the
-    reference, and return how often the whole file was parsed."""
+    """Ingest corpus into a graph file holding text, through the CLI and
+    through ingest_file in this process on a copy of it, check both against
+    the whole-graph ingest, and return how often the CLI parsed the whole
+    file and its exit code.  ingest_file must parse as often as the CLI."""
     graph = tmp_path / "graph.nt"
+    copy = tmp_path / "ingest_file" / "graph.nt"
+    copy.parent.mkdir()
     if text is not None:
         graph.write_bytes(text.encode("utf-8"))
+        copy.write_bytes(text.encode("utf-8"))
     parses = []
     real_parse = rdf_mod.parse_ntriples
 
@@ -1326,12 +1347,25 @@ def _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, corpus):
 
     with monkeypatch.context() as m:
         m.setattr(rdf_mod, "parse_ntriples", parse)
-        m.setattr(cli_mod, "parse_ntriples", parse)
+        m.setattr(ingest_mod, "parse_ntriples", parse)
         got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(corpus))
-    _assert_no_child_left()
-    expected = _reference_ingest(text or "", corpus)
-    assert got + (graph.read_bytes(),) == expected
-    return len(parses), got[0]
+        _assert_no_child_left()
+        cli_parses = len(parses)
+        try:
+            summary = ingest_file(copy, FixtureSource(corpus))
+        except NTriplesParseError as exc:
+            summary = exc
+        _assert_no_child_left()
+    whole, data = _whole_graph_ingest(text or "", corpus)
+    assert got + (graph.read_bytes(),) == _cli_answer(whole, data)
+    # the same summary, violations included, or the same parse error
+    if isinstance(whole, NTriplesParseError):
+        assert isinstance(summary, NTriplesParseError) and str(summary) == str(whole)
+    else:
+        assert summary == whole
+    assert copy.read_bytes() == data
+    assert len(parses) == 2 * cli_parses
+    return cli_parses, got[0]
 
 
 def _base_text(name, request):
@@ -1355,8 +1389,9 @@ def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypa
     assert rc == 0
     # a random graph has escapes, blank nodes and language tags, so it is parsed
     assert parses == (1 if base.startswith("randgraph") else 0)
-    # the canonical-line check beside the fetch, the validation beside the write
-    assert len(forks) == (2 if path == "fork" else 0)
+    # the canonical-line check beside the fetch, the validation beside the
+    # write: two children for each of the two ingests, the CLI's and ingest_file's
+    assert len(forks) == 2 * (2 if path == "fork" else 0)
 
 
 def test_colliding_labels_ingest_into_an_existing_graph_as_distinct_nodes(tmp_path, capsys, monkeypatch, table1_graph):
@@ -1417,12 +1452,15 @@ def test_a_failed_side_job_is_run_again_in_the_parent(tmp_path, capsys, monkeypa
             return fn(*args)
         return job
 
-    monkeypatch.setattr(cli_mod, "_is_canonical", failing_in_the_child(rdf_mod._is_canonical))
-    monkeypatch.setattr(schema_mod, "validate_subjects", failing_in_the_child(schema_mod.validate_subjects))
+    monkeypatch.setattr(ingest_mod, "_is_canonical", failing_in_the_child(rdf_mod._is_canonical))
+    monkeypatch.setattr(ingest_mod, "validate_subjects", failing_in_the_child(schema_mod.validate_subjects))
     forks = _take_path(monkeypatch, "fork")
     assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (0, 1)
-    assert len(forks) == 2
-    assert ran == ["_is_canonical", "validate_subjects"]
+    # two children for each of the two ingests, the CLI's and ingest_file's,
+    # and each side job run again in the parent once per ingest; then the
+    # reference ingest_corpus validates once, in the parent
+    assert len(forks) == 2 * 2
+    assert ran == ["_is_canonical", "validate_subjects"] * 2 + ["validate_subjects"]
 
 
 def _open_fds():
@@ -1466,10 +1504,11 @@ def test_a_file_that_is_not_canonical_is_checked_and_parsed_once(tmp_path, capsy
         return real_check(lines)
 
     monkeypatch.setattr(rdf_mod, "_is_canonical", check)
-    monkeypatch.setattr(cli_mod, "_is_canonical", check)
+    monkeypatch.setattr(ingest_mod, "_is_canonical", check)
     _take_path(monkeypatch, "inline")
     assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (1, 0)
-    assert len(checks) == 1
+    # one check for each of the two ingests, the CLI's and ingest_file's
+    assert len(checks) == 2
 
 
 def _touched(table1_reports):
