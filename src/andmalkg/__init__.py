@@ -20,6 +20,7 @@ _HOMES = {
         "NTriplesParseError",
         "QueryParseError",
         "ReportParseError",
+        "SelectorError",
         "UnknownClassError",
         "UnknownPrefixError",
     ),

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import AndMalKgError, ApiError, NetworkError
+from .errors import AndMalKgError, ApiError, NetworkError, SelectorError
 from .ns import RDF_TYPE, andmal, malont
 from .rdf import IRI, Graph, _collector_paused, _decoded, _replace_file, dump_snapshot, load_snapshot
 from .rdf import parse_ntriples, serialize_ntriples, serialize_turtle, snapshot_key
@@ -110,9 +110,7 @@ def _cmd_ingest(args) -> int:
     errors: list[tuple[str, str]] = []
     try:
         summary = ingest_file(Path(args.graph), source, args.signature, args.limit, errors)
-    except UnicodeError:
-        raise  # a line the write could not encode, not a usage error
-    except ValueError as exc:  # a blank --signature, or a --limit FetchSelector or the API rejects
+    except SelectorError as exc:  # a blank --signature, or a --limit FetchSelector or the API rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name, message in errors:

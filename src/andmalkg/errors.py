@@ -37,6 +37,11 @@ class UnknownPrefixError(QueryParseError):
         self.prefix = prefix
 
 
+class SelectorError(ValueError):
+    """A FetchSelector, or the live API form for one, asks for reports that
+    cannot be fetched: a usage error, so a ValueError."""
+
+
 class ReportParseError(AndMalKgError):
     """A report document is not valid JSON, or its record is not a JSON object."""
 

@@ -452,7 +452,8 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
     free predicate included, goes through Graph._rows for each solution
     (_scan).  A step lists the solution each new row extends and gathers
     the older columns by that list, unless every solution got exactly one
-    id.
+    id.  A first step with one free position has no older column: it
+    reads its one index leaf, and the leaf's ids are the new column.
     """
     # a variable is its name, a constant its id
     ids = graph._id
@@ -473,7 +474,12 @@ def _join(graph: Graph, patterns: list[TriplePattern]) -> tuple[dict[str, list[i
         keys = [columns[r] if r in columns else repeat(r if type(r) is int else None, n) for r in refs]
         if len(free) == 1 and free[0] != 1:
             p = refs[1]
-            if type(p) is int and free[0] == 0:
+            if not columns:  # the first step: its one solution's leaf is the new column
+                index, a, b = _LEAF_OF[free[0]]
+                leaf = getattr(graph, index).get(refs[a], _EMPTY).get(refs[b], ())
+                column, at = ([leaf] if type(leaf) is int else list(leaf)), None
+                n = len(column)
+            elif type(p) is int and free[0] == 0:
                 column, at = _map_read(graph._pos.get(p, _EMPTY), keys[2], n)
             elif type(p) is int and whole:
                 column, at = _map_read(_subject_map(graph, p), keys[0], n)

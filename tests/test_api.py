@@ -16,7 +16,7 @@ from conftest import ROOT
 PUBLIC = {
     "errors": [
         "AndMalKgError", "ApiError", "InvalidReportError", "MalformedTermError", "NTriplesParseError",
-        "NetworkError", "QueryParseError", "ReportParseError", "UnknownClassError", "UnknownPrefixError",
+        "NetworkError", "QueryParseError", "ReportParseError", "SelectorError", "UnknownClassError", "UnknownPrefixError",
     ],
     "ingest": [
         "CertInfo", "FetchSelector", "FixtureSource", "IngestSummary", "LiveSource", "MalwareReport",

@@ -8,7 +8,6 @@ import random
 import stat
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -33,7 +32,6 @@ from andmalkg.cli import main
 import andmalkg.cli as cli_mod
 import andmalkg.ingest as ingest_mod
 import andmalkg.rdf as rdf_mod
-import andmalkg.schema as schema_mod
 
 from conftest import FIXTURES, QUERIES, ROOT
 from randgraph import random_graph
@@ -356,11 +354,8 @@ def test_failed_graph_write_keeps_old_file(tmp_path, capsys, monkeypatch, failur
             return real_merged(old, new) + ["\ud800\n"]
 
     monkeypatch.setattr(ingest_mod, "_merged", broken)
-    forks = _take_path(monkeypatch, "fork")
     with pytest.raises((RuntimeError, UnicodeEncodeError)):
         main(table1)
-    # the validation beside the write was waited for all the same
-    assert len(forks) == 2
     _assert_no_child_left()
     assert graph.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.lock", "graph.nt"]
@@ -1220,34 +1215,6 @@ def _reference_ingest(text, corpus):
     return _cli_answer(*_whole_graph_ingest(text, corpus))
 
 
-def _take_path(monkeypatch, path):
-    """Make the CLI ingest run its side jobs in forked children ("fork"),
-    as on a host with two CPUs, or inline: as where os.fork is missing
-    ("inline"), on a host with one CPU ("one-cpu"), or where each fork
-    fails ("fork-fails").  Returns the list of the children's pids forked
-    from now on."""
-    forks = []
-    if path == "inline":
-        monkeypatch.delattr(os, "fork")
-        return forks
-    real_fork = os.fork
-
-    def fork():
-        if path == "fork-fails":
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    cpus = {0} if path == "one-cpu" else {0, 1}
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    return forks
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1379,19 +1346,14 @@ def _base_text(name, request):
     return serialize_ntriples(request.getfixturevalue(f"{name}_graph"))
 
 
-@pytest.mark.parametrize("path", ["fork", "inline"])
 @pytest.mark.parametrize("corpus", ["table1", "multifam"])
 @pytest.mark.parametrize("base", ["missing", "empty", "table1", "multifam", "randgraph-3", "randgraph-17"])
-def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypatch, request, base, corpus, path):
+def test_merged_ingest_matches_the_whole_graph_ingest(tmp_path, capsys, monkeypatch, request, base, corpus):
     text = _base_text(base, request)
-    forks = _take_path(monkeypatch, path)
     parses, rc = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / corpus)
     assert rc == 0
     # a random graph has escapes, blank nodes and language tags, so it is parsed
     assert parses == (1 if base.startswith("randgraph") else 0)
-    # the canonical-line check beside the fetch, the validation beside the
-    # write: two children for each of the two ingests, the CLI's and ingest_file's
-    assert len(forks) == 2 * (2 if path == "fork" else 0)
 
 
 def test_colliding_labels_ingest_into_an_existing_graph_as_distinct_nodes(tmp_path, capsys, monkeypatch, table1_graph):
@@ -1435,66 +1397,35 @@ def test_colliding_labels_ingest_into_an_existing_graph_as_distinct_nodes(tmp_pa
     assert sorted(sum(f"vi_{sha}_" in line for line in typed) for sha in shas) == [2, 2]
 
 
-def test_a_failed_side_job_is_run_again_in_the_parent(tmp_path, capsys, monkeypatch, table1_graph, table1_reports):
-    # both side jobs fail in their forked child only; the parent then runs
-    # each itself, and the ingest answers as the whole-graph ingest does
-    ids, _ = _touched(table1_reports)
-    text = serialize_ntriples(table1_graph) + f'{ids["file"]} <{ANDMAL}bogusProp> "x" .\n'
-    text = serialize_ntriples(parse_ntriples(text))
-    parent = os.getpid()
-    ran = []
-
-    def failing_in_the_child(fn):
-        def job(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("side job failed")
-            ran.append(fn.__name__)
-            return fn(*args)
-        return job
-
-    monkeypatch.setattr(ingest_mod, "_is_canonical", failing_in_the_child(rdf_mod._is_canonical))
-    monkeypatch.setattr(ingest_mod, "validate_subjects", failing_in_the_child(schema_mod.validate_subjects))
-    forks = _take_path(monkeypatch, "fork")
-    assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (0, 1)
-    # two children for each of the two ingests, the CLI's and ingest_file's,
-    # and each side job run again in the parent once per ingest; then the
-    # reference ingest_corpus validates once, in the parent
-    assert len(forks) == 2 * 2
-    assert ran == ["_is_canonical", "validate_subjects"] * 2 + ["validate_subjects"]
-
-
 def _open_fds():
     """The names of this process's open file descriptors, where /proc lists them."""
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.parametrize("trigger", ["one-cpu", "thread", "fork-fails"])
-def test_side_jobs_run_inline_where_a_fork_would_not_pay(tmp_path, capsys, monkeypatch, multifam_graph, trigger):
-    # with one CPU, with a second thread alive, or when the fork fails, each
-    # side job runs inline: no child, no pipe left open, and the output of
-    # the whole-graph ingest
-    forks = _take_path(monkeypatch, "fork" if trigger == "thread" else trigger)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if trigger == "thread":
-        thread.start()
-    text = serialize_ntriples(multifam_graph)
+def test_the_ingest_runs_in_one_process(tmp_path, capsys, monkeypatch, multifam_graph):
+    # no stage runs in a forked child: a merged ingest, one that parses the
+    # file first, and one of a malformed file from a missing directory each
+    # answer as the whole-graph ingest does and leave no descriptor open
+    def fork():
+        raise AssertionError("the ingest forked a child")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    lines = serialize_ntriples(multifam_graph).splitlines(keepends=True)
     fds = _open_fds()
-    try:
-        result = _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1")
-    finally:
-        stop.set()
-        if trigger == "thread":
-            thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert result == (0, 0)
-    assert forks == []
+    for name, text, parses in (("merged", "".join(lines), 0), ("parsed", "".join(reversed(lines)), 1)):
+        (tmp_path / name).mkdir()
+        assert _ingest_matches_reference(tmp_path / name, capsys, monkeypatch, text, FIXTURES / "table1") == (parses, 0)
+        assert _open_fds() == fds
+    text = "".join(lines[:7]) + "<a> <http://b> <http://c> .\n" + "".join(lines[7:])
+    graph = tmp_path / "malformed.nt"
+    graph.write_bytes(text.encode("utf-8"))
+    got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(tmp_path / "nowhere"))
+    assert got + (graph.read_bytes(),) == _reference_ingest(text, FIXTURES / "table1")
     assert _open_fds() == fds
 
 
 def test_a_file_that_is_not_canonical_is_checked_and_parsed_once(tmp_path, capsys, monkeypatch, multifam_graph):
-    # inline, so every call runs in this process and is counted: one
-    # canonical-line check, through either binding, and one parse
+    # one canonical-line check, through either binding, and one parse
     text = "".join(reversed(serialize_ntriples(multifam_graph).splitlines(keepends=True)))
     checks = []
     real_check = rdf_mod._is_canonical
@@ -1505,7 +1436,6 @@ def test_a_file_that_is_not_canonical_is_checked_and_parsed_once(tmp_path, capsy
 
     monkeypatch.setattr(rdf_mod, "_is_canonical", check)
     monkeypatch.setattr(ingest_mod, "_is_canonical", check)
-    _take_path(monkeypatch, "inline")
     assert _ingest_matches_reference(tmp_path, capsys, monkeypatch, text, FIXTURES / "table1") == (1, 0)
     # one check for each of the two ingests, the CLI's and ingest_file's
     assert len(checks) == 2
@@ -1790,11 +1720,6 @@ def test_merged_ingest_of_a_malformed_file_fails_as_the_parse_does(tmp_path, cap
     # the CLI printed this error, and the graph file is unchanged
     expected = _reference_ingest(text, FIXTURES / "table1")
     assert "line 8" in expected[2]
-    # the parse error comes before a failed fetch, though the canonical-line
-    # check ran beside the fetch
-    for path in ("fork", "inline"):
-        with monkeypatch.context() as m:
-            _take_path(m, path)
-            got = run(capsys, "--graph", str(tmp_path / "graph.nt"), "ingest", "--fixtures", str(tmp_path / "nowhere"))
-        assert got == expected[:3]
-        _assert_no_child_left()
+    # the parse error comes before a failed fetch
+    got = run(capsys, "--graph", str(tmp_path / "graph.nt"), "ingest", "--fixtures", str(tmp_path / "nowhere"))
+    assert got == expected[:3]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import requests
@@ -16,6 +17,7 @@ from andmalkg import (
     Literal,
     NetworkError,
     ReportParseError,
+    SelectorError,
     Triple,
     VendorVerdict,
     YaraRuleInfo,
@@ -489,6 +491,34 @@ def test_fixture_mode_missing_dir_raises(tmp_path):
         fetch_reports(FetchSelector.recent(10), FixtureSource(tmp_path / "absent"))
 
 
+@pytest.mark.parametrize("where", ["dot", "relative", "absolute"])
+def test_fixture_mode_names_and_orders_entries_as_a_pathlib_glob(tmp_path, monkeypatch, where):
+    # dot-files and directories match *.json, other cases do not, and each
+    # skipped entry is named by what reading path / name would say
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in (("b.json", record()), (".hidden.json", record(sha256_hash=SHA_B)), ("a.JSON", record())):
+        (corpus / name).write_text(json.dumps(text), encoding="utf-8")
+    (corpus / ".json").write_text("{}", encoding="utf-8")
+    (corpus / "bad.json").write_text("{oops", encoding="utf-8")
+    (corpus / "dir.json").mkdir()
+    (corpus / "dangling.json").symlink_to(tmp_path / "nowhere")
+    monkeypatch.chdir(corpus if where == "dot" else tmp_path)
+    path = {"dot": ".", "relative": "corpus/", "absolute": str(corpus)}[where]
+    expected = []
+    for fixture in sorted(Path(path).glob("*.json")):
+        try:
+            parse_report(fixture.read_text(encoding="utf-8"))
+        except (ReportParseError, InvalidReportError, OSError) as exc:
+            expected.append((fixture.name, str(exc)))
+    errors = []
+    reports = fetch_reports(FetchSelector.recent(100), FixtureSource(path), errors)
+    assert errors == expected
+    assert [name for name, _ in errors] == [".json", "bad.json", "dangling.json", "dir.json"]
+    assert errors[-1][1].endswith({"dot": "'dir.json'", "relative": "'corpus/dir.json'", "absolute": f"'{corpus}/dir.json'"}[where])
+    assert sorted(r.sha256 for r in reports) == [SHA_A, SHA_B]
+
+
 def test_empty_fixture_dir_yields_no_reports(tmp_path):
     assert fetch_reports(FetchSelector.recent(10), FixtureSource(tmp_path)) == []
 
@@ -500,6 +530,9 @@ def test_selector_filters():
         FetchSelector.recent(0)
     with pytest.raises(ValueError):
         FetchSelector.recent(1001)
+    # a usage error of its own, and still a ValueError
+    with pytest.raises(SelectorError, match="selector limit out of range"):
+        FetchSelector(None, 0)
 
 
 @pytest.mark.parametrize("signature", ["", " ", "\t\n"], ids=["empty", "space", "whitespace"])
