@@ -742,6 +742,29 @@ def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nt"]
 
 
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("not a usage error"), UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed")],
+    ids=["value-error", "unicode-error"],
+)
+def test_ingest_fault_that_is_a_value_error_is_raised_not_a_usage_error(tmp_path, capsys, monkeypatch, table1_graph, error):
+    # only a rejected selector is exit 2; any other ValueError inside the
+    # ingest is a fault, raised out of main with the graph file unchanged
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(ingest_mod, "_add_rows", fail)
+    graph = tmp_path / "graph.nt"
+    graph.write_text(serialize_ntriples(table1_graph), encoding="utf-8")
+    before = graph.read_bytes()
+    with pytest.raises(type(error)) as err:
+        main(["--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "multifam")])
+    assert err.value is error
+    assert capsys.readouterr() == ("", "")
+    assert graph.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.lock", "graph.nt"]
+
+
 def test_ingest_skips_each_malformed_report_and_ingests_the_rest(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
@@ -1400,6 +1423,33 @@ def test_colliding_labels_ingest_into_an_existing_graph_as_distinct_nodes(tmp_pa
 def _open_fds():
     """The names of this process's open file descriptors, where /proc lists them."""
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+INGEST_STAGES = (
+    "_read_lines", "_is_canonical", "fetch_reports", "parse_ntriples",
+    "load_subjects", "_add_rows", "validate_subjects", "_merged", "_replace_file",
+)
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "not-canonical"])
+def test_the_ingest_runs_each_stage_once_in_order(tmp_path, capsys, monkeypatch, multifam_graph, canonical):
+    # read and check, fetch, parse a file that is not canonical, load,
+    # add, validate, then merge and write: each once, one after another
+    lines = serialize_ntriples(multifam_graph).splitlines(keepends=True)
+    text = "".join(lines if canonical else reversed(lines))
+    expected = _reference_ingest(text, FIXTURES / "table1")
+    stages = []
+    for name in INGEST_STAGES:
+        def stage(*args, _name=name, _real=getattr(ingest_mod, name), **kwargs):
+            stages.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ingest_mod, name, stage)
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(text.encode("utf-8"))
+    got = run(capsys, "--graph", str(graph), "ingest", "--fixtures", str(FIXTURES / "table1"))
+    assert got + (graph.read_bytes(),) == expected
+    assert stages == [name for name in INGEST_STAGES if not canonical or name != "parse_ntriples"]
 
 
 def test_the_ingest_runs_in_one_process(tmp_path, capsys, monkeypatch, multifam_graph):

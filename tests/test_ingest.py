@@ -541,6 +541,36 @@ def test_selector_rejects_a_blank_signature(signature):
         FetchSelector.by_signature(signature)
 
 
+LIVE = LiveSource("https://api.example.org/v1/")
+
+
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda path: FetchSelector.recent(0), "selector limit out of range [1, 1000]: 0"),
+        (lambda path: FetchSelector.by_signature("Anubis", 1001), "selector limit out of range [1, 1000]: 1001"),
+        (lambda path: FetchSelector.by_signature(" \t"), "selector signature is blank: ' \\t'"),
+        (lambda path: ingest_mod._live_form(FetchSelector.recent(101)), "live recent limit out of range [1, 100]: 101"),
+        (lambda path: ingest_mod.ingest_file(path, FixtureSource(path), limit=-1), "selector limit out of range [1, 1000]: -1"),
+        (lambda path: ingest_mod.ingest_file(path, FixtureSource(path), ""), "selector signature is blank: ''"),
+        (lambda path: ingest_mod.ingest_file(path, LIVE, limit=101), "live recent limit out of range [1, 100]: 101"),
+    ],
+    ids=["limit-0", "limit-1001", "blank-signature", "live-form-101", "file-limit-minus-1", "file-blank", "file-live-101"],
+)
+def test_each_rejected_selector_raises_a_selector_error(tmp_path, monkeypatch, reject, message):
+    # a usage error of its own type, still a ValueError; ingest_file raises
+    # it before it sends a request or makes the graph file or its lock
+    def no_post(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(requests, "post", no_post)
+    with pytest.raises(SelectorError) as err:
+        reject(tmp_path / "graph.nt")
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fixture_selector_by_signature(manifest):
     from conftest import FIXTURES
 

@@ -515,6 +515,37 @@ def test_engine_matches_reference_on_random_cases():
         assert table_as_text(mine) == rows_as_text(header, rows)
 
 
+@pytest.mark.parametrize("free", ["subject", "object"])
+@pytest.mark.parametrize("k", [0, 1, 3], ids=["no-id", "one-id", "several-ids"])
+def test_a_first_step_with_one_free_position_reads_its_leaf_alone(monkeypatch, free, k):
+    # the constant pair is in the graph, with k ids in its leaf; the first
+    # step reads that leaf and calls no per-solution read or scan
+    e = "http://example.org/"
+    c, other = f"<{e}c>", f"<{e}other>"
+    p0, p1 = f"<{e}p0>", f"<{e}p1>"
+    ids = [f"<{e}x{i}>" for i in range(k)]
+    if free == "subject":
+        lines = [f"{x} {p0} {c} ." for x in ids] + [f"{other} {p0} <{e}o> .", f"{other} {p1} {c} ."]
+        pattern = TriplePattern(Var("x"), IRI(p0[1:-1]), IRI(c[1:-1]))
+    else:
+        lines = [f"{c} {p0} {x} ." for x in ids] + [f"{other} {p0} <{e}o> .", f"{c} {p1} {other} ."]
+        pattern = TriplePattern(IRI(c[1:-1]), IRI(p0[1:-1]), Var("x"))
+    lines += [f'{x} {p1} "v{i}" .' for i, x in enumerate(ids)]
+    graph = parse_ntriples("".join(line + "\n" for line in lines))
+    calls = []
+    for name in ("_leaf_read", "_map_read", "_entry_scan", "_scan"):
+        def spy(*args, _name=name, _real=getattr(query_mod, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(query_mod, name, spy)
+    one = assert_matches_reference(graph, QueryAST(select=[Var("x")], where=[pattern]))
+    assert len(one.rows) == k
+    assert calls == []
+    two = QueryAST(select=[Var("x"), Var("y")], where=[pattern, TriplePattern(Var("x"), IRI(p1[1:-1]), Var("y"))])
+    assert len(assert_matches_reference(graph, two).rows) == k
+
+
 def test_every_access_path_matches_reference_on_dense_and_sparse_graphs(monkeypatch):
     # the dense random graphs make most leaves sets; the sparse ones give
     # each (subject, predicate) one object at most, so the leaf read, the
