@@ -655,22 +655,52 @@ def _live_form(selector: FetchSelector) -> dict[str, str]:
     return {"query": "get_recent", "selector": str(_LIVE_RECENT_MAX)}
 
 
+# seconds a live request may wait to connect, and then for each read
+_LIVE_TIMEOUT = 30
+
+
 def _fetch_live(
     selector: FetchSelector, endpoint: str, errors: Optional[list[tuple[str, str]]]
 ) -> list[MalwareReport]:
     form = _live_form(selector)
-    # imported here, not at the top: only live fetches need it, and every
-    # CLI command would otherwise pay for the import
-    import requests
+    # imported here, not at the top: only live fetches need them, and every
+    # CLI command would otherwise pay for the imports
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
     try:
-        response = requests.post(endpoint, data=form, timeout=30)
-    except requests.RequestException as exc:
-        raise NetworkError(f"request to {endpoint} failed: {exc}") from exc
-    if response.status_code != 200:
-        raise ApiError(f"HTTP {response.status_code}", status=str(response.status_code))
+        # urllib would read a file: or data: URL itself
+        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValueError("not an http or https URL")
+        request = urllib.request.Request(endpoint, urllib.parse.urlencode(form).encode("ascii"))
+        # build_opener's handlers but those of ftp:, file: and data:, so a
+        # redirect cannot lead there either
+        opener = urllib.request.OpenerDirector()
+        for handler in (
+            urllib.request.ProxyHandler,
+            urllib.request.UnknownHandler,
+            urllib.request.HTTPHandler,
+            urllib.request.HTTPSHandler,
+            urllib.request.HTTPDefaultErrorHandler,
+            urllib.request.HTTPRedirectHandler,
+            urllib.request.HTTPErrorProcessor,
+        ):
+            opener.add_handler(handler())
+        with opener.open(request, timeout=_LIVE_TIMEOUT) as response:
+            if response.status != 200:
+                raise ApiError(f"HTTP {response.status}", status=str(response.status))
+            body = response.read()
+    except urllib.error.HTTPError as exc:  # a URLError, so caught first
+        exc.close()  # it holds the connection
+        raise ApiError(f"HTTP {exc.code}", status=str(exc.code)) from exc
+    # URLError and TimeoutError are OSErrors; a URL urllib cannot send raises ValueError
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+        raise NetworkError(f"request to {endpoint} failed: {reason}") from exc
     try:
-        payload = response.json()
+        payload = json.loads(body)  # which tells UTF-8, -16 and -32 apart
     except (ValueError, RecursionError) as exc:
         raise ApiError(f"non-JSON response: {exc}", status="bad-payload") from exc
     if not isinstance(payload, dict):

@@ -13,7 +13,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-import requests
 
 from andmalkg import (
     FetchSelector,
@@ -173,16 +172,39 @@ def test_ingest_warning_prints_once(tmp_path):
     assert "warning: bad.json" in proc.stderr
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # only `ingest --live` needs requests, so no command should pay for importing it
+_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from andmalkg.cli import main
+graph, fixtures, query = sys.argv[1:]
+runs = []
+for argv in (
+    ["ingest", "--fixtures", fixtures],
+    ["stats", "--by", "family"],
+    ["query", query],
+    ["validate"],
+    ["emit", "--format", "turtle"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["--graph", graph, *argv])
+    runs.append([argv[0], rc, [m for m in ("urllib.request", "http.client") if m in sys.modules]])
+print(json.dumps(runs))
+"""
+
+
+def test_cli_commands_leave_the_http_client_unloaded(tmp_path):
+    # only `ingest --live` sends a request, so no other command should pay
+    # for importing urllib.request or http.client
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, andmalkg.cli; print('requests' in sys.modules)"],
+        [sys.executable, "-c", _COMMANDS_SCRIPT,
+         str(tmp_path / "g.nt"), str(FIXTURES / "table1"), str(QUERIES / "use_case_6.rq")],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [
+        [command, 0, []] for command in ("ingest", "stats", "query", "validate", "emit")
+    ]
 
 
 @pytest.mark.parametrize("module", ["andmalkg", "andmalkg.cli"])
@@ -662,27 +684,9 @@ def test_corrupt_graph_file_fails_cleanly(tmp_path, capsys):
     assert "line 1" in err
 
 
-class FakeResponse:
-    status_code = 200
-
-    def __init__(self, payload):
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-
-def test_live_ingest_uses_endpoint_env(tmp_path, capsys, monkeypatch):
-    calls = []
-
-    def fake_post(url, data=None, timeout=None):
-        calls.append((url, dict(data)))
-        return FakeResponse(
-            {"query_status": "ok", "data": [{"sha256_hash": "e" * 64, "file_name": "e.apk"}]}
-        )
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setenv("AMKG_API_ENDPOINT", "https://mirror.example.test/api/")
+def test_live_ingest_uses_endpoint_env(tmp_path, capsys, monkeypatch, fake_api):
+    fake_api.answer({"query_status": "ok", "data": [{"sha256_hash": "e" * 64, "file_name": "e.apk"}]})
+    monkeypatch.setenv("AMKG_API_ENDPOINT", fake_api.url)
     rc, out, _ = run(
         capsys,
         "--graph", str(tmp_path / "g.nt"),
@@ -690,22 +694,42 @@ def test_live_ingest_uses_endpoint_env(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert "reports: 1" in out
-    url, form = calls[0]
-    assert url == "https://mirror.example.test/api/"
-    assert form == {"query": "get_siginfo", "signature": "Anubis", "limit": "7"}
+    assert fake_api.requests == [
+        ("/api/v1/", "application/x-www-form-urlencoded", b"query=get_siginfo&signature=Anubis&limit=7")
+    ]
 
 
-def test_live_ingest_api_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        requests,
-        "post",
-        lambda url, data=None, timeout=None: FakeResponse(
-            {"query_status": "http_post_expected", "data": []}
-        ),
-    )
+def test_live_ingest_api_error(tmp_path, capsys, monkeypatch, fake_api):
+    fake_api.answer({"query_status": "http_post_expected", "data": []})
+    monkeypatch.setenv("AMKG_API_ENDPOINT", fake_api.url)
     rc, _, err = run(capsys, "--graph", str(tmp_path / "g.nt"), "ingest", "--live")
     assert rc == 2
     assert "http_post_expected" in err
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        lambda tmp: (tmp / "api.json").as_uri(),
+        lambda tmp: 'data:application/json,{"query_status": "ok", "data": []}',
+        lambda tmp: "example.com/api",
+        lambda tmp: "",
+    ],
+    ids=["file", "data", "no-scheme", "empty"],
+)
+def test_live_ingest_sends_only_http_requests(tmp_path, capsys, monkeypatch, endpoint):
+    # a file: or data: URL is not read, even one that holds an answer the
+    # API could give, and an endpoint without a scheme is not guessed at
+    (tmp_path / "api.json").write_text('{"query_status": "ok", "data": []}', encoding="utf-8")
+    monkeypatch.setenv("AMKG_API_ENDPOINT", endpoint(tmp_path))
+    graph = tmp_path / "g.nt"
+    rc, out, err = run(capsys, "--graph", str(graph), "ingest", "--live", "--limit", "5")
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: request to ")
+    assert "Traceback" not in err
+    assert not graph.exists()
 
 
 SELECTOR_RANGE = "selector limit out of range [1, 1000]"
@@ -725,11 +749,8 @@ SELECTOR_RANGE = "selector limit out of range [1, 1000]"
     ],
     ids=["fixtures-0", "fixtures-minus-1", "fixtures-1001", "live-0", "live-101", "blank-signature"],
 )
-def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, source, option, value, message):
-    def no_post(*args, **kwargs):
-        raise AssertionError("a request was sent")
-
-    monkeypatch.setattr(requests, "post", no_post)
+def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatch, fake_api, source, option, value, message):
+    monkeypatch.setenv("AMKG_API_ENDPOINT", fake_api.url)
     old = tmp_path / "old.nt"
     old.write_text(f"<{ANDMAL}a> <{ANDMAL}b> <{ANDMAL}c> .\n", encoding="utf-8")
     before = old.read_bytes()
@@ -740,6 +761,7 @@ def test_ingest_limit_out_of_range_is_a_usage_error(tmp_path, capsys, monkeypatc
         assert err == f"error: {message}\n"
     assert old.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nt"]
+    assert fake_api.requests == []
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
+import socket
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
-import requests
 
 from andmalkg import (
     ApiError,
@@ -541,34 +543,28 @@ def test_selector_rejects_a_blank_signature(signature):
         FetchSelector.by_signature(signature)
 
 
-LIVE = LiveSource("https://api.example.org/v1/")
-
-
 @pytest.mark.parametrize(
     "reject, message",
     [
-        (lambda path: FetchSelector.recent(0), "selector limit out of range [1, 1000]: 0"),
-        (lambda path: FetchSelector.by_signature("Anubis", 1001), "selector limit out of range [1, 1000]: 1001"),
-        (lambda path: FetchSelector.by_signature(" \t"), "selector signature is blank: ' \\t'"),
-        (lambda path: ingest_mod._live_form(FetchSelector.recent(101)), "live recent limit out of range [1, 100]: 101"),
-        (lambda path: ingest_mod.ingest_file(path, FixtureSource(path), limit=-1), "selector limit out of range [1, 1000]: -1"),
-        (lambda path: ingest_mod.ingest_file(path, FixtureSource(path), ""), "selector signature is blank: ''"),
-        (lambda path: ingest_mod.ingest_file(path, LIVE, limit=101), "live recent limit out of range [1, 100]: 101"),
+        (lambda path, live: FetchSelector.recent(0), "selector limit out of range [1, 1000]: 0"),
+        (lambda path, live: FetchSelector.by_signature("Anubis", 1001), "selector limit out of range [1, 1000]: 1001"),
+        (lambda path, live: FetchSelector.by_signature(" \t"), "selector signature is blank: ' \\t'"),
+        (lambda path, live: ingest_mod._live_form(FetchSelector.recent(101)), "live recent limit out of range [1, 100]: 101"),
+        (lambda path, live: ingest_mod.ingest_file(path, FixtureSource(path), limit=-1), "selector limit out of range [1, 1000]: -1"),
+        (lambda path, live: ingest_mod.ingest_file(path, FixtureSource(path), ""), "selector signature is blank: ''"),
+        (lambda path, live: ingest_mod.ingest_file(path, live, limit=101), "live recent limit out of range [1, 100]: 101"),
     ],
     ids=["limit-0", "limit-1001", "blank-signature", "live-form-101", "file-limit-minus-1", "file-blank", "file-live-101"],
 )
-def test_each_rejected_selector_raises_a_selector_error(tmp_path, monkeypatch, reject, message):
+def test_each_rejected_selector_raises_a_selector_error(tmp_path, fake_api, reject, message):
     # a usage error of its own type, still a ValueError; ingest_file raises
     # it before it sends a request or makes the graph file or its lock
-    def no_post(*args, **kwargs):
-        raise AssertionError("a request was sent")
-
-    monkeypatch.setattr(requests, "post", no_post)
     with pytest.raises(SelectorError) as err:
-        reject(tmp_path / "graph.nt")
+        reject(tmp_path / "graph.nt", LiveSource(fake_api.url))
     assert isinstance(err.value, ValueError)
     assert str(err.value) == message
     assert list(tmp_path.iterdir()) == []
+    assert fake_api.requests == []
 
 
 def test_fixture_selector_by_signature(manifest):
@@ -599,105 +595,121 @@ def test_fixture_selector_recent_caps_and_orders(tmp_path, selector):
     assert [r.sha256 for r in reports] == [SHA_C, SHA_B]  # newest first
 
 
-class FakeResponse:
-    def __init__(self, payload, status_code=200):
-        self._payload = payload
-        self.status_code = status_code
-
-    def json(self):
-        if isinstance(self._payload, str):  # a body, decoded as requests decodes it
-            return json.loads(self._payload)
-        return self._payload
+FORM = "application/x-www-form-urlencoded"
 
 
-def test_live_mode_posts_form_and_maps_records(monkeypatch):
-    calls = []
-
-    def fake_post(url, data=None, timeout=None):
-        calls.append((url, data))
-        return FakeResponse({"query_status": "ok", "data": [record(), record(sha256_hash=SHA_B, file_name="b.apk")]})
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    reports = fetch_reports(
-        FetchSelector.by_signature("Anubis", 50), LiveSource("https://api.example.org/v1/")
-    )
-    assert len(reports) == 2
-    url, form = calls[0]
-    assert url == "https://api.example.org/v1/"
-    assert form == {"query": "get_siginfo", "signature": "Anubis", "limit": "50"}
+def test_live_mode_posts_form_and_maps_records(fake_api):
+    fake_api.answer({"query_status": "ok", "data": [record(), record(sha256_hash=SHA_B, file_name="b.apk")]})
+    reports = fetch_reports(FetchSelector.by_signature("Anubis", 50), LiveSource(fake_api.url))
+    assert [r.sha256 for r in reports] == [SHA_A, SHA_B]
+    assert fake_api.requests == [("/api/v1/", FORM, b"query=get_siginfo&signature=Anubis&limit=50")]
 
 
-def test_live_mode_bad_status_raises(monkeypatch):
-    monkeypatch.setattr(
-        requests,
-        "post",
-        lambda url, data=None, timeout=None: FakeResponse({"query_status": "no_results", "data": []}),
-    )
+def test_live_mode_bad_status_raises(fake_api):
+    fake_api.answer({"query_status": "no_results", "data": []})
     with pytest.raises(ApiError) as err:
-        fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
+        fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url))
     assert err.value.status == "no_results"
 
 
-def test_live_mode_network_failure_raises(monkeypatch):
-    def boom(url, data=None, timeout=None):
-        raise requests.ConnectionError("refused")
-
-    monkeypatch.setattr(requests, "post", boom)
-    with pytest.raises(NetworkError):
-        fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
+def test_live_mode_network_failure_raises():
+    # a bound port that does not listen refuses the connection
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        endpoint = f"http://127.0.0.1:{closed.getsockname()[1]}/"
+        with pytest.raises(NetworkError, match=f"^request to {re.escape(endpoint)} failed: "):
+            fetch_reports(FetchSelector.recent(5), LiveSource(endpoint))
 
 
 @pytest.mark.parametrize(
-    "response, status",
-    [
-        (FakeResponse({"query_status": "ok", "data": []}, status_code=503), "503"),
-        (FakeResponse("<html>busy</html>"), "bad-payload"),
-        (FakeResponse("[" * 100000 + "]" * 100000), "bad-payload"),
-        (FakeResponse({"query_status": "ok"}), "bad-payload"),
-        (FakeResponse({"query_status": "ok", "data": {"sha256_hash": SHA_A}}), "bad-payload"),
-        (FakeResponse("[]"), "bad-payload"),
-        (FakeResponse("1"), "bad-payload"),
-        (FakeResponse("null"), "bad-payload"),
-    ],
-    ids=["http-503", "not-json", "too-deep", "no-data", "data-not-a-list", "array", "number", "null"],
+    "endpoint",
+    ["http://[::1/", "http://127.0.0.1:9/é", "http://127.0.0.1:x/"],
+    ids=["bad-ipv6", "non-ascii", "bad-port"],
 )
-def test_live_mode_bad_response_raises(monkeypatch, response, status):
-    monkeypatch.setattr(requests, "post", lambda url, data=None, timeout=None: response)
+def test_live_mode_unsendable_url_raises(endpoint):
+    # urllib raises ValueError or http.client.InvalidURL for these
+    with pytest.raises(NetworkError, match=f"^request to {re.escape(endpoint)} failed: "):
+        fetch_reports(FetchSelector.recent(5), LiveSource(endpoint))
+
+
+def test_live_mode_timeout_raises(fake_api, monkeypatch):
+    monkeypatch.setattr(ingest_mod, "_LIVE_TIMEOUT", 0.2)
+    fake_api.hold = True
+    start = time.monotonic()
+    with pytest.raises(NetworkError, match=f"^request to {re.escape(fake_api.url)} failed: "):
+        fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url))
+    assert time.monotonic() - start < 2
+    assert len(fake_api.requests) == 1
+
+
+def test_live_mode_follows_no_redirect_to_ftp(fake_api, monkeypatch):
+    # urllib's standard opener would follow it and connect
+    monkeypatch.setattr(ingest_mod, "_LIVE_TIMEOUT", 0.5)
+    with socket.socket() as ftp:
+        ftp.bind(("127.0.0.1", 0))
+        ftp.listen()
+        ftp.setblocking(False)
+        fake_api.location = f"ftp://127.0.0.1:{ftp.getsockname()[1]}/reports"
+        fake_api.answer(b"", status=302)
+        with pytest.raises(NetworkError, match=f"^request to {re.escape(fake_api.url)} failed: "):
+            fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url))
+        with pytest.raises(BlockingIOError):
+            ftp.accept()
+
+
+@pytest.mark.parametrize(
+    "body, code, status",
+    [
+        ({"query_status": "ok", "data": []}, 503, "503"),
+        ({"query_status": "ok", "data": []}, 201, "201"),
+        # a POST is not sent again to the Location of a 307
+        ({"query_status": "ok", "data": []}, 307, "307"),
+        ("<html>busy</html>", 200, "bad-payload"),
+        ("[" * 100000 + "]" * 100000, 200, "bad-payload"),
+        (b'{"query_status": "\xff"}', 200, "bad-payload"),
+        ({"query_status": "ok"}, 200, "bad-payload"),
+        ({"query_status": "ok", "data": {"sha256_hash": SHA_A}}, 200, "bad-payload"),
+        ("[]", 200, "bad-payload"),
+        ("1", 200, "bad-payload"),
+        ("null", 200, "bad-payload"),
+    ],
+    ids=["http-503", "http-201", "http-307", "not-json", "too-deep", "not-unicode", "no-data", "data-not-a-list", "array", "number", "null"],
+)
+def test_live_mode_bad_response_raises(fake_api, body, code, status):
+    fake_api.answer(body, status=code)
     with pytest.raises(ApiError) as err:
-        fetch_reports(FetchSelector.recent(5), LiveSource("https://api.example.org/v1/"))
+        fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url))
     assert err.value.status == status
+    assert len(fake_api.requests) == 1
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16-le", "utf-32"])
+def test_live_mode_decodes_each_json_encoding(fake_api, encoding):
+    fake_api.answer(json.dumps({"query_status": "ok", "data": [record(file_name="é.apk")]}).encode(encoding))
+    reports = fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url))
+    assert [r.file_name for r in reports] == ["é.apk"]
 
 
 @pytest.mark.parametrize(
     "selector, form",
     [
-        (FetchSelector.recent(100), {"query": "get_recent", "selector": "100"}),
-        (FetchSelector.recent(3), {"query": "get_recent", "selector": "100"}),
-        (FetchSelector.by_signature("Anubis", 500), {"query": "get_siginfo", "signature": "Anubis", "limit": "500"}),
+        (FetchSelector.recent(100), b"query=get_recent&selector=100"),
+        (FetchSelector.recent(3), b"query=get_recent&selector=100"),
+        (FetchSelector.by_signature("Anubis", 500), b"query=get_siginfo&signature=Anubis&limit=500"),
     ],
     ids=["recent-100", "recent-3", "signature-500"],
 )
-def test_live_mode_form_per_selector(monkeypatch, selector, form):
-    records = [record(sha256_hash=f"{i:064x}") for i in range(120)]
-    calls = []
-
-    def fake_post(url, data=None, timeout=None):
-        calls.append(data)
-        return FakeResponse({"query_status": "ok", "data": records})
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    reports = fetch_reports(selector, LiveSource("https://api.example.org/v1/"))
-    assert calls == [form]
-    assert len(reports) == min(selector.limit, len(records))
+def test_live_mode_form_per_selector(fake_api, selector, form):
+    fake_api.answer({"query_status": "ok", "data": [record(sha256_hash=f"{i:064x}") for i in range(120)]})
+    reports = fetch_reports(selector, LiveSource(fake_api.url))
+    assert fake_api.requests == [("/api/v1/", FORM, form)]
+    assert len(reports) == min(selector.limit, 120)
 
 
-def test_live_recent_beyond_what_the_api_returns_raises_before_sending(monkeypatch):
-    def no_post(*args, **kwargs):
-        raise AssertionError("a request was sent")
-
-    monkeypatch.setattr(requests, "post", no_post)
+def test_live_recent_beyond_what_the_api_returns_raises_before_sending(fake_api):
     with pytest.raises(ValueError, match=r"^live recent limit out of range \[1, 100\]: 101$"):
-        fetch_reports(FetchSelector.recent(101), LiveSource("https://api.example.org/v1/"))
+        fetch_reports(FetchSelector.recent(101), LiveSource(fake_api.url))
+    assert fake_api.requests == []
 
 
 def test_fetch_selection_rules():
@@ -707,29 +719,23 @@ def test_fetch_selection_rules():
         fetch_reports(FetchSelector.recent(), FIXTURES / "table1")
 
 
-def test_live_mode_skips_bad_records(monkeypatch):
-    payload = {"query_status": "ok", "data": [record(), {"file_name": "nosha.apk"}]}
-    monkeypatch.setattr(
-        requests, "post", lambda url, data=None, timeout=None: FakeResponse(payload)
-    )
+def test_live_mode_skips_bad_records(fake_api):
+    fake_api.answer({"query_status": "ok", "data": [record(), {"file_name": "nosha.apk"}]})
     errors = []
-    reports = fetch_reports(FetchSelector.recent(5), LiveSource("https://x.example/"), errors)
+    reports = fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url), errors)
     assert len(reports) == 1
     assert len(errors) == 1
 
 
-def test_live_mode_skips_records_that_fail_past_the_json_decoder(monkeypatch):
+def test_live_mode_skips_records_that_fail_past_the_json_decoder(fake_api):
     bad = [
         record(sha256_hash=SHA_B, first_seen="0001-01-01 00:00:00+01:00"),
         record(sha256_hash=SHA_B, file_size="²"),
         record(sha256_hash=SHA_B, file_size="9" * 5000),
     ]
-    payload = {"query_status": "ok", "data": [*bad, record()]}
-    monkeypatch.setattr(
-        requests, "post", lambda url, data=None, timeout=None: FakeResponse(payload)
-    )
+    fake_api.answer({"query_status": "ok", "data": [*bad, record()]})
     errors = []
-    reports = fetch_reports(FetchSelector.recent(5), LiveSource("https://x.example/"), errors)
+    reports = fetch_reports(FetchSelector.recent(5), LiveSource(fake_api.url), errors)
     assert [r.sha256 for r in reports] == [SHA_A]
     assert [name for name, _ in errors] == ["record 0", "record 1", "record 2"]
 
