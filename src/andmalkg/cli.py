@@ -14,9 +14,11 @@ network or usage failure.
 
 A read command (query, stats, validate, emit) that has to parse the file
 leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
-read commands load instead while it matches the file's bytes (see
-rdf.load_snapshot).  The snapshot is a cache: deleting it is always safe.
-ingest neither reads nor writes one.
+read commands load instead while it matches the file: while the file's
+stat stamp is the one the snapshot records and older than it, without
+reading the file, else while the file's bytes hash to its key (see
+rdf.stamped_key and rdf.load_snapshot).  The snapshot is a cache:
+deleting it is always safe.  ingest neither reads nor writes one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 from .errors import AndMalKgError, ApiError, NetworkError, SelectorError
 from .ns import RDF_TYPE, andmal, malont
 from .rdf import IRI, Graph, _collector_paused, _decoded, _replace_file, dump_snapshot, load_snapshot
-from .rdf import parse_ntriples, serialize_ntriples, serialize_turtle, snapshot_key
+from .rdf import parse_ntriples, serialize_ntriples, serialize_turtle, snapshot_key, stamped_key
 
 # ingest, query and schema are imported inside the commands that run them,
 # so no command loads or compiles a module it does not use.
@@ -44,7 +46,7 @@ def _snapshot_path(path: Path) -> Path:
 
 def _load_graph(path: Path) -> Graph:
     """The graph in the N-Triples file at path, loaded from the snapshot
-    beside it when one matches the file's bytes, else parsed and a snapshot
+    beside it when one matches the file, else parsed and a snapshot
     written."""
     # The graph lives until the command ends and holds no reference cycle,
     # so no collection need walk it: freeze it before the collector runs
@@ -56,17 +58,21 @@ def _load_graph(path: Path) -> Graph:
 
 
 def _load_keyed(path: Path, snapshot: Path) -> Graph:
-    """The graph at path from a matching snapshot, else parsed.  The file
-    is hashed in chunks to check the snapshot's key and read whole only
-    for a parse, so a load never holds its bytes.  After a parse the
-    snapshot is written, best effort, when it could be loaded later: a
-    snapshot is loaded only when the graph file's owner owns it too, so
-    no one can plant one who could not also rewrite the graph."""
+    """The graph at path from a matching snapshot, else parsed.  A snapshot
+    that records the stamp of the file's fstat, and a stamp older than the
+    snapshot (rdf.stamped_key), loads without the file being read.  For any
+    other, the file is hashed in chunks to check the snapshot's key, so a
+    load never holds its bytes; the file is read whole only for a parse.
+    After a parse the snapshot is written, best effort, under the key of
+    the bytes parsed and the stamp of the fstat taken before they were
+    read, when it could be loaded later: a snapshot is loaded only when the
+    graph file's owner owns it too, so no one can plant one who could not
+    also rewrite the graph."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
-        data = _read_owned(snapshot, info.st_uid)
+        data, written = _read_owned(snapshot, info.st_uid)
         if data is not None:
-            graph = load_snapshot(data, snapshot_key(f))
+            graph = load_snapshot(data, stamped_key(data, info, written) or snapshot_key(f))
             del data
             if graph is not None:
                 return graph
@@ -82,22 +88,23 @@ def _load_keyed(path: Path, snapshot: Path) -> Graph:
     # where there are no uids (Windows), st_uid reads 0 for every file
     if info.st_uid == getattr(os, "geteuid", lambda: 0)():
         try:
-            _replace_file(snapshot, (dump_snapshot(graph, key),), stat.S_IMODE(info.st_mode))
+            _replace_file(snapshot, (dump_snapshot(graph, key, info),), stat.S_IMODE(info.st_mode))
         except OSError:
             pass
     return graph
 
 
-def _read_owned(path: Path, owner: int) -> Optional[bytes]:
-    """The bytes of the regular file at path when owner owns it, else None."""
+def _read_owned(path: Path, owner: int) -> tuple[Optional[bytes], int]:
+    """The bytes and the mtime in nanoseconds of the regular file at path
+    when owner owns it, else (None, 0)."""
     try:
         with open(path, "rb") as f:
             info = os.fstat(f.fileno())
             if not stat.S_ISREG(info.st_mode) or info.st_uid != owner:
-                return None
-            return f.read()
+                return None, 0
+            return f.read(), info.st_mtime_ns
     except OSError:
-        return None
+        return None, 0
 
 
 def _cmd_ingest(args) -> int:

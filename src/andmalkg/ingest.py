@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError, SelectorError
 from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
 from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term, _sha256
-from .rdf import _decoded, _is_canonical, _ntriples_lines, _replace_file, load_subjects, parse_ntriples
+from .rdf import _decoded, _is_canonical, _named, _ntriples_lines, _replace_file, load_subjects, parse_ntriples
 from .rdf import _literal_token as _literal
 from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
 from .schema import _DATE, _TIME, _ZONE
@@ -802,13 +802,17 @@ def _locked(path: Path) -> Iterator[None]:
     sidecar file .NAME.lock beside it, created if missing and never
     deleted.  The graph file is not locked itself, because each write
     renames a new inode over it.  Where there is no fcntl (Windows), the
-    lock file is made but nothing is locked."""
+    lock file is made but nothing is locked.  An OSError names path, not
+    the lock file."""
     try:
         import fcntl
     except ImportError:
         fcntl = None
     flags = os.O_RDONLY | os.O_CREAT | getattr(os, "O_NOFOLLOW", 0)
-    fd = os.open(path.with_name(f".{path.name}.lock"), flags, 0o666)
+    try:
+        fd = os.open(path.with_name(f".{path.name}.lock"), flags, 0o666)
+    except OSError as exc:
+        raise _named(exc, path) from exc
     try:
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)

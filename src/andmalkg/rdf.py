@@ -50,14 +50,18 @@ parse's error at the parse's line.  load_subjects finds, by bisection on
 "TOKEN ", the lines of some subjects and the rdf:type lines of their
 objects, and loads only those.
 
-dump_snapshot and load_snapshot own the snapshot format: the marshalled
-state parse_ntriples builds (_tokens, _ids with its aliases, the triple
-count, _spo, _pos) under a header keyed on the SHA-256 of the
-N-Triples bytes it was parsed from (snapshot_key), so only this module
-knows what the key hashes.  Loading one is several times faster than the
-parse and yields an equal graph with the same ids; a snapshot that does
-not match its key, its payload digest or its shape loads nothing, and the
-caller parses instead.  Where a snapshot file lives is the CLI's concern.
+dump_snapshot, stamped_key and load_snapshot own the snapshot format:
+the marshalled state parse_ntriples builds (_tokens, _ids with its
+aliases, the triple count, _spo, _pos) under a header that records the
+SHA-256 of the N-Triples bytes it was parsed from (snapshot_key, the key),
+the stat stamp of their file (_stamp) and the payload's CRC-32, so only
+this module knows what the key hashes, what the stamp holds and when it
+is trusted.  stamped_key gives the recorded key without a hash when the
+file's stamp is unchanged and older than the snapshot; else the caller
+hashes the file.  Loading a snapshot is several times faster than the
+parse and yields an equal graph with the same ids; one that does not
+match its key, its CRC or its shape loads nothing, and the caller parses
+instead.  Where a snapshot file lives is the CLI's concern.
 
 _decoded and _replace_file, which read and write every command's files,
 live here because read commands import neither ingest nor schema.
@@ -74,6 +78,7 @@ import os
 import re
 import stat
 import sys
+import zlib
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
@@ -709,11 +714,12 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
 # A snapshot is one ASCII header line, then the payload: the marshalled
 # state parse_ntriples builds.  The header names the format, the marshal
 # version and the interpreter, because marshal data is only promised to
-# load where it was written, then the SHA-256 of the N-Triples bytes the
-# graph was parsed from (the key) and that of the payload.  The format
-# number, 3, changes whenever the payload's layout does.
+# load where it was written; then the SHA-256 of the N-Triples bytes the
+# graph was parsed from (the key), the stat stamp of the file they were
+# read from (_stamp) and the CRC-32 of the payload.  The format number, 4,
+# changes whenever the header's or the payload's layout does.
 _SNAPSHOT_TAG = (
-    f"andmalkg-snapshot 3 marshal {marshal.version} "
+    f"andmalkg-snapshot 4 marshal {marshal.version} "
     f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
 )
 _SNAPSHOT_SHAPE = (list, dict, int, dict, dict)
@@ -721,9 +727,10 @@ _SNAPSHOT_SHAPE = (list, dict, int, dict, dict)
 
 def _sha256(data) -> bytes:
     # hashlib loads OpenSSL, about 4 MB of resident memory, so it is
-    # imported only when a snapshot is used or a label is minted with a
-    # digest (ingest._label_key): an ingest of labels that are all their
-    # own slugs never pays for it
+    # imported only when a snapshot's key is hashed or a label is minted
+    # with a digest (ingest._label_key): a snapshot load the stamp vouches
+    # for, and an ingest of labels that are all their own slugs, never pay
+    # for it
     import hashlib
 
     return hashlib.sha256(data).digest()
@@ -744,33 +751,87 @@ def snapshot_key(source: Union[bytes, BinaryIO]) -> bytes:
     return digest.digest()
 
 
-def _snapshot_prefix(key: bytes) -> bytes:
-    return f"{_SNAPSHOT_TAG} {key.hex()} ".encode("ascii")
+def _stamp(info: os.stat_result) -> str:
+    """The stat stamp of a graph file: its device, inode, size, and
+    modification and status-change times in nanoseconds.  A rename over the
+    file gives it another inode, and every write, chmod or utime moves its
+    ctime, which no call sets back."""
+    return f"{info.st_dev}:{info.st_ino}:{info.st_size}:{info.st_mtime_ns}:{info.st_ctime_ns}"
 
 
-def dump_snapshot(graph: Graph, key: bytes) -> bytes:
+def _snapshot_header(data: bytes) -> list[bytes]:
+    """The fields after the tag of a snapshot header in this format: the
+    key in hex, the stamp and the payload's CRC-32 in hex; [] when data
+    does not start with such a header line."""
+    tag = f"{_SNAPSHOT_TAG} ".encode("ascii")
+    end = data.find(b"\n", len(tag), len(tag) + 256)
+    if end < 0 or not data.startswith(tag):
+        return []
+    fields = data[len(tag) : end].split(b" ")
+    return fields if len(fields) == 3 else []
+
+
+def dump_snapshot(graph: Graph, key: bytes, info: os.stat_result) -> bytes:
     """A snapshot of graph under key, the snapshot_key of the N-Triples
-    bytes it was parsed from: load_snapshot turns it back into an equal
-    graph, with the same tokens, aliases and ids, far faster than a parse.
+    bytes it was parsed from, and the stamp of info, the os.fstat of their
+    file taken before they were read: load_snapshot turns it back into an
+    equal graph, with the same tokens, aliases and ids, far faster than a
+    parse.
     """
     payload = marshal.dumps((graph._tokens, graph._ids, graph._size, graph._spo, graph._pos))
-    return _snapshot_prefix(key) + _sha256(payload).hex().encode("ascii") + b"\n" + payload
+    header = f"{_SNAPSHOT_TAG} {key.hex()} {_stamp(info)} {zlib.crc32(payload):08x}\n"
+    return header.encode("ascii") + payload
+
+
+def stamped_key(data: bytes, info: os.stat_result, written_ns: int) -> Optional[bytes]:
+    """The key snapshot data records, when the stamp it records is that of
+    info, the graph file's fstat now, and the stamp is trusted: the file's
+    mtime and ctime are both older than written_ns, the snapshot file's
+    mtime.  Then the file holds the bytes the snapshot was parsed from, and
+    they need not be read or hashed.  Else None: the caller hashes the file.
+
+    The rule is git's for racily clean index entries.  The stamp is taken
+    before the parse reads the file, and the snapshot is written after it.
+    A rename over the file gives it another inode.  A write in place moves
+    the file's mtime and ctime to the clock's time then: past the stamp's,
+    unless the clock has not ticked since the file's previous change, and
+    no earlier than written_ns for a write after the snapshot's, so a stamp
+    no older than the snapshot is not trusted.  One case is left open: a
+    same-size write in place, landing after the parse read the file but
+    within the clock tick of the file's previous change, with the snapshot
+    written in a later tick.  Nothing this package writes is in place
+    (ingest and emit rename a new file over the old one), and a file system
+    clock ticks every few milliseconds at most, so it takes two same-size
+    writes by hand within one tick, around a parse; git takes the same risk.
+    Where st_ctime is the creation time (Windows), an in-place edit that
+    puts the mtime back keeps the stamp as well.
+    """
+    fields = _snapshot_header(data)
+    if (
+        fields
+        and fields[1] == _stamp(info).encode("ascii")
+        and info.st_mtime_ns < written_ns
+        and info.st_ctime_ns < written_ns
+    ):
+        with suppress(ValueError):
+            return bytes.fromhex(fields[0].decode("ascii"))
+    return None
 
 
 def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     """The graph a dump_snapshot output holds, or None unless its header
     matches this format, marshal version and interpreter and key, and its
-    payload matches its digest and has the expected shape.
+    payload matches its CRC-32 and has the expected shape.
 
+    The CRC catches a torn, truncated or damaged payload, not a forged one.
     marshal is not safe against crafted input: load only a snapshot that
     no one could write who could not also rewrite the N-Triples file.
     """
-    prefix = _snapshot_prefix(key)
-    start = len(prefix) + 65  # the payload digest in hex, then a newline
-    if not data.startswith(prefix):
+    fields = _snapshot_header(data)
+    if not fields or fields[0] != key.hex().encode("ascii"):
         return None
-    payload = memoryview(data)[start:]
-    if _sha256(payload).hex().encode("ascii") != data[len(prefix) : start - 1]:
+    payload = memoryview(data)[data.index(b"\n") + 1 :]
+    if f"{zlib.crc32(payload):08x}".encode("ascii") != fields[2]:
         return None
     try:
         state = marshal.loads(payload)
@@ -781,7 +842,6 @@ def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
     graph = Graph()
     graph._tokens, graph._ids, graph._size, graph._spo, graph._pos = state
     return graph
-
 
 
 def _decoded(path, source: bytes) -> str:
@@ -795,6 +855,13 @@ def _decoded(path, source: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _named(exc: OSError, path: Path) -> OSError:
+    """exc, naming the file at path in place of the temporary or sidecar
+    file the failed call was given: the user named path, and the other
+    name changes from run to run."""
+    return OSError(exc.errno, exc.strerror, os.fspath(path))
+
+
 def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = None, durable: bool = False) -> None:
     """Replace the file at path with the chunks, written in turn,
     atomically: when a write fails or the process dies part-way, the old
@@ -803,16 +870,20 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
     there is none.  It is never more readable than that while it is
     written.  The temporary file gets a random name and is created afresh
     (O_EXCL), so a link planted under its name is never followed, and one
-    left by a killed process never blocks a later write.  A durable
-    replace also survives a power loss: the new bytes reach the disk
-    (fsync) before the rename, and the directory is flushed after it,
-    except where a directory cannot be opened (Windows)."""
+    left by a killed process never blocks a later write; an OSError names
+    path, not the temporary file.  A durable replace also survives a power
+    loss: the new bytes reach the disk (fsync) before the rename, and the
+    directory is flushed after it, except where a directory cannot be
+    opened (Windows)."""
     if mode is None:
         with suppress(FileNotFoundError):
             mode = stat.S_IMODE(path.stat().st_mode)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
+    try:
+        fd = os.open(tmp, flags, 0o666 if mode is None else 0o600)
+    except OSError as exc:
+        raise _named(exc, path) from exc
     try:
         with open(fd, "wb") as f:
             for chunk in chunks:
@@ -823,8 +894,10 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _named(exc, path) from exc
         raise
     if not durable:
         return
@@ -836,6 +909,7 @@ def _replace_file(path: Path, chunks: Iterable[bytes], mode: Optional[int] = Non
         os.fsync(fd)
     finally:
         os.close(fd)
+
 
 def _turtle_name(prefixes: dict[str, str]):
     """The function writing an IRI in Turtle: prefix:local under the longest
@@ -864,16 +938,14 @@ def serialize_turtle(graph: Graph) -> str:
     by_token = tokens.__getitem__
 
     iri_text = _turtle_name(PREFIXES)
-
-    def term_text(i: int) -> str:
-        token = tokens[i]
-        return iri_text(token[1:-1]) if token[0] == "<" else token
-
-    # each term's text, rendered once per role: as a subject or an object,
-    # and as a verb (a predicate is always an IRI, and 'a', the rdf:type
-    # shorthand, is legal only as a predicate)
-    term = _Memo(term_text)
-    verb = _Memo(lambda i: "a" if tokens[i] == _TYPE_TOKEN else iri_text(tokens[i][1:-1]))
+    # each term's text as a subject or an object, and each predicate's as a
+    # verb: the same IRI text, but 'a' for rdf:type, a shorthand legal only
+    # as a predicate
+    term = [iri_text(token[1:-1]) if token[0] == "<" else token for token in tokens]
+    verb = {p: term[p] for p in graph._pos}
+    rdf_type = graph._ids.get(_TYPE_TOKEN)
+    if rdf_type in verb:
+        verb[rdf_type] = "a"
     out = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(PREFIXES.items())]
     body: list[str] = []
     for s in sorted(spo, key=by_token):

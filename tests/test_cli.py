@@ -254,9 +254,11 @@ def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
 
 # Runs the CLI on argv[2:] in a fresh interpreter, then writes the names of
 # all modules it imported to stderr, after a "modules:" line.  With argv[1]
-# "snapshot", a parse of the graph file fails the run.
+# "snapshot", a parse of the graph file or an import of hashlib fails the run.
 _IMPORTS_SCRIPT = """
 import sys
+if sys.argv[1] == "snapshot":
+    sys.modules["hashlib"] = None
 import andmalkg.cli as cli
 if sys.argv[1] == "snapshot":
     def parse(text):
@@ -306,6 +308,9 @@ def test_read_command_imports_only_what_it_runs(tmp_path, capsys, command):
     assert not snapshot.exists()
     parsed = _run_with_imports(graph, "parse", [command, *extra])
     assert snapshot.exists()
+    assert "hashlib" in parsed[2]
+    # a snapshot the stamp vouches for loads without hashing the graph file
+    _trust(graph, snapshot)
     loaded = _run_with_imports(graph, "snapshot", [command, *extra])
     assert parsed[:2] == loaded[:2]
     assert parsed[0] == 0 and parsed[1]
@@ -821,6 +826,25 @@ def _no_parse(text):
     raise AssertionError("parsed the graph file instead of loading its snapshot")
 
 
+def _trust(graph, snapshot):
+    # the snapshot written a second after the graph file's last change, so
+    # the stamp it records is trusted
+    info = graph.stat()
+    written = max(info.st_mtime_ns, info.st_ctime_ns) + 10**9
+    os.utime(snapshot, ns=(written, written))
+
+
+def _changed(path, change, ctime):
+    """Apply change to path until path's ctime is no longer ctime: a change
+    within the file system clock's tick of the one before it keeps it."""
+    for _ in range(1000):
+        change()
+        if path.stat().st_ctime_ns != ctime:
+            return
+        time.sleep(0.001)
+    raise AssertionError(f"the ctime of {path} did not move")
+
+
 def _no_whole_file_parse(arg):
     raise AssertionError("ingest parsed or serialized the whole canonical graph file")
 
@@ -833,6 +857,16 @@ class ParseCounter:
     def __call__(self, text):
         self.calls += 1
         return parse_ntriples(text)
+
+
+class HashCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(cli_mod, "snapshot_key", self)
+
+    def __call__(self, source):
+        self.calls += 1
+        return rdf_mod.snapshot_key(source)
 
 
 READ_COMMANDS = [
@@ -921,7 +955,7 @@ def _junk(graph, snapshot):
 
 def _write_old_format(graph, snapshot, number, state):
     # a snapshot as format number wrote it, keyed on this graph file
-    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 3 ", f"andmalkg-snapshot {number} ")
+    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 4 ", f"andmalkg-snapshot {number} ")
     assert tag != rdf_mod._SNAPSHOT_TAG
     payload = marshal.dumps(state)
     key = hashlib.sha256(graph.read_bytes()).hexdigest()
@@ -950,12 +984,18 @@ def _format_2(graph, snapshot):
     _write_old_format(graph, snapshot, 2, (g._tokens, g._ids, len(g), g._spo, g._pos, osp))
 
 
+def _format_3(graph, snapshot):
+    # this format's payload, under a header with no stamp and the payload's SHA-256
+    g = parse_ntriples(graph.read_text(encoding="utf-8"))
+    _write_old_format(graph, snapshot, 3, (g._tokens, g._ids, len(g), g._spo, g._pos))
+
+
 @pytest.mark.parametrize(
     "damage",
     [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk,
-     _format_1, _format_2],
+     _format_1, _format_2, _format_3],
     ids=["stale", "flipped-byte", "truncated", "foreign-format", "foreign-marshal",
-         "foreign-python", "junk", "format-1", "format-2"],
+         "foreign-python", "junk", "format-1", "format-2", "format-3"],
 )
 def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch, damage):
     graph = tmp_path / "graph.nt"
@@ -978,6 +1018,124 @@ def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch
     gc.unfreeze()
     parsed = parse_ntriples(graph.read_text(encoding="utf-8"))
     assert loaded._ids == parsed._ids and loaded == parsed
+
+
+class _Unread:
+    """An open graph file whose bytes may not be read."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def fileno(self):
+        return self.f.fileno()
+
+    def read(self, *args):
+        raise AssertionError("read the graph file although its stamp was trusted")
+
+    seek = read
+
+
+def _no_hash(source):
+    raise AssertionError("hashed the graph file although its stamp was trusted")
+
+
+def test_a_trusted_stamp_loads_the_snapshot_without_reading_or_hashing_the_file(tmp_path, capsys, monkeypatch, request):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(_graph_text("aliased", request), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
+
+    def guarded_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return _Unread(f) if Path(path) == graph else f
+
+    for command in READ_COMMANDS:
+        snapshot.unlink(missing_ok=True)
+        without = run(capsys, "--graph", str(graph), *command)
+        _trust(graph, snapshot)
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "parse_ntriples", _no_parse)
+            m.setattr(cli_mod, "snapshot_key", _no_hash)
+            m.setattr(rdf_mod, "snapshot_key", _no_hash)
+            m.setattr(rdf_mod, "_sha256", _no_hash)
+            m.setattr(cli_mod, "open", guarded_open, raising=False)
+            assert run(capsys, "--graph", str(graph), *command) == without
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
+
+
+def _racy(graph, snapshot):
+    # the snapshot as old as the graph file's last change
+    written = graph.stat().st_ctime_ns
+    os.utime(snapshot, ns=(written, written))
+
+
+def _racier(graph, snapshot):
+    written = graph.stat().st_mtime_ns - 1
+    os.utime(snapshot, ns=(written, written))
+
+
+def _copied(graph, snapshot):
+    # the same bytes under another inode
+    copy = graph.with_name("copy.nt")
+    copy.write_bytes(graph.read_bytes())
+    os.replace(copy, graph)
+
+
+def _touched(graph, snapshot):
+    _changed(graph, lambda: os.utime(graph), graph.stat().st_ctime_ns)
+
+
+def _chmodded(graph, snapshot):
+    _changed(graph, lambda: graph.chmod(0o600), graph.stat().st_ctime_ns)
+
+
+@pytest.mark.parametrize(
+    "change", [_racy, _racier, _copied, _touched, _chmodded], ids=["racy", "racier", "copied", "touched", "chmodded"]
+)
+def test_an_untrusted_stamp_is_hashed_and_the_snapshot_loaded_by_key(tmp_path, capsys, monkeypatch, change):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(ALIAS_LINES + serialize_ntriples(random_graph(random.Random(7), 200)), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
+    expected = run(capsys, "--graph", str(graph), "emit", "--format", "turtle")
+    _trust(graph, snapshot)
+    change(graph, snapshot)
+    written = snapshot.read_bytes()
+    parses = ParseCounter(monkeypatch)
+    hashes = HashCounter(monkeypatch)
+    assert run(capsys, "--graph", str(graph), "emit", "--format", "turtle") == expected
+    assert (parses.calls, hashes.calls) == (0, 1)
+    # the key matched, so the snapshot is left as it was
+    assert snapshot.read_bytes() == written
+
+
+def test_a_same_size_edit_in_place_with_its_mtime_put_back_is_parsed(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(ALIAS_LINES + serialize_ntriples(random_graph(random.Random(7), 200)), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
+    before = run(capsys, "--graph", str(graph), "emit")
+    _trust(graph, snapshot)
+    old = graph.stat()
+    i = graph.read_bytes().rindex(b"example.org")
+    with open(graph, "r+b") as f:
+        f.seek(i)
+        f.write(b"E")
+    _changed(graph, lambda: os.utime(graph, ns=(old.st_atime_ns, old.st_mtime_ns)), old.st_ctime_ns)
+    new = graph.stat()
+    # every field of the stamp but the ctime is as it was
+    assert (new.st_dev, new.st_ino, new.st_size, new.st_mtime_ns) == (old.st_dev, old.st_ino, old.st_size, old.st_mtime_ns)
+    expected = serialize_ntriples(parse_ntriples(graph.read_text(encoding="utf-8")))
+    assert expected != before[1]
+    parses = ParseCounter(monkeypatch)
+    assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
+    assert parses.calls == 1
+    # the snapshot written after that parse holds the edited graph
+    monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
+    assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
 
 
 def test_snapshot_load_runs_without_the_cyclic_collector(tmp_path):
@@ -1006,10 +1164,10 @@ def test_snapshot_load_runs_without_the_cyclic_collector(tmp_path):
 def test_snapshot_owned_by_another_user_is_not_read(tmp_path):
     path = tmp_path / "snap"
     path.write_bytes(b"data")
-    assert cli_mod._read_owned(path, os.stat(path).st_uid) == b"data"
-    assert cli_mod._read_owned(path, os.stat(path).st_uid + 1) is None
-    assert cli_mod._read_owned(tmp_path, os.stat(tmp_path).st_uid) is None
-    assert cli_mod._read_owned(tmp_path / "none", 0) is None
+    assert cli_mod._read_owned(path, os.stat(path).st_uid) == (b"data", os.stat(path).st_mtime_ns)
+    assert cli_mod._read_owned(path, os.stat(path).st_uid + 1) == (None, 0)
+    assert cli_mod._read_owned(tmp_path, os.stat(tmp_path).st_uid) == (None, 0)
+    assert cli_mod._read_owned(tmp_path / "none", 0) == (None, 0)
 
 
 def test_read_command_in_a_read_only_directory_still_answers(tmp_path, capsys, monkeypatch, multifam_graph):
@@ -1167,6 +1325,23 @@ def test_snapshot_is_no_more_readable_than_its_graph(tmp_path, capsys, monkeypat
     assert _mode(tmp_path / ".graph.nt.snap") == mode
 
 
+@pytest.mark.parametrize(
+    "argv, named, left",
+    [
+        (["--graph", "graph.nt", "emit", "--format", "turtle", "-o", "missing/x.ttl"], "missing/x.ttl",
+         [".graph.nt.snap", "graph.nt"]),
+        (["--graph", "missing/g.nt", "ingest", "--fixtures", str(FIXTURES / "table1")], "missing/g.nt", ["graph.nt"]),
+    ],
+    ids=["emit", "ingest"],
+)
+def test_a_write_error_names_the_path_given(tmp_path, capsys, monkeypatch, multifam_graph, argv, named, left):
+    # not the temporary file emit writes first, nor the lock file of ingest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.nt").write_text(serialize_ntriples(multifam_graph), encoding="utf-8")
+    assert run(capsys, *argv) == (2, "", f"error: [Errno 2] No such file or directory: '{named}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
 def _record_syncs(monkeypatch):
     """Record each os.fsync, as the size of the file synced or "directory",
     and each os.replace, as the name it writes, in the order they run."""
@@ -1213,7 +1388,7 @@ def test_ingest_skips_the_directory_sync_where_a_directory_cannot_be_opened(tmp_
 
 
 def test_snapshots_and_emit_output_are_written_without_a_sync(table1_store, tmp_path, capsys, monkeypatch):
-    # a snapshot's payload digest rejects a torn write, and emit -o output
+    # a snapshot's payload CRC-32 rejects a torn write, and emit -o output
     # can be written again
     graph = tmp_path / "g.nt"
     graph.write_bytes(table1_store.read_bytes())

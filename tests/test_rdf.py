@@ -6,6 +6,8 @@ import marshal
 import random
 import string
 import sys
+import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -381,7 +383,7 @@ def test_insertion_order_does_not_show():
         assert serialize_ntriples(g1) == serialize_ntriples(g2)
         assert serialize_turtle(g1) == serialize_turtle(g2)
         assert {t.subject for t in g1} == {t.subject for t in g2}
-        g3 = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(g1, SOURCE), SOURCE)
+        g3 = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(g1, SOURCE, INFO), SOURCE)
         pool = triples or [random_triple(rng)]
         probes = rng.sample(pool, min(len(pool), 10))
         # a subject, a predicate and an object from any three triples: no
@@ -703,6 +705,8 @@ def test_parse_runs_without_the_cyclic_collector():
 # Snapshots: a graph parsed from N-Triples bytes, saved beside them.
 
 SOURCE = rdf_mod.snapshot_key(b"the graph file")
+# the fstat of the graph file, as far as a stamp reads it
+INFO = SimpleNamespace(st_dev=2049, st_ino=1234567, st_size=14, st_mtime_ns=10**18, st_ctime_ns=10**18 + 5)
 
 # a raw tab and an explicit ^^xsd:string are aliases in _ids; a \u escape takes
 # the strict scanner and leaves none
@@ -728,14 +732,14 @@ def _snapshot_texts():
 
 def _wrap(payload: bytes, source: bytes = SOURCE) -> bytes:
     """A snapshot with a well-formed header around any payload."""
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    return rdf_mod._snapshot_prefix(source) + digest + b"\n" + payload
+    header = f"{rdf_mod._SNAPSHOT_TAG} {source.hex()} {rdf_mod._stamp(INFO)} {zlib.crc32(payload):08x}\n"
+    return header.encode("ascii") + payload
 
 
 def test_snapshot_loads_the_graph_it_was_dumped_from():
     for text in _snapshot_texts():
         parsed = parse_ntriples(text)
-        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, SOURCE), SOURCE)
+        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, SOURCE, INFO), SOURCE)
         assert loaded == parsed and parsed == loaded
         assert loaded._tokens == parsed._tokens
         assert loaded._ids == parsed._ids
@@ -746,20 +750,22 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
         ]
         assert serialize_ntriples(loaded) == serialize_ntriples(parsed)
         assert serialize_turtle(loaded) == serialize_turtle(parsed)
-    aliased = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE), SOURCE)
+    aliased = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO), SOURCE)
     assert len(aliased._ids) == len(aliased._tokens) + 2
     assert aliased._ids['"a\tb"'] == aliased._ids['"a\\tb"']
     assert aliased._ids[f'"c"^^<{XSD_STRING}>'] == aliased._ids['"c"']
 
 
 def test_snapshot_header_names_format_marshal_interpreter_and_digests():
-    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE)
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
     header, payload = data.split(b"\n", 1)
     version = f"{sys.version_info.major}.{sys.version_info.minor}"
     assert header.decode("ascii").split(" ") == [
-        "andmalkg-snapshot", "3", "marshal", str(marshal.version),
+        "andmalkg-snapshot", "4", "marshal", str(marshal.version),
         sys.implementation.name, version,
-        hashlib.sha256(b"the graph file").hexdigest(), hashlib.sha256(payload).hexdigest(),
+        hashlib.sha256(b"the graph file").hexdigest(),
+        f"2049:1234567:14:{10**18}:{10**18 + 5}",
+        f"{zlib.crc32(payload):08x}",
     ]
     # the payload holds the triple count, not the triples: the indexes hold those
     assert marshal.loads(payload)[2] == len(parse_ntriples(ALIASED))
@@ -800,7 +806,7 @@ def _refield(data: bytes, k: int, value: bytes) -> bytes:
 )
 def test_unusable_snapshot_loads_nothing(damage):
     text = ALIASED + serialize_ntriples(random_graph(random.Random(59), max_triples=100))
-    data = rdf_mod.dump_snapshot(parse_ntriples(text), SOURCE)
+    data = rdf_mod.dump_snapshot(parse_ntriples(text), SOURCE, INFO)
     assert rdf_mod.load_snapshot(data, SOURCE) is not None
     other = rdf_mod.snapshot_key(b"an edited graph file")
     damaged = damage(data)
@@ -832,5 +838,39 @@ def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
 def test_dump_snapshot_leaves_the_graph_as_it_was():
     g = parse_ntriples(ALIASED)
     before = copy.deepcopy(vars(g))
-    rdf_mod.dump_snapshot(g, SOURCE)
+    rdf_mod.dump_snapshot(g, SOURCE, INFO)
     assert vars(g) == before
+
+
+def test_stamped_key_trusts_only_its_own_stamp_older_than_the_snapshot():
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
+    after = INFO.st_ctime_ns + 1
+    assert rdf_mod.stamped_key(data, INFO, after) == SOURCE
+    assert rdf_mod.load_snapshot(data, rdf_mod.stamped_key(data, INFO, after)) == parse_ntriples(ALIASED)
+    # racy: the snapshot is no newer than the file's last change
+    assert rdf_mod.stamped_key(data, INFO, INFO.st_ctime_ns) is None
+    assert rdf_mod.stamped_key(data, INFO, INFO.st_mtime_ns) is None
+    # another file, or this one changed: each field of the stamp counts
+    for field in vars(INFO):
+        other = SimpleNamespace(**{**vars(INFO), field: getattr(INFO, field) + 1})
+        assert rdf_mod.stamped_key(data, other, after + 1) is None
+    # an mtime set later than the ctime: both must be older than the snapshot
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, SimpleNamespace(**{**vars(INFO), "st_mtime_ns": after}))
+    assert rdf_mod.stamped_key(data, SimpleNamespace(**{**vars(INFO), "st_mtime_ns": after}), after) is None
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: d[:40],
+        lambda d: _refield(d, 1, b"3"),  # format 3 wrote no stamp
+        lambda d: _refield(d, 6, b"not-hex"),  # a key that is not hex
+        lambda d: d.replace(b" ", b"  ", 1),
+        lambda d: b"\x00junk\xff" * 1000,
+        lambda d: b"",
+    ],
+    ids=["truncated-header", "foreign-format", "bad-key", "extra-space", "junk", "empty"],
+)
+def test_stamped_key_of_an_unusable_header_is_none(damage):
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
+    assert rdf_mod.stamped_key(damage(data), INFO, INFO.st_ctime_ns + 1) is None
