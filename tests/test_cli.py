@@ -1101,16 +1101,19 @@ def test_an_untrusted_stamp_is_hashed_and_the_snapshot_loaded_by_key(tmp_path, c
     graph = tmp_path / "graph.nt"
     graph.write_text(ALIAS_LINES + serialize_ntriples(random_graph(random.Random(7), 200)), encoding="utf-8")
     snapshot = tmp_path / ".graph.nt.snap"
-    expected = run(capsys, "--graph", str(graph), "emit", "--format", "turtle")
-    _trust(graph, snapshot)
-    change(graph, snapshot)
-    written = snapshot.read_bytes()
-    parses = ParseCounter(monkeypatch)
-    hashes = HashCounter(monkeypatch)
-    assert run(capsys, "--graph", str(graph), "emit", "--format", "turtle") == expected
-    assert (parses.calls, hashes.calls) == (0, 1)
-    # the key matched, so the snapshot is left as it was
-    assert snapshot.read_bytes() == written
+    for command in READ_COMMANDS:
+        snapshot.unlink(missing_ok=True)
+        expected = run(capsys, "--graph", str(graph), *command)
+        _trust(graph, snapshot)
+        change(graph, snapshot)
+        written = snapshot.read_bytes()
+        with monkeypatch.context() as m:
+            parses = ParseCounter(m)
+            hashes = HashCounter(m)
+            assert run(capsys, "--graph", str(graph), *command) == expected
+        assert (parses.calls, hashes.calls) == (0, 1)
+        # the key matched, so the snapshot is left as it was
+        assert snapshot.read_bytes() == written
 
 
 def test_a_same_size_edit_in_place_with_its_mtime_put_back_is_parsed(tmp_path, capsys, monkeypatch):
