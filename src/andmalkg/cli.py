@@ -14,11 +14,11 @@ network or usage failure.
 
 A read command (query, stats, validate, emit) that has to parse the file
 leaves a snapshot of the parsed graph beside it, .NAME.snap, which later
-read commands load instead while it matches the file: while the file's
-stat stamp is the one the snapshot records and older than it, without
-reading the file, else while the file's bytes hash to its key (see
-rdf.stamped_key and rdf.load_snapshot).  The snapshot is a cache:
-deleting it is always safe.  ingest neither reads nor writes one.
+read commands load instead, without reading the file, while the file's
+stat stamp is the one the snapshot records and older than it (see
+rdf.load_snapshot).  Any other read parses the file and writes a fresh
+snapshot.  The snapshot is a cache: deleting it is always safe.  ingest
+neither reads nor writes one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 from .errors import AndMalKgError, ApiError, NetworkError, SelectorError
 from .ns import RDF_TYPE, andmal, malont
 from .rdf import IRI, Graph, _collector_paused, _decoded, _replace_file, dump_snapshot, load_snapshot
-from .rdf import parse_ntriples, serialize_ntriples, serialize_turtle, snapshot_key, stamped_key
+from .rdf import parse_ntriples, serialize_ntriples, serialize_turtle
 
 # ingest, query and schema are imported inside the commands that run them,
 # so no command loads or compiles a module it does not use.
@@ -52,35 +52,28 @@ def _load_graph(path: Path) -> Graph:
     # so no collection need walk it: freeze it before the collector runs
     # again, or the first allocation after the load would collect it all.
     with _collector_paused():
-        graph = _load_keyed(path, _snapshot_path(path))
+        graph = _load_or_parse(path, _snapshot_path(path))
         gc.freeze()
     return graph
 
 
-def _load_keyed(path: Path, snapshot: Path) -> Graph:
-    """The graph at path from a matching snapshot, else parsed.  A snapshot
-    that records the stamp of the file's fstat, and a stamp older than the
-    snapshot (rdf.stamped_key), loads without the file being read.  For any
-    other, the file is hashed in chunks to check the snapshot's key, so a
-    load never holds its bytes; the file is read whole only for a parse.
-    After a parse the snapshot is written, best effort, under the key of
-    the bytes parsed and the stamp of the fstat taken before they were
-    read, when it could be loaded later: a snapshot is loaded only when the
-    graph file's owner owns it too, so no one can plant one who could not
-    also rewrite the graph."""
+def _load_or_parse(path: Path, snapshot: Path) -> Graph:
+    """The graph at path from a snapshot that records the stamp of the
+    file's fstat, a stamp older than the snapshot (rdf.load_snapshot),
+    without the file being read; else parsed.  After a parse the snapshot
+    is written, best effort, stamped from the fstat taken before the file
+    was read, when it could be loaded later: a snapshot is loaded only when
+    the graph file's owner owns it too, so no one can plant one who could
+    not also rewrite the graph."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         data, written = _read_owned(snapshot, info.st_uid)
         if data is not None:
-            graph = load_snapshot(data, stamped_key(data, info, written) or snapshot_key(f))
+            graph = load_snapshot(data, info, written)
             del data
             if graph is not None:
                 return graph
-            f.seek(0)
         source = f.read()
-    # the key of the bytes that are parsed, whatever happened to the file
-    # since it was hashed
-    key = snapshot_key(source)
     text = _decoded(path, source)
     del source
     graph = parse_ntriples(text)
@@ -88,7 +81,7 @@ def _load_keyed(path: Path, snapshot: Path) -> Graph:
     # where there are no uids (Windows), st_uid reads 0 for every file
     if info.st_uid == getattr(os, "geteuid", lambda: 0)():
         try:
-            _replace_file(snapshot, (dump_snapshot(graph, key, info),), stat.S_IMODE(info.st_mode))
+            _replace_file(snapshot, (dump_snapshot(graph, info),), stat.S_IMODE(info.st_mode))
         except OSError:
             pass
     return graph

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ApiError, InvalidReportError, NetworkError, ReportParseError, SelectorError
 from .ns import XSD_ANYURI, XSD_DATETIME, XSD_INTEGER, andmal
-from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term, _sha256
+from .rdf import _SCHEME_RE, _SURROGATE_RE, _TYPE_TOKEN, Graph, Triple, _checked_term
 from .rdf import _decoded, _is_canonical, _named, _ntriples_lines, _replace_file, load_subjects, parse_ntriples
 from .rdf import _literal_token as _literal
 from .schema import HASH_KINDS, SchemaRegistry, build_schema, validate_hash_format, validate_subjects
@@ -102,7 +102,14 @@ def _label_key(label: str) -> str:
     node only when they are equal but for case."""
     lowered = label.lower()
     key = slug(lowered)
-    return key if key == lowered else f"{key}_{_sha256(lowered.encode('utf-8'))[:4].hex()}"
+    if key == lowered:
+        return key
+    # hashlib loads OpenSSL, about 4 MB of resident memory, so it is imported
+    # only when a label needs a digest: an ingest of labels that are all
+    # their own slugs never pays for it
+    import hashlib
+
+    return f"{key}_{hashlib.sha256(lowered.encode('utf-8')).hexdigest()[:8]}"
 
 
 @dataclass(frozen=True)

@@ -50,18 +50,17 @@ parse's error at the parse's line.  load_subjects finds, by bisection on
 "TOKEN ", the lines of some subjects and the rdf:type lines of their
 objects, and loads only those.
 
-dump_snapshot, stamped_key and load_snapshot own the snapshot format:
-the marshalled state parse_ntriples builds (_tokens, _ids with its
-aliases, the triple count, _spo, _pos) under a header that records the
-SHA-256 of the N-Triples bytes it was parsed from (snapshot_key, the key),
-the stat stamp of their file (_stamp) and the payload's CRC-32, so only
-this module knows what the key hashes, what the stamp holds and when it
-is trusted.  stamped_key gives the recorded key without a hash when the
-file's stamp is unchanged and older than the snapshot; else the caller
-hashes the file.  Loading a snapshot is several times faster than the
-parse and yields an equal graph with the same ids; one that does not
-match its key, its CRC or its shape loads nothing, and the caller parses
-instead.  Where a snapshot file lives is the CLI's concern.
+dump_snapshot and load_snapshot own the snapshot format: the marshalled
+state parse_ntriples builds (_tokens, _ids with its aliases, the triple
+count, _spo, _pos) under a header that records the stat stamp of the
+graph file it was parsed from (_stamp) and the payload's CRC-32, so only
+this module knows what the stamp holds and when it is trusted.  A
+snapshot loads only when the file's stamp is the recorded one and older
+than the snapshot; then it is several times faster than the parse and
+yields an equal graph with the same ids.  One whose stamp is not trusted,
+or that does not match its CRC or its shape, loads nothing, and the
+caller parses instead.  Where a snapshot file lives is the CLI's
+concern.
 
 _decoded and _replace_file, which read and write every command's files,
 live here because read commands import neither ingest nor schema.
@@ -82,10 +81,9 @@ import zlib
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import AndMalKgError, MalformedTermError, NTriplesParseError
 from .ns import PREFIXES, RDF_TYPE, XSD_STRING
@@ -239,13 +237,6 @@ class Triple:
         if not isinstance(self.object, (IRI, BlankNode, Literal)):
             raise MalformedTermError(f"object is not an RDF term: {self.object!r}")
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (
-            term_to_ntriples(self.subject),
-            term_to_ntriples(self.predicate),
-            term_to_ntriples(self.object),
-        )
-
 
 _IRI_TOKEN = f"<{_SCHEME}[^{_IRI_FORBIDDEN}]*>"
 # A token this regex accepts is canonical and passes the IRI and Literal
@@ -371,11 +362,6 @@ class Graph:
     def __iter__(self) -> Iterator[Triple]:
         term = self._term
         return (Triple(term(s), term(p), term(o)) for s, p, o in self._walk())
-
-    def __contains__(self, t: Triple) -> bool:
-        if not isinstance(t, Triple):
-            return False
-        return self._id(t.object) in _leaf(self._spo, self._id(t.subject), self._id(t.predicate))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -714,41 +700,14 @@ def load_subjects(lines: list[str], subjects: Iterable[str]) -> Graph:
 # A snapshot is one ASCII header line, then the payload: the marshalled
 # state parse_ntriples builds.  The header names the format, the marshal
 # version and the interpreter, because marshal data is only promised to
-# load where it was written; then the SHA-256 of the N-Triples bytes the
-# graph was parsed from (the key), the stat stamp of the file they were
-# read from (_stamp) and the CRC-32 of the payload.  The format number, 4,
-# changes whenever the header's or the payload's layout does.
+# load where it was written; then the stat stamp of the graph file the
+# graph was parsed from (_stamp) and the CRC-32 of the payload.  The format
+# number, 5, changes whenever the header's or the payload's layout does.
 _SNAPSHOT_TAG = (
-    f"andmalkg-snapshot 4 marshal {marshal.version} "
+    f"andmalkg-snapshot 5 marshal {marshal.version} "
     f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
 )
 _SNAPSHOT_SHAPE = (list, dict, int, dict, dict)
-
-
-def _sha256(data) -> bytes:
-    # hashlib loads OpenSSL, about 4 MB of resident memory, so it is
-    # imported only when a snapshot's key is hashed or a label is minted
-    # with a digest (ingest._label_key): a snapshot load the stamp vouches
-    # for, and an ingest of labels that are all their own slugs, never pay
-    # for it
-    import hashlib
-
-    return hashlib.sha256(data).digest()
-
-
-def snapshot_key(source: Union[bytes, BinaryIO]) -> bytes:
-    """The key under which a graph parsed from the N-Triples bytes source
-    is snapshotted: the SHA-256 of those bytes.  source may also be a
-    binary file, read from where it stands to its end in 1 MB chunks, so
-    the key of a file costs no copy of it."""
-    if isinstance(source, bytes):
-        return _sha256(source)
-    import hashlib  # imported here for the reason _sha256 gives
-
-    digest = hashlib.sha256()
-    for chunk in iter(partial(source.read, 1 << 20), b""):
-        digest.update(chunk)
-    return digest.digest()
 
 
 def _stamp(info: os.stat_result) -> str:
@@ -759,36 +718,25 @@ def _stamp(info: os.stat_result) -> str:
     return f"{info.st_dev}:{info.st_ino}:{info.st_size}:{info.st_mtime_ns}:{info.st_ctime_ns}"
 
 
-def _snapshot_header(data: bytes) -> list[bytes]:
-    """The fields after the tag of a snapshot header in this format: the
-    key in hex, the stamp and the payload's CRC-32 in hex; [] when data
-    does not start with such a header line."""
-    tag = f"{_SNAPSHOT_TAG} ".encode("ascii")
-    end = data.find(b"\n", len(tag), len(tag) + 256)
-    if end < 0 or not data.startswith(tag):
-        return []
-    fields = data[len(tag) : end].split(b" ")
-    return fields if len(fields) == 3 else []
-
-
-def dump_snapshot(graph: Graph, key: bytes, info: os.stat_result) -> bytes:
-    """A snapshot of graph under key, the snapshot_key of the N-Triples
-    bytes it was parsed from, and the stamp of info, the os.fstat of their
-    file taken before they were read: load_snapshot turns it back into an
-    equal graph, with the same tokens, aliases and ids, far faster than a
-    parse.
+def dump_snapshot(graph: Graph, info: os.stat_result) -> bytes:
+    """A snapshot of graph, stamped with info, the os.fstat of the graph
+    file taken before its bytes were read and parsed: load_snapshot turns
+    it back into an equal graph, with the same tokens, aliases and ids, far
+    faster than a parse.
     """
     payload = marshal.dumps((graph._tokens, graph._ids, graph._size, graph._spo, graph._pos))
-    header = f"{_SNAPSHOT_TAG} {key.hex()} {_stamp(info)} {zlib.crc32(payload):08x}\n"
+    header = f"{_SNAPSHOT_TAG} {_stamp(info)} {zlib.crc32(payload):08x}\n"
     return header.encode("ascii") + payload
 
 
-def stamped_key(data: bytes, info: os.stat_result, written_ns: int) -> Optional[bytes]:
-    """The key snapshot data records, when the stamp it records is that of
-    info, the graph file's fstat now, and the stamp is trusted: the file's
-    mtime and ctime are both older than written_ns, the snapshot file's
-    mtime.  Then the file holds the bytes the snapshot was parsed from, and
-    they need not be read or hashed.  Else None: the caller hashes the file.
+def load_snapshot(data: bytes, info: os.stat_result, written_ns: int) -> Optional[Graph]:
+    """The graph a dump_snapshot output holds, when its header matches this
+    format, marshal version and interpreter, it records the stamp of info,
+    the graph file's fstat now, and the stamp is trusted: the file's mtime
+    and ctime are both older than written_ns, the snapshot file's mtime.
+    Then the file holds the bytes the snapshot was parsed from, and they
+    need not be read.  Else, or unless the payload matches its CRC-32 and
+    has the expected shape, None: the caller parses the file.
 
     The rule is git's for racily clean index entries.  The stamp is taken
     before the parse reads the file, and the snapshot is written after it.
@@ -805,33 +753,19 @@ def stamped_key(data: bytes, info: os.stat_result, written_ns: int) -> Optional[
     writes by hand within one tick, around a parse; git takes the same risk.
     Where st_ctime is the creation time (Windows), an in-place edit that
     puts the mtime back keeps the stamp as well.
-    """
-    fields = _snapshot_header(data)
-    if (
-        fields
-        and fields[1] == _stamp(info).encode("ascii")
-        and info.st_mtime_ns < written_ns
-        and info.st_ctime_ns < written_ns
-    ):
-        with suppress(ValueError):
-            return bytes.fromhex(fields[0].decode("ascii"))
-    return None
-
-
-def load_snapshot(data: bytes, key: bytes) -> Optional[Graph]:
-    """The graph a dump_snapshot output holds, or None unless its header
-    matches this format, marshal version and interpreter and key, and its
-    payload matches its CRC-32 and has the expected shape.
 
     The CRC catches a torn, truncated or damaged payload, not a forged one.
     marshal is not safe against crafted input: load only a snapshot that
     no one could write who could not also rewrite the N-Triples file.
     """
-    fields = _snapshot_header(data)
-    if not fields or fields[0] != key.hex().encode("ascii"):
+    if info.st_mtime_ns >= written_ns or info.st_ctime_ns >= written_ns:
         return None
-    payload = memoryview(data)[data.index(b"\n") + 1 :]
-    if f"{zlib.crc32(payload):08x}".encode("ascii") != fields[2]:
+    head = f"{_SNAPSHOT_TAG} {_stamp(info)} ".encode("ascii")
+    end = len(head) + 8  # the CRC-32 in 8 hex digits, then a newline
+    if not data.startswith(head) or data[end : end + 1] != b"\n":
+        return None
+    payload = memoryview(data)[end + 1 :]
+    if data[len(head) : end] != f"{zlib.crc32(payload):08x}".encode("ascii"):
         return None
     try:
         state = marshal.loads(payload)

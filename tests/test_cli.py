@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -254,11 +255,9 @@ def test_ingest_leaves_hashlib_unloaded(tmp_path, capsys):
 
 # Runs the CLI on argv[2:] in a fresh interpreter, then writes the names of
 # all modules it imported to stderr, after a "modules:" line.  With argv[1]
-# "snapshot", a parse of the graph file or an import of hashlib fails the run.
+# "snapshot", a parse of the graph file fails the run.
 _IMPORTS_SCRIPT = """
 import sys
-if sys.argv[1] == "snapshot":
-    sys.modules["hashlib"] = None
 import andmalkg.cli as cli
 if sys.argv[1] == "snapshot":
     def parse(text):
@@ -280,7 +279,9 @@ _READ_IMPORTS = {
     "emit": (["--format", "turtle"], {"andmalkg.query", "andmalkg.schema"}),
     "validate": ([], {"andmalkg.query"}),
 }
-_NO_READ_IMPORTS = {"andmalkg.ingest", "json", "logging"}
+# hashlib loads OpenSSL, a few MB of resident memory: no read hashes the
+# graph file, whether it parses it or loads its snapshot
+_NO_READ_IMPORTS = {"andmalkg.ingest", "hashlib", "json", "logging"}
 
 
 def _run_with_imports(graph, mode, argv):
@@ -308,8 +309,6 @@ def test_read_command_imports_only_what_it_runs(tmp_path, capsys, command):
     assert not snapshot.exists()
     parsed = _run_with_imports(graph, "parse", [command, *extra])
     assert snapshot.exists()
-    assert "hashlib" in parsed[2]
-    # a snapshot the stamp vouches for loads without hashing the graph file
     _trust(graph, snapshot)
     loaded = _run_with_imports(graph, "snapshot", [command, *extra])
     assert parsed[:2] == loaded[:2]
@@ -459,6 +458,7 @@ def test_loaded_graph_is_frozen_out_of_collections(table1_store, monkeypatch):
         gc.unfreeze()
     # the same holds for a graph loaded from the snapshot the parse left
     assert cli_mod._snapshot_path(table1_store).exists()
+    _trust(table1_store, cli_mod._snapshot_path(table1_store))
     monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
     try:
         graph = cli_mod._load_graph(table1_store)
@@ -576,9 +576,10 @@ def test_a_snapshot_load_holds_no_copy_of_the_graph_file(tmp_path, monkeypatch):
     graph = tmp_path / "graph.nt"
     graph.write_bytes(serialize_ntriples(parse_ntriples(text)).encode("utf-8"))
     snapshot = cli_mod._snapshot_path(graph)
-    parsed = cli_mod._load_keyed(graph, snapshot)  # parses, and writes the snapshot
+    parsed = cli_mod._load_or_parse(graph, snapshot)  # parses, and writes the snapshot
     size = graph.stat().st_size
     assert snapshot.stat().st_size * 10 < size
+    _trust(graph, snapshot)
 
     def no_parse(text):
         raise AssertionError("parsed instead of loading the snapshot")
@@ -586,7 +587,7 @@ def test_a_snapshot_load_holds_no_copy_of_the_graph_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "parse_ntriples", no_parse)
     tracemalloc.start()
     try:
-        loaded = cli_mod._load_keyed(graph, snapshot)
+        loaded = cli_mod._load_or_parse(graph, snapshot)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -859,16 +860,6 @@ class ParseCounter:
         return parse_ntriples(text)
 
 
-class HashCounter:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        monkeypatch.setattr(cli_mod, "snapshot_key", self)
-
-    def __call__(self, source):
-        self.calls += 1
-        return rdf_mod.snapshot_key(source)
-
-
 READ_COMMANDS = [
     ["query", str(QUERIES / "use_case_6.rq")],
     ["query", str(QUERIES / "use_case_5.rq"), "--format", "table"],
@@ -911,6 +902,7 @@ def test_read_commands_answer_the_same_from_a_snapshot(tmp_path, capsys, monkeyp
         snapshot.unlink(missing_ok=True)
         without = run(capsys, "--graph", str(graph), *command)
         assert snapshot.exists()
+        _trust(graph, snapshot)
         with monkeypatch.context() as m:
             m.setattr(cli_mod, "parse_ntriples", _no_parse)
             with_snapshot = run(capsys, "--graph", str(graph), *command)
@@ -953,13 +945,17 @@ def _junk(graph, snapshot):
     snapshot.write_bytes(b"\x89junk\x00" * 5000)
 
 
+def _old_tag(number):
+    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 5 ", f"andmalkg-snapshot {number} ")
+    assert tag != rdf_mod._SNAPSHOT_TAG
+    return tag
+
+
 def _write_old_format(graph, snapshot, number, state):
     # a snapshot as format number wrote it, keyed on this graph file
-    tag = rdf_mod._SNAPSHOT_TAG.replace("andmalkg-snapshot 4 ", f"andmalkg-snapshot {number} ")
-    assert tag != rdf_mod._SNAPSHOT_TAG
     payload = marshal.dumps(state)
     key = hashlib.sha256(graph.read_bytes()).hexdigest()
-    header = f"{tag} {key} {hashlib.sha256(payload).hexdigest()}\n"
+    header = f"{_old_tag(number)} {key} {hashlib.sha256(payload).hexdigest()}\n"
     snapshot.write_bytes(header.encode("ascii") + payload)
 
 
@@ -990,12 +986,22 @@ def _format_3(graph, snapshot):
     _write_old_format(graph, snapshot, 3, (g._tokens, g._ids, len(g), g._spo, g._pos))
 
 
+def _format_4(graph, snapshot):
+    # this format's payload and the graph file's stamp, after the key of its bytes
+    g = parse_ntriples(graph.read_text(encoding="utf-8"))
+    payload = marshal.dumps((g._tokens, g._ids, len(g), g._spo, g._pos))
+    key = hashlib.sha256(graph.read_bytes()).hexdigest()
+    header = f"{_old_tag(4)} {key} {rdf_mod._stamp(graph.stat())} {zlib.crc32(payload):08x}\n"
+    snapshot.write_bytes(header.encode("ascii") + payload)
+    _trust(graph, snapshot)
+
+
 @pytest.mark.parametrize(
     "damage",
     [_stale, _flip, _truncate, _refield(1, b"0"), _refield(3, b"2"), _refield(5, b"3.0"), _junk,
-     _format_1, _format_2, _format_3],
+     _format_1, _format_2, _format_3, _format_4],
     ids=["stale", "flipped-byte", "truncated", "foreign-format", "foreign-marshal",
-         "foreign-python", "junk", "format-1", "format-2", "format-3"],
+         "foreign-python", "junk", "format-1", "format-2", "format-3", "format-4"],
 )
 def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch, damage):
     graph = tmp_path / "graph.nt"
@@ -1012,6 +1018,7 @@ def test_unusable_snapshot_is_ignored_and_replaced(tmp_path, capsys, monkeypatch
     assert parses.calls == 1
     assert snapshot.read_bytes() != damaged
     # the replacement is loaded, and holds the graph the parse gives
+    _trust(graph, snapshot)
     monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
     assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
     loaded = cli_mod._load_graph(graph)
@@ -1041,29 +1048,28 @@ class _Unread:
     seek = read
 
 
-def _no_hash(source):
-    raise AssertionError("hashed the graph file although its stamp was trusted")
-
-
-def test_a_trusted_stamp_loads_the_snapshot_without_reading_or_hashing_the_file(tmp_path, capsys, monkeypatch, request):
-    graph = tmp_path / "graph.nt"
-    graph.write_text(_graph_text("aliased", request), encoding="utf-8")
-    snapshot = tmp_path / ".graph.nt.snap"
-
+def _trusted_only(m, graph):
+    """Make a read through the monkeypatch context m fail unless it loads
+    the snapshot of graph without reading graph or hashing anything."""
     def guarded_open(path, *args, **kwargs):
         f = open(path, *args, **kwargs)
         return _Unread(f) if Path(path) == graph else f
 
+    m.setattr(cli_mod, "parse_ntriples", _no_parse)
+    m.setattr(cli_mod, "open", guarded_open, raising=False)
+    m.setitem(sys.modules, "hashlib", None)
+
+
+def test_a_trusted_stamp_loads_the_snapshot_without_reading_the_file(tmp_path, capsys, monkeypatch, request):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(_graph_text("aliased", request), encoding="utf-8")
+    snapshot = tmp_path / ".graph.nt.snap"
     for command in READ_COMMANDS:
         snapshot.unlink(missing_ok=True)
         without = run(capsys, "--graph", str(graph), *command)
         _trust(graph, snapshot)
         with monkeypatch.context() as m:
-            m.setattr(cli_mod, "parse_ntriples", _no_parse)
-            m.setattr(cli_mod, "snapshot_key", _no_hash)
-            m.setattr(rdf_mod, "snapshot_key", _no_hash)
-            m.setattr(rdf_mod, "_sha256", _no_hash)
-            m.setattr(cli_mod, "open", guarded_open, raising=False)
+            _trusted_only(m, graph)
             assert run(capsys, "--graph", str(graph), *command) == without
     assert sorted(p.name for p in tmp_path.iterdir()) == [".graph.nt.snap", "graph.nt"]
 
@@ -1097,7 +1103,7 @@ def _chmodded(graph, snapshot):
 @pytest.mark.parametrize(
     "change", [_racy, _racier, _copied, _touched, _chmodded], ids=["racy", "racier", "copied", "touched", "chmodded"]
 )
-def test_an_untrusted_stamp_is_hashed_and_the_snapshot_loaded_by_key(tmp_path, capsys, monkeypatch, change):
+def test_an_untrusted_stamp_is_parsed_once_and_the_snapshot_stamped_again(tmp_path, capsys, monkeypatch, change):
     graph = tmp_path / "graph.nt"
     graph.write_text(ALIAS_LINES + serialize_ntriples(random_graph(random.Random(7), 200)), encoding="utf-8")
     snapshot = tmp_path / ".graph.nt.snap"
@@ -1106,14 +1112,20 @@ def test_an_untrusted_stamp_is_hashed_and_the_snapshot_loaded_by_key(tmp_path, c
         expected = run(capsys, "--graph", str(graph), *command)
         _trust(graph, snapshot)
         change(graph, snapshot)
-        written = snapshot.read_bytes()
+        written = snapshot.stat().st_ino
         with monkeypatch.context() as m:
             parses = ParseCounter(m)
-            hashes = HashCounter(m)
             assert run(capsys, "--graph", str(graph), *command) == expected
-        assert (parses.calls, hashes.calls) == (0, 1)
-        # the key matched, so the snapshot is left as it was
-        assert snapshot.read_bytes() == written
+        assert parses.calls == 1
+        # a new snapshot, stamped with the file's stat now
+        assert snapshot.stat().st_ino != written
+        header = snapshot.read_bytes().split(b"\n", 1)[0].decode("ascii")
+        assert header == f"{rdf_mod._SNAPSHOT_TAG} {rdf_mod._stamp(graph.stat())} {header[-8:]}"
+        # which every later read trusts
+        _trust(graph, snapshot)
+        with monkeypatch.context() as m:
+            _trusted_only(m, graph)
+            assert run(capsys, "--graph", str(graph), *command) == expected
 
 
 def test_a_same_size_edit_in_place_with_its_mtime_put_back_is_parsed(tmp_path, capsys, monkeypatch):
@@ -1137,6 +1149,7 @@ def test_a_same_size_edit_in_place_with_its_mtime_put_back_is_parsed(tmp_path, c
     assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
     assert parses.calls == 1
     # the snapshot written after that parse holds the edited graph
+    _trust(graph, snapshot)
     monkeypatch.setattr(cli_mod, "parse_ntriples", _no_parse)
     assert run(capsys, "--graph", str(graph), "emit") == (0, expected, "")
 
@@ -1754,7 +1767,7 @@ def test_merged_ingest_reads_crlf_line_ends_as_newlines(tmp_path, capsys, multif
 
 @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
 def test_read_commands_read_crlf_and_cr_line_ends_as_newlines(tmp_path, capsys, multifam_graph, line_end):
-    # the rule ingest follows; the snapshot stays keyed on the raw bytes
+    # the rule ingest follows; the snapshot is stamped from the file itself
     text = serialize_ntriples(multifam_graph)
     lf, other = tmp_path / "lf.nt", tmp_path / "other.nt"
     lf.write_bytes(text.encode("utf-8"))
@@ -1766,8 +1779,8 @@ def test_read_commands_read_crlf_and_cr_line_ends_as_newlines(tmp_path, capsys, 
         assert run(capsys, "--graph", str(other), *command) == want
         assert want[0] == 0 and want[1]
     snapshot = cli_mod._snapshot_path(other).read_bytes()
-    key = hashlib.sha256(other.read_bytes()).digest()
-    assert rdf_mod.load_snapshot(snapshot, key) == multifam_graph
+    info = other.stat()
+    assert rdf_mod.load_snapshot(snapshot, info, max(info.st_mtime_ns, info.st_ctime_ns) + 1) == multifam_graph
 
 
 def test_only_newline_characters_end_a_graph_file_line(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import copy
 import gc
 import hashlib
-import io
 import marshal
 import random
 import string
@@ -62,7 +61,7 @@ def test_non_triples_and_non_graphs():
     s = IRI("http://example.org/s")
     with pytest.raises(MalformedTermError, match="not a triple"):
         g.insert((s, s, s))
-    assert (s, s, s) not in g
+    assert g.match(s, s, s) == [] and len(g) == 0
     assert (Graph() == 1) is False
     with pytest.raises(MalformedTermError, match="object is not an RDF term"):
         Triple(s, s, "o")
@@ -90,6 +89,10 @@ def test_insertion_count_law():
     assert set(g) == seen
 
 
+def canonical_key(t):
+    return (term_to_ntriples(t.subject), term_to_ntriples(t.predicate), term_to_ntriples(t.object))
+
+
 def naive_match(g, s, p, o):
     found = [
         t
@@ -98,7 +101,7 @@ def naive_match(g, s, p, o):
         and (p is None or t.predicate == p)
         and (o is None or t.object == o)
     ]
-    return sorted(found, key=Triple.sort_key)
+    return sorted(found, key=canonical_key)
 
 
 def test_match_equals_naive_scan():
@@ -118,7 +121,7 @@ def test_match_returns_canonical_order():
     rng = random.Random(13)
     g = random_graph(rng, max_triples=150)
     rows = g.match()
-    assert rows == sorted(rows, key=Triple.sort_key)
+    assert rows == sorted(rows, key=canonical_key)
 
 
 def test_roundtrip_randomized_graphs():
@@ -383,7 +386,7 @@ def test_insertion_order_does_not_show():
         assert serialize_ntriples(g1) == serialize_ntriples(g2)
         assert serialize_turtle(g1) == serialize_turtle(g2)
         assert {t.subject for t in g1} == {t.subject for t in g2}
-        g3 = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(g1, SOURCE, INFO), SOURCE)
+        g3 = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(g1, INFO), INFO, AFTER)
         pool = triples or [random_triple(rng)]
         probes = rng.sample(pool, min(len(pool), 10))
         # a subject, a predicate and an object from any three triples: no
@@ -410,8 +413,8 @@ def test_graphs_differing_in_one_term_are_unequal():
     a.insert(Triple(s, p, Literal("x")))
     b.insert(Triple(s, p, Literal("x", language="en")))
     assert a != b
-    assert Triple(s, p, Literal("x")) in a
-    assert Triple(s, p, Literal("x")) not in b
+    assert a.match(s, p, Literal("x")) == [Triple(s, p, Literal("x"))]
+    assert b.match(s, p, Literal("x")) == []
 
 
 def test_match_on_absent_term_is_empty_and_interns_nothing():
@@ -426,7 +429,7 @@ def test_match_on_absent_term_is_empty_and_interns_nothing():
         assert g.match(s=term, p=term, o=term) == []
         assert g.match(s=term, p=IRI(RDF_TYPE)) == []
     assert g.match(p=IRI("http://example.org/absent")) == []
-    assert Triple(absent[0], absent[0], absent[1]) not in g
+    assert g.match(absent[0], absent[0], absent[1]) == []
     assert len(g._tokens) == terms
 
 
@@ -704,22 +707,14 @@ def test_parse_runs_without_the_cyclic_collector():
 
 # Snapshots: a graph parsed from N-Triples bytes, saved beside them.
 
-SOURCE = rdf_mod.snapshot_key(b"the graph file")
 # the fstat of the graph file, as far as a stamp reads it
 INFO = SimpleNamespace(st_dev=2049, st_ino=1234567, st_size=14, st_mtime_ns=10**18, st_ctime_ns=10**18 + 5)
+# a snapshot file's mtime after the graph file's last change: INFO's stamp is trusted
+AFTER = INFO.st_ctime_ns + 1
 
 # a raw tab and an explicit ^^xsd:string are aliases in _ids; a \u escape takes
 # the strict scanner and leaves none
 ALIASED = f'{S} {P} "a\tb" .\n{S} {P} "c"^^<{XSD_STRING}> .\n{S} {P} "\\u0041" .\n'
-
-
-def test_snapshot_key_of_a_file_is_the_key_of_its_bytes():
-    data = bytes(range(256)) * 9000  # 2.3 MB: two whole 1 MB chunks and a part
-    source = io.BytesIO(data)
-    assert rdf_mod.snapshot_key(source) == rdf_mod.snapshot_key(data) == hashlib.sha256(data).digest()
-    assert source.tell() == len(data)
-    source.seek(len(data) - 10)  # read from where the file stands
-    assert rdf_mod.snapshot_key(source) == hashlib.sha256(data[-10:]).digest()
 
 
 def _snapshot_texts():
@@ -730,16 +725,16 @@ def _snapshot_texts():
     return texts
 
 
-def _wrap(payload: bytes, source: bytes = SOURCE) -> bytes:
+def _wrap(payload: bytes) -> bytes:
     """A snapshot with a well-formed header around any payload."""
-    header = f"{rdf_mod._SNAPSHOT_TAG} {source.hex()} {rdf_mod._stamp(INFO)} {zlib.crc32(payload):08x}\n"
+    header = f"{rdf_mod._SNAPSHOT_TAG} {rdf_mod._stamp(INFO)} {zlib.crc32(payload):08x}\n"
     return header.encode("ascii") + payload
 
 
 def test_snapshot_loads_the_graph_it_was_dumped_from():
     for text in _snapshot_texts():
         parsed = parse_ntriples(text)
-        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, SOURCE, INFO), SOURCE)
+        loaded = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parsed, INFO), INFO, AFTER)
         assert loaded == parsed and parsed == loaded
         assert loaded._tokens == parsed._tokens
         assert loaded._ids == parsed._ids
@@ -750,20 +745,19 @@ def test_snapshot_loads_the_graph_it_was_dumped_from():
         ]
         assert serialize_ntriples(loaded) == serialize_ntriples(parsed)
         assert serialize_turtle(loaded) == serialize_turtle(parsed)
-    aliased = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO), SOURCE)
+    aliased = rdf_mod.load_snapshot(rdf_mod.dump_snapshot(parse_ntriples(ALIASED), INFO), INFO, AFTER)
     assert len(aliased._ids) == len(aliased._tokens) + 2
     assert aliased._ids['"a\tb"'] == aliased._ids['"a\\tb"']
     assert aliased._ids[f'"c"^^<{XSD_STRING}>'] == aliased._ids['"c"']
 
 
-def test_snapshot_header_names_format_marshal_interpreter_and_digests():
-    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
+def test_snapshot_header_names_format_marshal_interpreter_stamp_and_crc():
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), INFO)
     header, payload = data.split(b"\n", 1)
     version = f"{sys.version_info.major}.{sys.version_info.minor}"
     assert header.decode("ascii").split(" ") == [
-        "andmalkg-snapshot", "4", "marshal", str(marshal.version),
+        "andmalkg-snapshot", "5", "marshal", str(marshal.version),
         sys.implementation.name, version,
-        hashlib.sha256(b"the graph file").hexdigest(),
         f"2049:1234567:14:{10**18}:{10**18 + 5}",
         f"{zlib.crc32(payload):08x}",
     ]
@@ -806,11 +800,11 @@ def _refield(data: bytes, k: int, value: bytes) -> bytes:
 )
 def test_unusable_snapshot_loads_nothing(damage):
     text = ALIASED + serialize_ntriples(random_graph(random.Random(59), max_triples=100))
-    data = rdf_mod.dump_snapshot(parse_ntriples(text), SOURCE, INFO)
-    assert rdf_mod.load_snapshot(data, SOURCE) is not None
-    other = rdf_mod.snapshot_key(b"an edited graph file")
+    data = rdf_mod.dump_snapshot(parse_ntriples(text), INFO)
+    assert rdf_mod.load_snapshot(data, INFO, AFTER) is not None
+    other = SimpleNamespace(**{**vars(INFO), "st_size": INFO.st_size + 1})
     damaged = damage(data)
-    assert rdf_mod.load_snapshot(damaged, SOURCE if damaged is not data else other) is None
+    assert rdf_mod.load_snapshot(damaged, INFO if damaged is not data else other, AFTER) is None
 
 
 @pytest.mark.parametrize(
@@ -832,45 +826,47 @@ def test_unusable_snapshot_loads_nothing(damage):
          "format-2-payload", "none"],
 )
 def test_snapshot_of_the_wrong_shape_loads_nothing(payload):
-    assert rdf_mod.load_snapshot(_wrap(payload), SOURCE) is None
+    assert rdf_mod.load_snapshot(_wrap(payload), INFO, AFTER) is None
+    # the header around it is one that loads
+    assert rdf_mod.load_snapshot(_wrap(marshal.dumps((["<urn:x>"], {"<urn:x>": 0}, 0, {}, {}))), INFO, AFTER) == Graph()
 
 
 def test_dump_snapshot_leaves_the_graph_as_it_was():
     g = parse_ntriples(ALIASED)
     before = copy.deepcopy(vars(g))
-    rdf_mod.dump_snapshot(g, SOURCE, INFO)
+    rdf_mod.dump_snapshot(g, INFO)
     assert vars(g) == before
 
 
-def test_stamped_key_trusts_only_its_own_stamp_older_than_the_snapshot():
-    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
-    after = INFO.st_ctime_ns + 1
-    assert rdf_mod.stamped_key(data, INFO, after) == SOURCE
-    assert rdf_mod.load_snapshot(data, rdf_mod.stamped_key(data, INFO, after)) == parse_ntriples(ALIASED)
+def test_load_snapshot_trusts_only_its_own_stamp_older_than_the_snapshot():
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), INFO)
+    assert rdf_mod.load_snapshot(data, INFO, AFTER) == parse_ntriples(ALIASED)
     # racy: the snapshot is no newer than the file's last change
-    assert rdf_mod.stamped_key(data, INFO, INFO.st_ctime_ns) is None
-    assert rdf_mod.stamped_key(data, INFO, INFO.st_mtime_ns) is None
+    assert rdf_mod.load_snapshot(data, INFO, INFO.st_ctime_ns) is None
+    assert rdf_mod.load_snapshot(data, INFO, INFO.st_mtime_ns) is None
     # another file, or this one changed: each field of the stamp counts
     for field in vars(INFO):
         other = SimpleNamespace(**{**vars(INFO), field: getattr(INFO, field) + 1})
-        assert rdf_mod.stamped_key(data, other, after + 1) is None
+        assert rdf_mod.load_snapshot(data, other, AFTER + 1) is None
     # an mtime set later than the ctime: both must be older than the snapshot
-    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, SimpleNamespace(**{**vars(INFO), "st_mtime_ns": after}))
-    assert rdf_mod.stamped_key(data, SimpleNamespace(**{**vars(INFO), "st_mtime_ns": after}), after) is None
+    later = SimpleNamespace(**{**vars(INFO), "st_mtime_ns": AFTER})
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), later)
+    assert rdf_mod.load_snapshot(data, later, AFTER) is None
+    assert rdf_mod.load_snapshot(data, later, AFTER + 1) == parse_ntriples(ALIASED)
 
 
 @pytest.mark.parametrize(
     "damage",
     [
         lambda d: d[:40],
-        lambda d: _refield(d, 1, b"3"),  # format 3 wrote no stamp
-        lambda d: _refield(d, 6, b"not-hex"),  # a key that is not hex
+        lambda d: _refield(d, 1, b"4"),  # format 4 wrote a key before the stamp
+        lambda d: _refield(d, 7, b"not-hex"),  # a CRC that is not hex
         lambda d: d.replace(b" ", b"  ", 1),
         lambda d: b"\x00junk\xff" * 1000,
         lambda d: b"",
     ],
-    ids=["truncated-header", "foreign-format", "bad-key", "extra-space", "junk", "empty"],
+    ids=["truncated-header", "foreign-format", "bad-crc", "extra-space", "junk", "empty"],
 )
-def test_stamped_key_of_an_unusable_header_is_none(damage):
-    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), SOURCE, INFO)
-    assert rdf_mod.stamped_key(damage(data), INFO, INFO.st_ctime_ns + 1) is None
+def test_a_trusted_stamp_under_an_unusable_header_loads_nothing(damage):
+    data = rdf_mod.dump_snapshot(parse_ntriples(ALIASED), INFO)
+    assert rdf_mod.load_snapshot(damage(data), INFO, AFTER) is None
